@@ -7,13 +7,14 @@ vertices still count in 1/n averages.
 
 from __future__ import annotations
 
-from collections import deque
+import math
+from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .graphs import Graph
 from .paths import (DistanceData, all_pairs, avg_path_length, density,
-                    diameter, global_efficiency)
+                    diameter, efficiency_sum, global_efficiency)
 
 
 def local_clustering(g: Graph, i: int) -> Fraction:
@@ -58,7 +59,9 @@ def global_clustering(g: Graph) -> Fraction:
 # Betweenness and stress
 # ---------------------------------------------------------------------------
 
-# Beyond this, exact Fraction accumulation gets slow; fall back to floats.
+# Beyond this, betweenness falls back to floats.  Exact accumulation is
+# integer arithmetic over a common denominator (see betweenness_and_stress);
+# the threshold is not yet derived from a measured time budget.
 EXACT_BC_MAX_VERTICES = 4096
 
 
@@ -66,17 +69,29 @@ def betweenness_and_stress(g: Graph, exact: bool | None = None
                            ) -> tuple[list[Fraction], list[int]]:
     """Brandes dependency accumulation for betweenness and stress.
 
-    Both sums run over ordered pairs (s, t), s != t != i.  Betweenness is
-    accumulated exactly as Fractions; ``exact=False`` (or leaving the default
-    on a graph past EXACT_BC_MAX_VERTICES) switches to floats.  Stress is
-    always an exact integer.
+    Both sums run over ordered pairs (s, t), s != t != i.  Stress is always
+    an exact integer.  Betweenness is exact by default; ``exact=False`` (or
+    leaving the default on a graph past EXACT_BC_MAX_VERTICES) switches to
+    floats.
+
+    The exact branch works on integers.  For source s, let L_s be the lcm of
+    the path counts sigma_s(.), and keep D(v) = L_s * delta_s(v).  D(w) is a
+    multiple of sigma(w), so it is stored as A(w) = D(w) / sigma(w) and the
+    Brandes step D(v) += sigma(v) * (L_s + D(w)) / sigma(w) becomes
+    A(v) += L_s // sigma(w) + A(w), with exact floor division.  The sources
+    share one running common denominator L: the integer totals are rescaled
+    when L_s does not divide L, and each vertex's value is a single
+    ``Fraction(total, L)`` at the end.
     """
     n = g.n
     if exact is None:
         exact = n <= EXACT_BC_MAX_VERTICES
-    zero = Fraction(0) if exact else 0.0
-    bc = [zero] * n
     stress = [0] * n
+    if exact:
+        totals = [0] * n
+        denom = 1
+    else:
+        bc = [0.0] * n
     for s in range(n):
         # BFS with predecessor lists
         dist = [-1] * n
@@ -98,29 +113,51 @@ def betweenness_and_stress(g: Graph, exact: bool | None = None
                 if dist[w] == dv + 1:
                     sigma[w] += sv
                     preds[w].append(v)
-        # reverse-order accumulation; delta for betweenness, tail-count for
-        # stress (number of targets below v, path-multiplicity included)
-        delta = [zero] * n
+        # reverse-order accumulation; dependencies for betweenness, tail
+        # counts for stress (targets below v, path multiplicity included)
         tails = [0] * n
-        for w in reversed(order):
-            tw = tails[w]
-            coeff = (delta[w] + 1) / sigma[w]
-            for v in preds[w]:
-                delta[v] += sigma[v] * coeff
-                tails[v] += 1 + tw
-            if w != s:
-                bc[w] += delta[w]
-                stress[w] += sigma[w] * tw
+        if exact:
+            lcm_s = math.lcm(*[sigma[v] for v in order])
+            scaled = [0] * n  # A(v) = L_s * delta_s(v) / sigma_s(v)
+            for w in reversed(order):
+                tw = tails[w]
+                coeff = lcm_s // sigma[w] + scaled[w]
+                for v in preds[w]:
+                    scaled[v] += coeff
+                    tails[v] += 1 + tw
+                if w != s:
+                    stress[w] += sigma[w] * tw
+            if denom % lcm_s:
+                grown = math.lcm(denom, lcm_s)
+                factor = grown // denom
+                totals = [t * factor for t in totals]
+                denom = grown
+            factor = denom // lcm_s
+            for w in order:
+                if w != s:
+                    totals[w] += sigma[w] * scaled[w] * factor
+        else:
+            delta = [0.0] * n
+            for w in reversed(order):
+                tw = tails[w]
+                coeff = (delta[w] + 1) / sigma[w]
+                for v in preds[w]:
+                    delta[v] += sigma[v] * coeff
+                    tails[v] += 1 + tw
+                if w != s:
+                    bc[w] += delta[w]
+                    stress[w] += sigma[w] * tw
+    if exact:
+        bc = [Fraction(t, denom) for t in totals]
     return bc, stress
 
 
-def betweenness(g: Graph, dd: DistanceData | None = None,
-                exact: bool | None = None) -> list[Fraction]:
+def betweenness(g: Graph, exact: bool | None = None) -> list[Fraction]:
     """Per-vertex betweenness over ordered pairs."""
     return betweenness_and_stress(g, exact=exact)[0]
 
 
-def stress(g: Graph, dd: DistanceData | None = None) -> list[int]:
+def stress(g: Graph) -> list[int]:
     """Per-vertex stress (raw shortest-path counts) over ordered pairs."""
     return betweenness_and_stress(g)[1]
 
@@ -187,7 +224,8 @@ def radiality(g: Graph, dd: DistanceData, v: int) -> Fraction:
     if g.n < 2:
         raise ValueError("radiality needs at least 2 vertices")
     diam = diameter(dd)
-    total = sum(diam + 1 - dd.dist[v][t] for t in range(g.n) if t != v)
+    row = dd.dist[v]
+    total = sum(diam + 1 - row[t] for t in range(g.n) if t != v)
     return Fraction(total, g.n - 1)
 
 
@@ -203,13 +241,10 @@ def neighborhood_efficiency(g: Graph, dd: DistanceData, v: int,
     if d <= 1:
         return Fraction(0)
     nbrs = g.neighbors(v)
-    total = Fraction(0)
+    hist: Counter = Counter()  # hop distance -> number of ordered pairs
     if not induced:
-        for a_idx in range(d):
-            row = dd.dist[nbrs[a_idx]]
-            for b_idx in range(a_idx + 1, d):
-                total += Fraction(1, row[nbrs[b_idx]])
-        total *= 2  # ordered pairs
+        for a in nbrs:
+            hist.update(map(dd.dist[a].__getitem__, nbrs))
     else:
         index = {u: k for k, u in enumerate(nbrs)}
         local_adj = [[index[w] for w in g.neighbors(u) if w in index] for u in nbrs]
@@ -223,10 +258,8 @@ def neighborhood_efficiency(g: Graph, dd: DistanceData, v: int,
                     if dist[y] < 0:
                         dist[y] = dist[x] + 1
                         queue.append(y)
-            for tgt in range(d):
-                if tgt != src and dist[tgt] > 0:
-                    total += Fraction(1, dist[tgt])
-    return total / (d * (d - 1))
+            hist.update(dist)
+    return efficiency_sum(hist) / (d * (d - 1))
 
 
 def local_efficiency(g: Graph, dd: DistanceData, induced: bool = False) -> Fraction:

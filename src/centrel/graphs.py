@@ -396,6 +396,11 @@ def to_edge_list_text(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _is_json_int(x) -> bool:
+    # JSON true/false load as bool, a subclass of int
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def read_json_graph(text: str) -> Graph:
     """Parse the JSON graph format: {"n": int, "edges": [[i, j], ...]}."""
     try:
@@ -405,12 +410,14 @@ def read_json_graph(text: str) -> Graph:
     if not isinstance(obj, dict) or "n" not in obj or "edges" not in obj:
         raise GraphFormatError('JSON graph needs "n" and "edges" keys')
     n = obj["n"]
-    if not isinstance(n, int):
+    if not _is_json_int(n):
         raise GraphFormatError('"n" must be an integer')
+    if not isinstance(obj["edges"], list):
+        raise GraphFormatError('"edges" must be a list')
     edges = []
     for e in obj["edges"]:
         if not (isinstance(e, list) and len(e) == 2
-                and all(isinstance(x, int) for x in e)):
+                and all(_is_json_int(x) for x in e)):
             raise GraphFormatError(f"bad edge entry {e!r}")
         edges.append((e[0], e[1]))
     if n > MAX_DENSE_VERTICES:

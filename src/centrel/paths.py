@@ -6,7 +6,7 @@ BFS dynamic program.  Derived means are exact rationals.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from fractions import Fraction
 
 from .graphs import MAX_DENSE_VERTICES, Graph
@@ -21,14 +21,16 @@ class DistanceData:
 
     ``dist[s][t]`` is the hop distance, ``sigma[s][t]`` the number of distinct
     shortest s-t paths (``sigma[s][s] == 1`` by convention).  Both matrices
-    are symmetric for undirected graphs.
+    are symmetric for undirected graphs.  The diameter is memoized on first
+    use, so the matrices must not be mutated afterwards.
     """
 
-    __slots__ = ("dist", "sigma")
+    __slots__ = ("dist", "sigma", "_diameter")
 
     def __init__(self, dist: list[list[int]], sigma: list[list[int]]):
         self.dist = dist
         self.sigma = sigma
+        self._diameter: int | None = None
 
     @property
     def n(self) -> int:
@@ -88,10 +90,21 @@ def sigma_through(dd: DistanceData, s: int, t: int, i: int) -> int:
 
 
 def diameter(dd: DistanceData) -> int:
-    """Largest hop distance over all pairs."""
+    """Largest hop distance over all pairs (scanned once per DistanceData)."""
     if dd.n < 2:
         raise ValueError("diameter needs at least 2 vertices")
-    return max(max(row) for row in dd.dist)
+    if dd._diameter is None:
+        dd._diameter = max(max(row) for row in dd.dist)
+    return dd._diameter
+
+
+def efficiency_sum(hist: Counter) -> Fraction:
+    """Sum of count/d over a histogram of hop distances d.
+
+    Entries with d <= 0 (a vertex to itself, or unreachable) contribute 0.
+    """
+    return sum((Fraction(count, d) for d, count in hist.items() if d > 0),
+               Fraction(0))
 
 
 def avg_path_length(dd: DistanceData) -> Fraction:
@@ -108,13 +121,10 @@ def global_efficiency(dd: DistanceData) -> Fraction:
     n = dd.n
     if n < 2:
         raise ValueError("global efficiency needs at least 2 vertices")
-    total = Fraction(0)
-    for s in range(n):
-        row = dd.dist[s]
-        for t in range(n):
-            if t != s:
-                total += Fraction(1, row[t])
-    return total / (n * (n - 1))
+    hist: Counter = Counter()
+    for row in dd.dist:
+        hist.update(row)
+    return efficiency_sum(hist) / (n * (n - 1))
 
 
 def density(g: Graph) -> Fraction:

@@ -94,6 +94,26 @@ class TestCompute:
         code, _, err = run(capsys, "compute")
         assert code == 2
 
+    @pytest.mark.parametrize("text", [
+        '{"n": 3, "edges": [[true, 2], [0, 2]]}',
+        '{"n": 3, "edges": [[0, 1], [1, false]]}',
+        '{"n": true, "edges": [[0, 1]]}',
+    ])
+    def test_json_bool_rejected_exit_2(self, capsys, tmp_path, text):
+        path = tmp_path / "g.json"
+        path.write_text(text)
+        code, out, err = run(capsys, "compute", "--input", str(path))
+        assert code == 2
+        assert out == "" and "error" in err
+
+    @pytest.mark.parametrize("edges", ["5", '"0 1"', '{"0": 1}', "null"])
+    def test_json_edges_not_a_list_exit_2(self, capsys, tmp_path, edges):
+        path = tmp_path / "g.json"
+        path.write_text('{"n": 3, "edges": %s}' % edges)
+        code, out, err = run(capsys, "compute", "--input", str(path))
+        assert code == 2
+        assert "edges" in err
+
 
 class TestCheck:
     def test_windmill_all_hold(self, capsys):

@@ -1,0 +1,113 @@
+"""Integer-arithmetic kernels against per-pair Fraction references.
+
+Exact Brandes keeps each source's dependencies as integers over the lcm of
+its path counts, and the efficiencies sum histograms of BFS distances.  These
+properties compare them with definition-level recomputations on random
+connected graphs, on many-path families (path counts above 1), and on graphs
+where the lcm of the path counts differs from source to source.
+"""
+
+import math
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from centrel import (FamilySpec, all_pairs, betweenness_and_stress,
+                     generate, global_efficiency, local_efficiency, radiality)
+from centrel.centralities import betweenness_definitional, stress_definitional
+from centrel.graphs import from_edge_list
+
+MANY_PATH_FAMILIES = [
+    ("hypercube", (3,)), ("hypercube", (4,)), ("hypercube", (5,)),
+    ("circulant", (16, 1, 2, 3)), ("circulant", (24, 1, 3, 5, 7)),
+    ("circulant", (30, 1, 2, 3, 5, 8)), ("complete-with-glued-4-cycles", (5,)),
+]
+
+
+@st.composite
+def connected_graphs(draw, max_n=14):
+    """A random spanning tree plus a random subset of the remaining pairs."""
+    n = draw(st.integers(min_value=2, max_value=max_n))
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    others = [(i, j) for i in range(n) for j in range(i + 1, n)
+              if (i, j) not in edges]
+    edges |= set(draw(st.lists(st.sampled_from(others), max_size=3 * n))
+                 if others else [])
+    return from_edge_list(sorted(edges), n)
+
+
+def assert_brandes_matches_definition(g):
+    dd = all_pairs(g)
+    bc, stress = betweenness_and_stress(g)
+    assert all(isinstance(x, Fraction) for x in bc)
+    assert bc == betweenness_definitional(g, dd)
+    assert stress == stress_definitional(g, dd)
+
+
+def reference_global_efficiency(dd):
+    n = dd.n
+    total = sum((Fraction(1, dd.dist[s][t])
+                 for s in range(n) for t in range(n) if s != t), Fraction(0))
+    return total / (n * (n - 1))
+
+
+def reference_local_efficiency(g, dd):
+    total = Fraction(0)
+    for v in range(g.n):
+        nbrs = g.neighbors(v)
+        d = len(nbrs)
+        if d > 1:
+            pairs = sum((Fraction(1, dd.dist[a][b])
+                         for a in nbrs for b in nbrs if a != b), Fraction(0))
+            total += pairs / (d * (d - 1))
+    return total / g.n
+
+
+def reference_radiality(dd, v):
+    n = dd.n
+    diam = max(dd.dist[s][t] for s in range(n) for t in range(n))
+    return Fraction(sum(diam + 1 - dd.dist[v][t] for t in range(n) if t != v),
+                    n - 1)
+
+
+def assert_efficiencies_and_radiality_match(g):
+    dd = all_pairs(g)
+    assert global_efficiency(dd) == reference_global_efficiency(dd)
+    assert local_efficiency(g, dd) == reference_local_efficiency(g, dd)
+    for v in range(g.n):
+        assert radiality(g, dd, v) == reference_radiality(dd, v)
+
+
+@given(connected_graphs())
+@settings(max_examples=80, deadline=None)
+def test_brandes_matches_definition_on_random_graphs(g):
+    assert_brandes_matches_definition(g)
+
+
+@given(connected_graphs())
+@settings(max_examples=80, deadline=None)
+def test_efficiencies_and_radiality_match_per_pair_reference(g):
+    assert_efficiencies_and_radiality_match(g)
+
+
+@pytest.mark.parametrize("family,params", MANY_PATH_FAMILIES)
+def test_many_path_families(family, params):
+    g = generate(FamilySpec(family, params))
+    assert max(max(row) for row in all_pairs(g).sigma) > 1
+    assert_brandes_matches_definition(g)
+    assert_efficiencies_and_radiality_match(g)
+
+
+@pytest.mark.parametrize("g", [
+    # K_{2,3}: sources on the 2-side see sigma = 3, on the 3-side sigma = 2
+    from_edge_list([(a, b) for a in (0, 1) for b in (2, 3, 4)], 5),
+    generate(FamilySpec("complete-with-glued-4-cycles", (5,))),
+    generate(FamilySpec("random-min-degree-2", (40,), seed=3)),
+])
+def test_source_lcms_differ(g):
+    # the running common denominator has to grow past the first source's
+    lcms = {math.lcm(*row) for row in all_pairs(g).sigma}
+    assert len(lcms) > 1
+    assert_brandes_matches_definition(g)
