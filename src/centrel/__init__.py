@@ -8,11 +8,10 @@ and :mod:`centrel.relations` verifies the identities and bounds that tie the
 measures together.
 """
 
-from .centralities import (CentralityReport, average_clustering, betweenness,
+from .centralities import (CentralityReport, average_clustering,
                            betweenness_and_stress, closeness, compute_report,
                            global_clustering, local_clustering,
-                           local_efficiency, radiality, stress,
-                           triangle_count)
+                           local_efficiency, radiality, triangle_count)
 from .graphs import (FamilySpec, Graph, from_edge_list, generate,
                      is_connected, load_graph, read_edge_list_text,
                      read_json_graph, to_edge_list_text, to_json_graph,

@@ -59,107 +59,70 @@ def global_clustering(g: Graph) -> Fraction:
 # Betweenness and stress
 # ---------------------------------------------------------------------------
 
-# Beyond this, betweenness falls back to floats.  Exact accumulation is
-# integer arithmetic over a common denominator (see betweenness_and_stress);
-# the threshold is not yet derived from a measured time budget.
-EXACT_BC_MAX_VERTICES = 4096
-
-
-def betweenness_and_stress(g: Graph, exact: bool | None = None
+def betweenness_and_stress(g: Graph, dd: DistanceData | None = None
                            ) -> tuple[list[Fraction], list[int]]:
-    """Brandes dependency accumulation for betweenness and stress.
+    """Exact Brandes betweenness and stress, computed once per DistanceData.
 
-    Both sums run over ordered pairs (s, t), s != t != i.  Stress is always
-    an exact integer.  Betweenness is exact by default; ``exact=False`` (or
-    leaving the default on a graph past EXACT_BC_MAX_VERTICES) switches to
-    floats.
+    Both sums run over ordered pairs (s, t), s != t != i.  The pass reads the
+    all-pairs rows of ``dd`` (built from ``g`` when omitted, so ``g`` must be
+    connected) and stores its result there; later calls with the same ``dd``
+    return copies of it.
+    """
+    if dd is None:
+        dd = all_pairs(g)
+    if dd._brandes is None:
+        dd._brandes = _brandes(g, dd)
+    bc, stress = dd._brandes
+    return list(bc), list(stress)
 
-    The exact branch works on integers.  For source s, let L_s be the lcm of
-    the path counts sigma_s(.), and keep D(v) = L_s * delta_s(v).  D(w) is a
-    multiple of sigma(w), so it is stored as A(w) = D(w) / sigma(w) and the
-    Brandes step D(v) += sigma(v) * (L_s + D(w)) / sigma(w) becomes
+
+def _brandes(g: Graph, dd: DistanceData) -> tuple[list[Fraction], list[int]]:
+    """Brandes dependency accumulation over the BFS rows of ``dd``.
+
+    For source s the vertices are visited by decreasing distance, and the
+    predecessors of w are its neighbors one hop closer to s.  Stress sums the
+    tail counts (targets below v, path multiplicity included).
+
+    Betweenness is accumulated on integers.  Let L_s be the lcm of the path
+    counts sigma_s(.), and keep D(v) = L_s * delta_s(v).  D(w) is a multiple
+    of sigma(w), so it is stored as A(w) = D(w) / sigma(w) and the Brandes
+    step D(v) += sigma(v) * (L_s + D(w)) / sigma(w) becomes
     A(v) += L_s // sigma(w) + A(w), with exact floor division.  The sources
     share one running common denominator L: the integer totals are rescaled
     when L_s does not divide L, and each vertex's value is a single
     ``Fraction(total, L)`` at the end.
     """
     n = g.n
-    if exact is None:
-        exact = n <= EXACT_BC_MAX_VERTICES
     stress = [0] * n
-    if exact:
-        totals = [0] * n
-        denom = 1
-    else:
-        bc = [0.0] * n
+    totals = [0] * n
+    denom = 1
     for s in range(n):
-        # BFS with predecessor lists
-        dist = [-1] * n
-        sigma = [0] * n
-        preds: list[list[int]] = [[] for _ in range(n)]
-        dist[s] = 0
-        sigma[s] = 1
-        queue = deque([s])
-        order = []
-        while queue:
-            v = queue.popleft()
-            order.append(v)
-            dv = dist[v]
-            sv = sigma[v]
-            for w in g.neighbors(v):
-                if dist[w] < 0:
-                    dist[w] = dv + 1
-                    queue.append(w)
-                if dist[w] == dv + 1:
-                    sigma[w] += sv
-                    preds[w].append(v)
-        # reverse-order accumulation; dependencies for betweenness, tail
-        # counts for stress (targets below v, path multiplicity included)
+        dist = dd.dist[s]
+        sigma = dd.sigma[s]
+        order = sorted(range(n), key=dist.__getitem__)
+        lcm_s = math.lcm(*sigma)
+        scaled = [0] * n  # A(v) = L_s * delta_s(v) / sigma_s(v)
         tails = [0] * n
-        if exact:
-            lcm_s = math.lcm(*[sigma[v] for v in order])
-            scaled = [0] * n  # A(v) = L_s * delta_s(v) / sigma_s(v)
-            for w in reversed(order):
-                tw = tails[w]
-                coeff = lcm_s // sigma[w] + scaled[w]
-                for v in preds[w]:
+        for w in reversed(order):
+            tw = tails[w]
+            coeff = lcm_s // sigma[w] + scaled[w]
+            closer = dist[w] - 1
+            for v in g.neighbors(w):
+                if dist[v] == closer:
                     scaled[v] += coeff
                     tails[v] += 1 + tw
-                if w != s:
-                    stress[w] += sigma[w] * tw
-            if denom % lcm_s:
-                grown = math.lcm(denom, lcm_s)
-                factor = grown // denom
-                totals = [t * factor for t in totals]
-                denom = grown
-            factor = denom // lcm_s
-            for w in order:
-                if w != s:
-                    totals[w] += sigma[w] * scaled[w] * factor
-        else:
-            delta = [0.0] * n
-            for w in reversed(order):
-                tw = tails[w]
-                coeff = (delta[w] + 1) / sigma[w]
-                for v in preds[w]:
-                    delta[v] += sigma[v] * coeff
-                    tails[v] += 1 + tw
-                if w != s:
-                    bc[w] += delta[w]
-                    stress[w] += sigma[w] * tw
-    if exact:
-        bc = [Fraction(t, denom) for t in totals]
-    return bc, stress
-
-
-def betweenness(g: Graph, exact: bool | None = None) -> list[Fraction]:
-    """Per-vertex betweenness over ordered pairs."""
-    return betweenness_and_stress(g, exact=exact)[0]
-
-
-def stress(g: Graph) -> list[int]:
-    """Per-vertex stress (raw shortest-path counts) over ordered pairs."""
-    return betweenness_and_stress(g)[1]
+            if w != s:
+                stress[w] += sigma[w] * tw
+        if denom % lcm_s:
+            grown = math.lcm(denom, lcm_s)
+            factor = grown // denom
+            totals = [t * factor for t in totals]
+            denom = grown
+        factor = denom // lcm_s
+        for w in order:
+            if w != s:
+                totals[w] += sigma[w] * scaled[w] * factor
+    return [Fraction(t, denom) for t in totals], stress
 
 
 def betweenness_definitional(g: Graph, dd: DistanceData) -> list[Fraction]:
@@ -301,7 +264,7 @@ def compute_report(g: Graph, dd: DistanceData | None = None) -> CentralityReport
     """Compute the full CentralityReport (connected graphs only)."""
     if dd is None:
         dd = all_pairs(g)
-    bc, st = betweenness_and_stress(g)
+    bc, st = betweenness_and_stress(g, dd)
     try:
         glob_c = global_clustering(g)
     except ValueError:

@@ -255,7 +255,8 @@ def cmd_sweep(args) -> int:
 
 def cmd_oracle_diff(args) -> int:
     g, source = _graph_from_args(args)
-    fast = compute_report(g)
+    dd = all_pairs(g)
+    fast = compute_report(g, dd)
     slow = oracle.oracle_measures(g, cap=args.cap)
     mismatches = []
     for name in CentralityReport.FIELDS_PER_VERTEX:
@@ -267,7 +268,7 @@ def cmd_oracle_diff(args) -> int:
         x, y = getattr(fast, name), getattr(slow, name)
         if x != y:
             mismatches.append(f"{name}: fast={x} oracle={y}")
-    fast_profiles = profiles(g, all_pairs(g))
+    fast_profiles = profiles(g, dd)
     slow_profiles = oracle.oracle_neighborhood_profiles(g, cap=args.cap)
     for fp, sp in zip(fast_profiles, slow_profiles):
         for fieldname in fp.FIELDS:

@@ -21,16 +21,18 @@ class DistanceData:
 
     ``dist[s][t]`` is the hop distance, ``sigma[s][t]`` the number of distinct
     shortest s-t paths (``sigma[s][s] == 1`` by convention).  Both matrices
-    are symmetric for undirected graphs.  The diameter is memoized on first
-    use, so the matrices must not be mutated afterwards.
+    are symmetric for undirected graphs.  The diameter and the Brandes
+    betweenness and stress are memoized on first use, so the matrices must
+    not be mutated afterwards.
     """
 
-    __slots__ = ("dist", "sigma", "_diameter")
+    __slots__ = ("dist", "sigma", "_diameter", "_brandes")
 
     def __init__(self, dist: list[list[int]], sigma: list[list[int]]):
         self.dist = dist
         self.sigma = sigma
         self._diameter: int | None = None
+        self._brandes: tuple | None = None  # set by betweenness_and_stress
 
     @property
     def n(self) -> int:

@@ -136,8 +136,7 @@ def check_thm2(g: Graph, dd: DistanceData | None = None,
     through-path then has length exactly 2).
     """
     dd = _prepare(g, dd, allow_pendant, need_min_degree_2=True)
-    # only the stress column is used here; it is exact in either mode
-    _, stress = betweenness_and_stress(g, exact=False)
+    _, stress = betweenness_and_stress(g, dd)
     term_total = Fraction(0)
     for i in range(g.n):
         d = g.degree(i)
@@ -221,7 +220,7 @@ def check_cor_sandwich(g: Graph, dd: DistanceData | None = None,
     """Per-vertex sandwich:
     BC(i,N(i))/(d(d-1)) <= L(N(i)) - 1 <= Str(i)/(d(d-1))."""
     dd = _prepare(g, dd, allow_pendant, need_min_degree_2=True)
-    _, stress = betweenness_and_stress(g, exact=False)
+    _, stress = betweenness_and_stress(g, dd)
     notes: list[str] = []
     _skip_note(g, notes)
     worst: Fraction | None = None

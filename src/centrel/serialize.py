@@ -6,15 +6,9 @@ from fractions import Fraction
 
 
 def rational_str(x) -> str:
-    """Exact "p/q" (or plain integer) text for a rational value.
-
-    Floats (the large-graph betweenness fallback) have no meaningful exact
-    form and render as 12-significant-digit decimals.
-    """
+    """Exact "p/q" (or plain integer) text for a rational value."""
     if isinstance(x, bool):
         return str(x).lower()
-    if isinstance(x, float):
-        return fmt_sig12(x)
     f = Fraction(x)
     if f.denominator == 1:
         return str(f.numerator)
@@ -22,16 +16,13 @@ def rational_str(x) -> str:
 
 
 def rational_json(x, exact: bool = True):
-    """JSON view of a number: {"exact": "p/q", "value": float} or bare float.
-
-    Values that are already floats (the large-graph betweenness fallback)
-    carry no exact form and serialize as plain floats.
-    """
+    """JSON view of a number: {"exact": "p/q", "value": float}, or a bare
+    float when ``exact`` is off."""
     if x is None:
         return None
     if isinstance(x, bool):
         return x
-    if not exact or isinstance(x, float):
+    if not exact:
         return float(x)
     return {"exact": rational_str(x), "value": float(x)}
 

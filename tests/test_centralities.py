@@ -4,10 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from centrel import (FamilySpec, all_pairs, average_clustering,
-                     betweenness_and_stress, closeness, compute_report,
-                     generate, global_clustering, local_clustering,
-                     local_efficiency, radiality)
+from centrel import (DisconnectedGraphError, FamilySpec, all_pairs,
+                     average_clustering, betweenness_and_stress, closeness,
+                     compute_report, generate, global_clustering,
+                     local_clustering, local_efficiency, radiality)
 from centrel.centralities import (betweenness_definitional,
                                   stress_definitional, triangle_count)
 from centrel.graphs import from_edge_list
@@ -84,24 +84,24 @@ class TestBetweennessStress:
         assert all(x == 1 for x in bc)
         assert all(x == 2 for x in st)
 
-    def test_float_mode_close_to_exact(self):
-        g = make("random-min-degree-2", 16, seed=2)
-        exact_bc, _ = betweenness_and_stress(g)
-        float_bc, _ = betweenness_and_stress(g, exact=False)
-        for a, b in zip(exact_bc, float_bc):
-            assert abs(float(a) - b) < 1e-9
-
-    def test_exact_mode_auto_threshold(self, monkeypatch):
+    def test_memoized_per_distance_data(self, monkeypatch):
         import centrel.centralities as cents
-        g = make("cycle", 8)
-        bc_exact, _ = cents.betweenness_and_stress(g)
-        assert isinstance(bc_exact[0], Fraction)
-        monkeypatch.setattr(cents, "EXACT_BC_MAX_VERTICES", 4)
-        bc_float, st = cents.betweenness_and_stress(g)
-        assert isinstance(bc_float[0], float)
-        # stress stays exact whichever mode the fallback picks
-        assert all(isinstance(x, int) for x in st)
-        assert all(abs(float(a) - b) < 1e-9 for a, b in zip(bc_exact, bc_float))
+        calls = []
+        kernel = cents._brandes
+        monkeypatch.setattr(cents, "_brandes",
+                            lambda g, dd: calls.append(dd) or kernel(g, dd))
+        g = make("random-min-degree-2", 16, seed=2)
+        dd = all_pairs(g)
+        first = betweenness_and_stress(g, dd)
+        second = betweenness_and_stress(g, dd)
+        assert calls == [dd]
+        assert second == first
+        assert betweenness_and_stress(g) == first  # fresh rows, same values
+        assert len(calls) == 2
+
+    def test_needs_connected_graph(self):
+        with pytest.raises(DisconnectedGraphError):
+            betweenness_and_stress(from_edge_list([(0, 1), (2, 3)], 4))
 
     def test_brandes_equals_definitional(self, family_suite):
         for name, g in family_suite:

@@ -58,6 +58,14 @@ class TestCompute:
         assert [v["label"] for v in payload["vertices"]] == \
             ["alice", "bob", "carol"]
 
+    def test_betweenness_always_exact(self, capsys):
+        code, out, _ = run(capsys, "compute", "--family", "random-min-degree-2",
+                           "--params", "40", "--seed", "3", "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        assert all(set(v["betweenness"]) == {"exact", "value"}
+                   for v in payload["vertices"])
+
     def test_float_mode(self, capsys):
         code, out, _ = run(capsys, "compute", "--family", "cycle",
                            "--params", "5", "--format", "json", "--float")

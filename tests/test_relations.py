@@ -241,6 +241,17 @@ class TestPreconditionsAndPendants:
                 if r.equality_expected:
                     assert r.equality_observed, f"{name}: {r.relation}"
 
+    def test_check_all_runs_brandes_once(self, monkeypatch, family_suite):
+        import centrel.centralities as cents
+        calls = []
+        kernel = cents._brandes
+        monkeypatch.setattr(cents, "_brandes",
+                            lambda g, dd: calls.append(g) or kernel(g, dd))
+        graphs = [g for _, g in family_suite[:10]]
+        for g in graphs:
+            check_all(g)
+        assert calls == graphs
+
 
 class TestSerialization:
     def test_json_schema(self):
@@ -262,7 +273,6 @@ class TestSerialization:
         from centrel.serialize import rational_json, rational_str
         assert rational_json(Fraction(1, 2)) == {"exact": "1/2", "value": 0.5}
         assert rational_json(3) == {"exact": "3", "value": 3.0}
-        assert rational_json(0.5) == 0.5  # floats carry no exact form
         assert rational_json(None) is None
         assert rational_str(Fraction(6, 4)) == "3/2"
 
