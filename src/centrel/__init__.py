@@ -11,21 +11,19 @@ measures together.
 from .centralities import (CentralityReport, average_clustering,
                            betweenness_and_stress, closeness, compute_report,
                            global_clustering, local_clustering,
-                           local_efficiency, radiality, triangle_count)
+                           local_clusterings, local_efficiency, radiality,
+                           triangle_count)
 from .graphs import (FamilySpec, Graph, from_edge_list, generate,
                      is_connected, load_graph, read_edge_list_text,
                      read_json_graph, to_edge_list_text, to_json_graph,
                      validate_no_pendant)
 from .neighborhood import (NeighborhoodProfile, bc_loc, clo_loc,
-                           is_complete_neighborhood, neighborhood_avg_path,
-                           neighborhood_betweenness, neighborhood_closeness,
-                           neighborhood_diameter, neighborhood_radiality,
-                           profile, profiles, rad_loc)
+                           is_complete_neighborhood, profile, profiles,
+                           rad_loc)
 from .oracle import (PathEnumeration, enumerate_shortest_paths,
                      oracle_measures, oracle_neighborhood_profiles)
 from .paths import (DisconnectedGraphError, DistanceData, all_pairs,
-                    avg_path_length, density, diameter, global_efficiency,
-                    sigma_through)
+                    avg_path_length, density, diameter, global_efficiency)
 from .relations import (PreconditionError, RelationReport, SweepResult,
                         check_all, check_cor_sandwich, check_lemma1,
                         check_lemma2, check_lemma3, check_thm1, check_thm2,

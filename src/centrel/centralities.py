@@ -32,6 +32,14 @@ def local_clustering(g: Graph, i: int) -> Fraction:
     return Fraction(2 * links, d * (d - 1))
 
 
+def local_clusterings(g: Graph, dd: DistanceData) -> list[Fraction]:
+    """Every vertex's local clustering (from adjacency alone), computed once
+    per DistanceData; later calls return a copy of the stored list."""
+    if dd._clustering is None:
+        dd._clustering = [local_clustering(g, i) for i in range(g.n)]
+    return list(dd._clustering)
+
+
 def average_clustering(g: Graph) -> Fraction:
     """Mean of the local clustering coefficients over all n vertices."""
     return sum((local_clustering(g, i) for i in range(g.n)), Fraction(0)) / g.n
@@ -126,7 +134,7 @@ def _brandes(g: Graph, dd: DistanceData) -> tuple[list[Fraction], list[int]]:
 
 
 def betweenness_definitional(g: Graph, dd: DistanceData) -> list[Fraction]:
-    """Betweenness straight from the definition, via sigma_through sums."""
+    """Betweenness straight from the definition, pair by ordered pair."""
     n = g.n
     out = []
     for i in range(n):
@@ -149,7 +157,7 @@ def betweenness_definitional(g: Graph, dd: DistanceData) -> list[Fraction]:
 
 
 def stress_definitional(g: Graph, dd: DistanceData) -> list[int]:
-    """Stress straight from the definition, via sigma_through sums."""
+    """Stress straight from the definition, pair by ordered pair."""
     n = g.n
     out = []
     for i in range(n):
@@ -265,13 +273,14 @@ def compute_report(g: Graph, dd: DistanceData | None = None) -> CentralityReport
     if dd is None:
         dd = all_pairs(g)
     bc, st = betweenness_and_stress(g, dd)
+    clustering = local_clusterings(g, dd)
     try:
         glob_c = global_clustering(g)
     except ValueError:
         glob_c = None
     return CentralityReport(
         degree=g.degrees(),
-        local_clustering=[local_clustering(g, i) for i in range(g.n)],
+        local_clustering=clustering,
         betweenness=bc,
         stress=st,
         closeness=[closeness(g, dd, v) for v in range(g.n)],
@@ -280,7 +289,7 @@ def compute_report(g: Graph, dd: DistanceData | None = None) -> CentralityReport
         diameter=diameter(dd),
         avg_path_length=avg_path_length(dd),
         global_efficiency=global_efficiency(dd),
-        avg_clustering=average_clustering(g),
+        avg_clustering=sum(clustering, Fraction(0)) / g.n,
         global_clustering=glob_c,
         local_efficiency=local_efficiency(g, dd),
     )

@@ -34,7 +34,7 @@ def _graph_from_args(args) -> tuple[Graph, str]:
     if args.input:
         return load_graph(args.input), args.input
     spec = parse_family(args.family, args.params or "", seed=args.seed)
-    return generate(spec, allow_pendant=getattr(args, "allow_pendant", False)), spec.name()
+    return generate(spec, allow_pendant=args.allow_pendant), spec.name()
 
 
 def _graph_header(g: Graph, source: str) -> dict:
@@ -297,35 +297,39 @@ def build_parser() -> argparse.ArgumentParser:
                     "for simple undirected graphs.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_format=True):
-        p.add_argument("--input", help="edge-list or .json graph file")
+    def add_family(p):
         p.add_argument("--family", help="generator family name")
         p.add_argument("--params", help="comma-separated integer parameters")
+
+    def add_source(p, with_input=True):
+        if with_input:
+            p.add_argument("--input", help="edge-list or .json graph file")
+        add_family(p)
         p.add_argument("--seed", type=int, default=None,
                        help="seed for the random family")
         p.add_argument("--allow-pendant", action="store_true",
                        help="permit degree-1 vertices (degree-1 conventions apply)")
-        if with_format:
-            p.add_argument("--format", choices=("json", "csv", "human"),
-                           default="human")
-            group = p.add_mutually_exclusive_group()
-            group.add_argument("--exact", dest="float_values",
-                               action="store_false", default=False,
-                               help="render exact p/q values (default)")
-            group.add_argument("--float", dest="float_values",
-                               action="store_true",
-                               help="render floating values only")
+
+    def add_format(p, choices=("json", "csv", "human"), default="human"):
+        p.add_argument("--format", choices=choices, default=default)
+        group = p.add_mutually_exclusive_group()
+        group.add_argument("--exact", dest="float_values", action="store_false",
+                           default=False, help="render exact p/q values (default)")
+        group.add_argument("--float", dest="float_values", action="store_true",
+                           help="render floating values only")
 
     p_compute = sub.add_parser("compute", help="full centrality report")
-    add_common(p_compute)
+    add_source(p_compute)
+    add_format(p_compute)
     p_compute.set_defaults(func=cmd_compute)
 
     p_check = sub.add_parser("check", help="verify every relation")
-    add_common(p_check)
+    add_source(p_check)
+    add_format(p_check)
     p_check.set_defaults(func=cmd_check)
 
     p_gen = sub.add_parser("generate", help="emit a family graph")
-    add_common(p_gen, with_format=False)
+    add_source(p_gen, with_input=False)
     p_gen.add_argument("--format", choices=("json", "human"), default="human",
                        help="human = edge-list text")
     p_gen.add_argument("--output", help="write to a file instead of stdout")
@@ -333,12 +337,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser(
         "sweep", help="windmill clustering divergence table")
-    add_common(p_sweep)
-    p_sweep.set_defaults(func=cmd_sweep, format="csv")
+    add_family(p_sweep)
+    add_format(p_sweep, choices=("json", "csv"), default="csv")
+    p_sweep.set_defaults(func=cmd_sweep)
 
     p_diff = sub.add_parser("oracle-diff",
                             help="compare fast measures against brute force")
-    add_common(p_diff, with_format=False)
+    add_source(p_diff)
     p_diff.add_argument("--cap", type=int, default=oracle.DEFAULT_ENUMERATION_CAP,
                         help="max vertex count for path enumeration")
     p_diff.set_defaults(func=cmd_oracle_diff)

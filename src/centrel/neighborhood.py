@@ -4,44 +4,20 @@ Every quantity here ranges over the neighbors N(i) of a vertex, but all
 distances, path counts, and diameters are measured in the whole graph,
 never in the induced subgraph.  Degree-1 vertices contribute 0 to every
 aggregate while still counting in 1/n averages.
+
+``profile`` reads every field for one vertex in a single scan of the
+whole-graph rows of N(i); ``profiles`` does that once per ``DistanceData``,
+and ``bc_loc``, ``rad_loc`` and ``clo_loc`` are means over its result.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .graphs import Graph
-from .paths import DistanceData, sigma_through
-
-
-def neighborhood_avg_path(g: Graph, dd: DistanceData, i: int) -> Fraction:
-    """Mean whole-graph distance over ordered pairs of distinct neighbors of i."""
-    d = g.degree(i)
-    if d <= 1:
-        return Fraction(0)
-    nbrs = g.neighbors(i)
-    total = 0
-    for a_idx in range(d):
-        row = dd.dist[nbrs[a_idx]]
-        for b_idx in range(a_idx + 1, d):
-            total += row[nbrs[b_idx]]
-    return Fraction(2 * total, d * (d - 1))
-
-
-def neighborhood_diameter(g: Graph, dd: DistanceData, i: int) -> int:
-    """Largest whole-graph distance among pairs of neighbors of i (0 if d<=1)."""
-    d = g.degree(i)
-    if d <= 1:
-        return 0
-    nbrs = g.neighbors(i)
-    best = 0
-    for a_idx in range(d):
-        row = dd.dist[nbrs[a_idx]]
-        for b_idx in range(a_idx + 1, d):
-            if row[nbrs[b_idx]] > best:
-                best = row[nbrs[b_idx]]
-    return best
+from .paths import DistanceData
 
 
 def is_complete_neighborhood(g: Graph, i: int) -> bool:
@@ -56,99 +32,17 @@ def is_complete_neighborhood(g: Graph, i: int) -> bool:
     return True
 
 
-def neighborhood_betweenness(g: Graph, dd: DistanceData, i: int) -> Fraction:
-    """Betweenness of i restricted to ordered pairs of its own neighbors."""
-    nbrs = g.neighbors(i)
-    d = len(nbrs)
-    total = Fraction(0)
-    for a_idx in range(d):
-        s = nbrs[a_idx]
-        for b_idx in range(a_idx + 1, d):
-            t = nbrs[b_idx]
-            through = sigma_through(dd, s, t, i)
-            if through:
-                total += Fraction(through, dd.sigma[s][t])
-    return 2 * total  # ordered pairs
-
-
-def bc_loc(g: Graph, dd: DistanceData) -> Fraction:
-    """Mean of BC(i, N(i)) / (d_i (d_i - 1)) over all vertices."""
-    total = Fraction(0)
-    for i in range(g.n):
-        d = g.degree(i)
-        if d <= 1:
-            continue
-        total += neighborhood_betweenness(g, dd, i) / (d * (d - 1))
-    return total / g.n
-
-
-def radiality_in_neighborhood(g: Graph, dd: DistanceData, i: int, v: int) -> Fraction:
-    """Radiality of neighbor v among the other neighbors of i.
-
-    Uses the neighborhood diameter and whole-graph distances; 0 when i has
-    fewer than two neighbors.
-    """
-    d = g.degree(i)
-    if d <= 1:
-        return Fraction(0)
-    diam_n = neighborhood_diameter(g, dd, i)
-    row = dd.dist[v]
-    total = sum(diam_n + 1 - row[t] for t in g.neighbors(i) if t != v)
-    return Fraction(total, d - 1)
-
-
-def neighborhood_radiality(g: Graph, dd: DistanceData, i: int) -> Fraction:
-    """Mean radiality of the neighbors of i within N(i)."""
-    d = g.degree(i)
-    if d <= 1:
-        return Fraction(0)
-    total = sum((radiality_in_neighborhood(g, dd, i, v) for v in g.neighbors(i)),
-                Fraction(0))
-    return total / d
-
-
-def rad_loc(g: Graph, dd: DistanceData) -> Fraction:
-    """Mean neighborhood radiality over all vertices."""
-    return sum((neighborhood_radiality(g, dd, i) for i in range(g.n)),
-               Fraction(0)) / g.n
-
-
-def closeness_in_neighborhood(g: Graph, dd: DistanceData, i: int, v: int,
-                              include_center: bool = False) -> Fraction:
-    """Closeness of neighbor v restricted to the other members of N(i).
-
-    With ``include_center`` the center i joins the target set (the closed
-    neighborhood reading); the default excludes it.
-    """
-    targets = [t for t in g.neighbors(i) if t != v]
-    if include_center:
-        targets.append(i)
-    if not targets:
-        return Fraction(0)
-    row = dd.dist[v]
-    return Fraction(len(targets), sum(row[t] for t in targets))
-
-
-def neighborhood_closeness(g: Graph, dd: DistanceData, i: int,
-                           include_center: bool = False) -> Fraction:
-    """Mean restricted closeness of the neighbors of i."""
-    d = g.degree(i)
-    if d <= 1:
-        return Fraction(0)
-    total = sum((closeness_in_neighborhood(g, dd, i, v, include_center)
-                 for v in g.neighbors(i)), Fraction(0))
-    return total / d
-
-
-def clo_loc(g: Graph, dd: DistanceData, include_center: bool = False) -> Fraction:
-    """Mean neighborhood closeness over all vertices."""
-    return sum((neighborhood_closeness(g, dd, i, include_center)
-                for i in range(g.n)), Fraction(0)) / g.n
-
-
-@dataclass
+@dataclass(frozen=True)
 class NeighborhoodProfile:
-    """All neighborhood-restricted values for one vertex."""
+    """All neighborhood-restricted values for one vertex.
+
+    Over ordered pairs of distinct neighbors of ``vertex``: ``avg_path`` is
+    the mean distance, ``diameter`` the largest one and ``betweenness`` the
+    betweenness of the vertex restricted to those pairs.  ``radiality`` and
+    ``closeness`` are the means, over the neighbors v, of v's radiality (with
+    the neighborhood diameter) and closeness among the other neighbors.  All
+    are 0 when the vertex has fewer than two neighbors.
+    """
 
     vertex: int
     avg_path: Fraction
@@ -163,16 +57,61 @@ class NeighborhoodProfile:
 
 
 def profile(g: Graph, dd: DistanceData, i: int) -> NeighborhoodProfile:
+    """Every field for vertex i from one scan of the rows of its neighbors.
+
+    Two neighbors s, t have i on a shortest s-t path exactly when
+    dist(s, t) = 2, and then on exactly one of the sigma(s, t) such paths, so
+    the betweenness is the sum of 1/sigma(s, t) over those ordered pairs.
+    Completeness is read from adjacency.
+    """
+    nbrs = g.neighbors(i)
+    d = len(nbrs)
+    complete = is_complete_neighborhood(g, i)
+    if d <= 1:
+        return NeighborhoodProfile(i, Fraction(0), Fraction(0), 0, Fraction(0),
+                                   Fraction(0), complete)
+    rows = []  # distances from each neighbor to the other neighbors
+    detours: Counter = Counter()  # sigma(s, t) -> ordered pairs at distance 2
+    for s in nbrs:
+        dist, sigma = dd.dist[s], dd.sigma[s]
+        rows.append([dist[t] for t in nbrs if t != s])
+        detours.update(sigma[t] for t in nbrs if dist[t] == 2)
+    diam = max(map(max, rows))
+    pairs = d * (d - 1)
     return NeighborhoodProfile(
         vertex=i,
-        avg_path=neighborhood_avg_path(g, dd, i),
-        betweenness=neighborhood_betweenness(g, dd, i),
-        diameter=neighborhood_diameter(g, dd, i),
-        radiality=neighborhood_radiality(g, dd, i),
-        closeness=neighborhood_closeness(g, dd, i),
-        is_complete=is_complete_neighborhood(g, i),
+        avg_path=Fraction(sum(map(sum, rows)), pairs),
+        betweenness=sum((Fraction(count, paths) for paths, count in detours.items()),
+                        Fraction(0)),
+        diameter=diam,
+        radiality=Fraction(sum(diam + 1 - x for row in rows for x in row), pairs),
+        closeness=sum((Fraction(d - 1, sum(row)) for row in rows), Fraction(0)) / d,
+        is_complete=complete,
     )
 
 
 def profiles(g: Graph, dd: DistanceData) -> list[NeighborhoodProfile]:
-    return [profile(g, dd, i) for i in range(g.n)]
+    """Every vertex's profile, computed once per DistanceData.
+
+    Later calls with the same ``dd`` return a copy of the stored list.
+    """
+    if dd._profiles is None:
+        dd._profiles = [profile(g, dd, i) for i in range(g.n)]
+    return list(dd._profiles)
+
+
+def bc_loc(g: Graph, dd: DistanceData) -> Fraction:
+    """Mean of BC(i, N(i)) / (d_i (d_i - 1)) over all vertices."""
+    return sum((p.betweenness / (d * (d - 1))
+                for p, d in zip(profiles(g, dd), g.degrees()) if d > 1),
+               Fraction(0)) / g.n
+
+
+def rad_loc(g: Graph, dd: DistanceData) -> Fraction:
+    """Mean neighborhood radiality over all vertices."""
+    return sum((p.radiality for p in profiles(g, dd)), Fraction(0)) / g.n
+
+
+def clo_loc(g: Graph, dd: DistanceData) -> Fraction:
+    """Mean neighborhood closeness over all vertices."""
+    return sum((p.closeness for p in profiles(g, dd)), Fraction(0)) / g.n

@@ -21,18 +21,22 @@ class DistanceData:
 
     ``dist[s][t]`` is the hop distance, ``sigma[s][t]`` the number of distinct
     shortest s-t paths (``sigma[s][s] == 1`` by convention).  Both matrices
-    are symmetric for undirected graphs.  The diameter and the Brandes
-    betweenness and stress are memoized on first use, so the matrices must
-    not be mutated afterwards.
+    are symmetric for undirected graphs.  The per-graph results built from
+    them (the diameter, the Brandes betweenness and stress, the neighborhood
+    profiles) and the local clusterings of the same graph are memoized here on
+    first use, so the matrices must not be mutated afterwards.
     """
 
-    __slots__ = ("dist", "sigma", "_diameter", "_brandes")
+    __slots__ = ("dist", "sigma", "_diameter", "_brandes", "_clustering",
+                 "_profiles")
 
     def __init__(self, dist: list[list[int]], sigma: list[list[int]]):
         self.dist = dist
         self.sigma = sigma
         self._diameter: int | None = None
         self._brandes: tuple | None = None  # set by betweenness_and_stress
+        self._clustering: list | None = None  # set by local_clusterings
+        self._profiles: list | None = None  # set by neighborhood.profiles
 
     @property
     def n(self) -> int:
@@ -76,19 +80,6 @@ def all_pairs(g: Graph) -> DistanceData:
         dist_rows.append(dist)
         sigma_rows.append(sigma)
     return DistanceData(dist_rows, sigma_rows)
-
-
-def sigma_through(dd: DistanceData, s: int, t: int, i: int) -> int:
-    """Number of shortest s-t paths with i as an interior vertex.
-
-    Equals sigma(s,i) * sigma(i,t) when i lies on some shortest s-t path,
-    else 0.  Requires s, t, i pairwise distinct.
-    """
-    if s == t or i == s or i == t:
-        raise ValueError("sigma_through needs pairwise distinct s, t, i")
-    if dd.dist[s][i] + dd.dist[i][t] != dd.dist[s][t]:
-        return 0
-    return dd.sigma[s][i] * dd.sigma[i][t]
 
 
 def diameter(dd: DistanceData) -> int:

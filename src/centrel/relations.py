@@ -14,12 +14,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .centralities import (average_clustering, betweenness_and_stress,
-                           closeness, global_clustering, local_clustering,
+                           closeness, global_clustering, local_clusterings,
                            local_efficiency, radiality)
 from .graphs import FamilySpec, Graph, generate
-from .neighborhood import (bc_loc, clo_loc, is_complete_neighborhood,
-                           neighborhood_avg_path, neighborhood_betweenness,
-                           rad_loc)
+from .neighborhood import bc_loc, clo_loc, profiles, rad_loc
 from .paths import (DistanceData, all_pairs, avg_path_length, diameter)
 from .serialize import rational_json
 
@@ -81,6 +79,10 @@ def _eligible(g: Graph) -> list[int]:
     return [i for i in range(g.n) if g.degree(i) >= 2]
 
 
+def _mean(values: list[Fraction]) -> Fraction:
+    return sum(values, Fraction(0)) / len(values) if values else Fraction(0)
+
+
 def _skip_note(g: Graph, notes: list[str]) -> None:
     skipped = g.n - len(_eligible(g))
     if skipped:
@@ -94,22 +96,18 @@ def check_lemma1(g: Graph, dd: DistanceData | None = None,
     dd = _prepare(g, dd, allow_pendant, need_min_degree_2=True)
     notes: list[str] = []
     _skip_note(g, notes)
+    eligible = _eligible(g)
+    profs = profiles(g, dd)
+    clustering = local_clusterings(g, dd)
+    lhs_v = [profs[i].avg_path for i in eligible]
+    rhs_v = [2 - clustering[i] for i in eligible]
     worst = Fraction(0)
-    lhs_total = Fraction(0)
-    rhs_total = Fraction(0)
-    count = 0
-    for i in _eligible(g):
-        lhs_i = neighborhood_avg_path(g, dd, i)
-        rhs_i = 2 - local_clustering(g, i)
+    for i, lhs_i, rhs_i in zip(eligible, lhs_v, rhs_v):
         dev = abs(lhs_i - rhs_i)
         if dev > worst:
             worst = dev
             notes.append(f"vertex {i}: L(N)={lhs_i} vs 2-c={rhs_i}")
-        lhs_total += lhs_i
-        rhs_total += rhs_i
-        count += 1
-    lhs = lhs_total / count if count else Fraction(0)
-    rhs = rhs_total / count if count else Fraction(0)
+    lhs, rhs = _mean(lhs_v), _mean(rhs_v)
     holds = worst == 0
     return RelationReport("lemma1", "eq", lhs, rhs, holds, worst,
                           equality_expected=True, equality_observed=holds,
@@ -121,7 +119,7 @@ def check_thm1(g: Graph, dd: DistanceData | None = None,
     """Identity: local efficiency = (1 + average clustering) / 2."""
     dd = _prepare(g, dd, allow_pendant, need_min_degree_2=True)
     lhs = local_efficiency(g, dd)
-    rhs = (1 + average_clustering(g)) / 2
+    rhs = (1 + _mean(local_clusterings(g, dd))) / 2
     slack = abs(rhs - lhs)
     holds = slack == 0
     return RelationReport("thm1", "eq", lhs, rhs, holds, slack,
@@ -142,7 +140,7 @@ def check_thm2(g: Graph, dd: DistanceData | None = None,
         d = g.degree(i)
         if d >= 2:
             term_total += Fraction(stress[i], d * (d - 1))
-    lhs = average_clustering(g)
+    lhs = _mean(local_clusterings(g, dd))
     rhs = 1 - term_total / g.n
     slack = lhs - rhs
     expected = diameter(dd) <= 2
@@ -206,7 +204,7 @@ def check_thm3(g: Graph, dd: DistanceData | None = None,
     neighborhood splitting into disjoint cliques.
     """
     dd = _prepare(g, dd, allow_pendant, need_min_degree_2=True)
-    lhs = average_clustering(g)
+    lhs = _mean(local_clusterings(g, dd))
     rhs = 1 - bc_loc(g, dd)
     slack = rhs - lhs
     expected = neighborhoods_unique_two_paths(g, dd)
@@ -223,27 +221,22 @@ def check_cor_sandwich(g: Graph, dd: DistanceData | None = None,
     _, stress = betweenness_and_stress(g, dd)
     notes: list[str] = []
     _skip_note(g, notes)
+    eligible = _eligible(g)
+    profs = profiles(g, dd)
+    pair_counts = [g.degree(i) * (g.degree(i) - 1) for i in eligible]
+    lefts = [profs[i].betweenness / pc for i, pc in zip(eligible, pair_counts)]
+    rights = [Fraction(stress[i], pc) for i, pc in zip(eligible, pair_counts)]
     worst: Fraction | None = None
-    left_total = Fraction(0)
-    right_total = Fraction(0)
-    count = 0
-    for i in _eligible(g):
-        pair_count = g.degree(i) * (g.degree(i) - 1)
-        left = neighborhood_betweenness(g, dd, i) / pair_count
-        mid = neighborhood_avg_path(g, dd, i) - 1
-        right = Fraction(stress[i], pair_count)
+    for i, left, right in zip(eligible, lefts, rights):
+        mid = profs[i].avg_path - 1
         margin = min(mid - left, right - mid)
         if worst is None or margin < worst:
             worst = margin
             if margin < 0:
                 notes.append(f"vertex {i}: {left} <= {mid} <= {right} fails")
-        left_total += left
-        right_total += right
-        count += 1
     if worst is None:
         worst = Fraction(0)
-    lhs = left_total / count if count else Fraction(0)
-    rhs = right_total / count if count else Fraction(0)
+    lhs, rhs = _mean(lefts), _mean(rights)
     return RelationReport("cor_sandwich", "le", lhs, rhs,
                           holds=worst >= 0, slack=worst,
                           equality_expected=False,
@@ -273,7 +266,7 @@ def check_thm4(g: Graph, dd: DistanceData | None = None,
                allow_pendant: bool = False) -> RelationReport:
     """Bound: 1/(2 - average clustering) <= mean neighborhood closeness."""
     dd = _prepare(g, dd, allow_pendant, need_min_degree_2=True)
-    lhs = 1 / (2 - average_clustering(g))
+    lhs = 1 / (2 - _mean(local_clusterings(g, dd)))
     rhs = clo_loc(g, dd)
     slack = rhs - lhs
     return RelationReport("thm4", "le", lhs, rhs, holds=slack >= 0, slack=slack,
@@ -300,8 +293,8 @@ def check_thm5(g: Graph, dd: DistanceData | None = None,
     """Identity: average clustering = local radiality - 1 + (complete
     neighborhoods) / n."""
     dd = _prepare(g, dd, allow_pendant, need_min_degree_2=True)
-    lhs = average_clustering(g)
-    complete = sum(1 for i in range(g.n) if is_complete_neighborhood(g, i))
+    lhs = _mean(local_clusterings(g, dd))
+    complete = sum(1 for p in profiles(g, dd) if p.is_complete)
     rhs = rad_loc(g, dd) - 1 + Fraction(complete, g.n)
     slack = abs(rhs - lhs)
     holds = slack == 0
@@ -311,7 +304,7 @@ def check_thm5(g: Graph, dd: DistanceData | None = None,
     return report
 
 
-def _degree_class_ordering(g: Graph) -> str:
+def _degree_class_ordering(g: Graph, clustering: list[Fraction]) -> str:
     """Classify the joint degree/clustering ordering across vertices.
 
     Returns "both", "co", "anti", or "none".  Ties in degree force equal
@@ -319,7 +312,7 @@ def _degree_class_ordering(g: Graph) -> str:
     """
     by_degree: dict[int, set[Fraction]] = {}
     for i in range(g.n):
-        by_degree.setdefault(g.degree(i), set()).add(local_clustering(g, i))
+        by_degree.setdefault(g.degree(i), set()).add(clustering[i])
     if any(len(vals) > 1 for vals in by_degree.values()):
         return "none"
     reps = [next(iter(by_degree[d])) for d in sorted(by_degree)]
@@ -343,7 +336,7 @@ def check_thm6(g: Graph, dd: DistanceData | None = None,
     exact equality.  When neither ordering holds no direction is asserted.
     """
     dd = _prepare(g, dd, allow_pendant, need_min_degree_2=False)
-    lhs = average_clustering(g)
+    lhs = _mean(local_clusterings(g, dd))
     try:
         rhs = global_clustering(g)
     except ValueError as exc:
@@ -357,7 +350,7 @@ def check_thm6(g: Graph, dd: DistanceData | None = None,
                               equality_expected=True, equality_observed=holds,
                               notes=["regular graph"])
 
-    ordering = _degree_class_ordering(g)
+    ordering = _degree_class_ordering(g, local_clusterings(g, dd))
     if ordering == "both":
         slack = abs(rhs - lhs)
         holds = slack == 0

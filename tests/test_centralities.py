@@ -7,7 +7,8 @@ import pytest
 from centrel import (DisconnectedGraphError, FamilySpec, all_pairs,
                      average_clustering, betweenness_and_stress, closeness,
                      compute_report, generate, global_clustering,
-                     local_clustering, local_efficiency, radiality)
+                     local_clustering, local_clusterings, local_efficiency,
+                     radiality)
 from centrel.centralities import (betweenness_definitional,
                                   stress_definitional, triangle_count)
 from centrel.graphs import from_edge_list
@@ -18,6 +19,19 @@ def make(family, *params, seed=None):
 
 
 class TestClustering:
+    def test_local_clusterings_memoized_per_distance_data(self, monkeypatch):
+        import centrel.centralities as cents
+        calls = []
+        per_vertex = cents.local_clustering
+        monkeypatch.setattr(cents, "local_clustering",
+                            lambda g, i: calls.append(i) or per_vertex(g, i))
+        g = make("windmill", 2, 3)
+        dd = all_pairs(g)
+        first = local_clusterings(g, dd)
+        first[0] = Fraction(7)
+        assert local_clusterings(g, dd) == [per_vertex(g, i) for i in range(g.n)]
+        assert calls == list(range(g.n))
+
     def test_local_complete(self):
         g = make("complete", 4)
         assert all(local_clustering(g, i) == 1 for i in range(4))

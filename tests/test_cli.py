@@ -233,6 +233,22 @@ class TestSweep:
             assert code == 2, params
 
 
+class TestUnreadFlags:
+    @pytest.mark.parametrize("argv", [
+        ("sweep", "--params", "3,2,5", "--input", "no-such-file.edges"),
+        ("sweep", "--params", "3,2,5", "--seed", "1"),
+        ("sweep", "--params", "3,2,5", "--allow-pendant"),
+        ("sweep", "--params", "3,2,5", "--format", "human"),
+        ("generate", "--family", "cycle", "--params", "4", "--input", "g.edges"),
+    ])
+    def test_rejected_by_the_parser(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments" in err or "invalid choice" in err
+
+
 class TestOracleDiff:
     def test_match(self, capsys):
         code, out, _ = run(capsys, "oracle-diff", "--family", "windmill",

@@ -1,10 +1,12 @@
 """Integer-arithmetic kernels against per-pair Fraction references.
 
 Exact Brandes keeps each source's dependencies as integers over the lcm of
-its path counts, and the efficiencies sum histograms of BFS distances.  These
-properties compare them with definition-level recomputations on random
-connected graphs, on many-path families (path counts above 1), and on graphs
-where the lcm of the path counts differs from source to source.
+its path counts, the efficiencies sum histograms of BFS distances, and the
+neighborhood profile reads every field in one scan of the neighbors' rows.
+These properties compare them with definition-level recomputations on random
+connected graphs (with degree-1 vertices, up to 40 vertices for the
+profiles), on many-path families (path counts above 1), and on graphs where
+the lcm of the path counts differs from source to source.
 """
 
 import math
@@ -15,7 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from centrel import (FamilySpec, all_pairs, betweenness_and_stress,
-                     generate, global_efficiency, local_efficiency, radiality)
+                     generate, global_efficiency, local_efficiency, profile,
+                     radiality)
 from centrel.centralities import betweenness_definitional, stress_definitional
 from centrel.graphs import from_edge_list
 
@@ -36,6 +39,14 @@ def connected_graphs(draw, max_n=14):
     edges |= set(draw(st.lists(st.sampled_from(others), max_size=3 * n))
                  if others else [])
     return from_edge_list(sorted(edges), n)
+
+
+@st.composite
+def graphs_with_pendants(draw, max_n=40):
+    """A random connected graph with a pendant vertex attached."""
+    g = draw(connected_graphs(max_n=max_n - 1))
+    anchor = draw(st.integers(0, g.n - 1))
+    return from_edge_list(sorted(g.edges()) + [(anchor, g.n)], g.n + 1)
 
 
 def assert_brandes_matches_definition(g):
@@ -80,6 +91,37 @@ def assert_efficiencies_and_radiality_match(g):
         assert radiality(g, dd, v) == reference_radiality(dd, v)
 
 
+def reference_profile(g, dd, i):
+    """(avg_path, betweenness, diameter, radiality, closeness, is_complete)
+    from per-pair definitions over ordered pairs of distinct neighbors."""
+    nbrs = g.neighbors(i)
+    d = len(nbrs)
+    pairs = [(s, t) for s in nbrs for t in nbrs if s != t]
+    complete = all(g.adjacent(s, t) for s, t in pairs)
+    if d <= 1:
+        return Fraction(0), Fraction(0), 0, Fraction(0), Fraction(0), complete
+    dist, sigma = dd.dist, dd.sigma
+    diam = max(dist[s][t] for s, t in pairs)
+    betweenness = sum((Fraction(sigma[s][i] * sigma[i][t], sigma[s][t])
+                       for s, t in pairs if dist[s][i] + dist[i][t] == dist[s][t]),
+                      Fraction(0))
+    radiality_n = closeness_n = Fraction(0)
+    for v in nbrs:
+        others = [t for t in nbrs if t != v]
+        radiality_n += Fraction(sum(diam + 1 - dist[v][t] for t in others), d - 1)
+        closeness_n += Fraction(d - 1, sum(dist[v][t] for t in others))
+    return (Fraction(sum(dist[s][t] for s, t in pairs), d * (d - 1)), betweenness,
+            diam, radiality_n / d, closeness_n / d, complete)
+
+
+def assert_profiles_match(g):
+    dd = all_pairs(g)
+    for i in range(g.n):
+        p = profile(g, dd, i)
+        assert (p.avg_path, p.betweenness, p.diameter, p.radiality, p.closeness,
+                p.is_complete) == reference_profile(g, dd, i), i
+
+
 @given(connected_graphs())
 @settings(max_examples=80, deadline=None)
 def test_brandes_matches_definition_on_random_graphs(g):
@@ -92,12 +134,20 @@ def test_efficiencies_and_radiality_match_per_pair_reference(g):
     assert_efficiencies_and_radiality_match(g)
 
 
+@given(graphs_with_pendants())
+@settings(max_examples=60, deadline=None)
+def test_profile_matches_per_pair_reference(g):
+    assert g.min_degree() == 1
+    assert_profiles_match(g)
+
+
 @pytest.mark.parametrize("family,params", MANY_PATH_FAMILIES)
 def test_many_path_families(family, params):
     g = generate(FamilySpec(family, params))
     assert max(max(row) for row in all_pairs(g).sigma) > 1
     assert_brandes_matches_definition(g)
     assert_efficiencies_and_radiality_match(g)
+    assert_profiles_match(g)
 
 
 @pytest.mark.parametrize("g", [

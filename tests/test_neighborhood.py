@@ -2,10 +2,12 @@
 
 from fractions import Fraction
 
+import dataclasses
+
+import pytest
+
 from centrel import (FamilySpec, all_pairs, bc_loc, clo_loc, generate,
-                     local_clustering, neighborhood_avg_path,
-                     neighborhood_betweenness, neighborhood_closeness,
-                     neighborhood_diameter, neighborhood_radiality, rad_loc)
+                     local_clustering, profile, rad_loc)
 from centrel.centralities import betweenness_and_stress
 from centrel.neighborhood import is_complete_neighborhood, profiles
 
@@ -18,43 +20,47 @@ def with_dd(g):
     return g, all_pairs(g)
 
 
+def field(g, dd, i, name):
+    return getattr(profile(g, dd, i), name)
+
+
 class TestAvgPath:
     def test_complete(self):
         g, dd = with_dd(make("complete", 4))
-        assert all(neighborhood_avg_path(g, dd, i) == 1 for i in range(4))
+        assert all(field(g, dd, i, "avg_path") == 1 for i in range(4))
 
     def test_cycle(self):
         g, dd = with_dd(make("cycle", 5))
-        assert all(neighborhood_avg_path(g, dd, i) == 2 for i in range(5))
+        assert all(field(g, dd, i, "avg_path") == 2 for i in range(5))
 
     def test_windmill_hub(self):
         g, dd = with_dd(make("windmill", 2, 3))
-        assert neighborhood_avg_path(g, dd, 0) == Fraction(5, 3)
+        assert field(g, dd, 0, "avg_path") == Fraction(5, 3)
 
     def test_degree_one_convention(self, path3):
         dd = all_pairs(path3)
-        assert neighborhood_avg_path(path3, dd, 0) == 0
+        assert field(path3, dd, 0, "avg_path") == 0
 
 
 class TestBetweenness:
     def test_complete(self):
         g, dd = with_dd(make("complete", 5))
-        assert all(neighborhood_betweenness(g, dd, i) == 0 for i in range(5))
+        assert all(field(g, dd, i, "betweenness") == 0 for i in range(5))
         assert bc_loc(g, dd) == 0
 
     def test_c4(self):
         g, dd = with_dd(make("cycle", 4))
-        assert neighborhood_betweenness(g, dd, 0) == 1
+        assert field(g, dd, 0, "betweenness") == 1
         assert bc_loc(g, dd) == Fraction(1, 2)
 
     def test_c5(self):
         g, dd = with_dd(make("cycle", 5))
-        assert neighborhood_betweenness(g, dd, 0) == 2
+        assert field(g, dd, 0, "betweenness") == 2
         assert bc_loc(g, dd) == 1
 
     def test_windmill_hub(self):
         g, dd = with_dd(make("windmill", 2, 3))
-        assert neighborhood_betweenness(g, dd, 0) == 8
+        assert field(g, dd, 0, "betweenness") == 8
 
     def test_common_neighbor_form(self, full_suite):
         # each non-adjacent neighbor pair contributes 1 / (number of common
@@ -71,13 +77,13 @@ class TestBetweenness:
                             common = sum(1 for w in g.neighbors(s)
                                          if g.adjacent(w, t))
                             expected += Fraction(2, common)
-                assert neighborhood_betweenness(g, dd, i) == expected, name
+                assert field(g, dd, i, "betweenness") == expected, name
 
 
 class TestRadiality:
     def test_complete(self):
         g, dd = with_dd(make("complete", 4))
-        assert all(neighborhood_radiality(g, dd, i) == 1 for i in range(4))
+        assert all(field(g, dd, i, "radiality") == 1 for i in range(4))
         assert rad_loc(g, dd) == 1
 
     def test_cycle(self):
@@ -92,12 +98,12 @@ class TestRadiality:
 class TestCloseness:
     def test_complete(self):
         g, dd = with_dd(make("complete", 4))
-        assert all(neighborhood_closeness(g, dd, i) == 1 for i in range(4))
+        assert all(field(g, dd, i, "closeness") == 1 for i in range(4))
         assert clo_loc(g, dd) == 1
 
     def test_cycle(self):
         g, dd = with_dd(make("cycle", 5))
-        assert all(neighborhood_closeness(g, dd, i) == Fraction(1, 2)
+        assert all(field(g, dd, i, "closeness") == Fraction(1, 2)
                    for i in range(5))
         assert clo_loc(g, dd) == Fraction(1, 2)
 
@@ -106,15 +112,6 @@ class TestCloseness:
         value = clo_loc(g, dd)
         assert value == Fraction(23, 25)
         assert value >= Fraction(15, 17)
-
-    def test_center_inclusive_variant(self):
-        g, dd = with_dd(make("cycle", 5))
-        default = clo_loc(g, dd)
-        inclusive = clo_loc(g, dd, include_center=True)
-        assert default == Fraction(1, 2)
-        assert inclusive == Fraction(2, 3)
-        g, dd = with_dd(make("complete", 4))
-        assert clo_loc(g, dd, include_center=True) == 1
 
 
 class TestPerVertexInvariants:
@@ -145,6 +142,19 @@ class TestPerVertexInvariants:
                 assert left <= mid <= right, name
                 # radiality identity with the completeness indicator
                 assert p.radiality == c_i + 1 - int(p.is_complete), name
+
+    def test_degree_one_profile_is_zero(self, path3):
+        p = profile(path3, all_pairs(path3), 0)
+        assert (p.avg_path, p.betweenness, p.diameter, p.radiality,
+                p.closeness, p.is_complete) == (0, 0, 0, 0, 0, True)
+
+    def test_profiles_memoized_and_read_only(self):
+        g, dd = with_dd(make("windmill", 2, 3))
+        first = profiles(g, dd)
+        first.clear()
+        assert profiles(g, dd) == [profile(g, dd, i) for i in range(g.n)]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            profiles(g, dd)[0].avg_path = Fraction(0)
 
     def test_is_complete_neighborhood(self):
         g = make("windmill", 2, 3)

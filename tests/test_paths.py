@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from centrel import (DisconnectedGraphError, FamilySpec, all_pairs,
                      avg_path_length, density, diameter, generate,
-                     global_efficiency, sigma_through)
+                     global_efficiency)
 from centrel.graphs import from_edge_list, is_connected
 from centrel.oracle import enumerate_shortest_paths
 
@@ -72,29 +72,6 @@ class TestAllPairs:
                 assert (dd.dist[s][t] == 1) == g.adjacent(s, t)
                 if dd.dist[s][t] == 1:
                     assert dd.sigma[s][t] == 1
-
-
-class TestSigmaThrough:
-    def test_c4(self):
-        dd = all_pairs(cycle(4))
-        assert sigma_through(dd, 1, 3, 0) == 1
-
-    def test_complete_no_interior(self):
-        dd = all_pairs(complete(4))
-        assert sigma_through(dd, 0, 1, 2) == 0
-        assert sigma_through(dd, 2, 3, 1) == 0
-
-    def test_c5(self):
-        dd = all_pairs(cycle(5))
-        assert sigma_through(dd, 1, 4, 0) == 1
-        assert sigma_through(dd, 1, 4, 2) == 0
-
-    def test_distinctness_required(self):
-        dd = all_pairs(cycle(4))
-        with pytest.raises(ValueError):
-            sigma_through(dd, 0, 0, 1)
-        with pytest.raises(ValueError):
-            sigma_through(dd, 0, 1, 1)
 
 
 class TestGlobalMetrics:

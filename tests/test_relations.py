@@ -252,6 +252,27 @@ class TestPreconditionsAndPendants:
             check_all(g)
         assert calls == graphs
 
+    def test_check_all_builds_per_graph_quantities_once(self, monkeypatch,
+                                                         family_suite):
+        import centrel.centralities as cents
+        import centrel.neighborhood as nbhd
+        calls = {"profile": 0, "local_clustering": 0}
+
+        def counted(module, name):
+            fn = getattr(module, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(nbhd, "profile")
+        counted(cents, "local_clustering")
+        for _, g in family_suite[:10]:
+            calls.update(dict.fromkeys(calls, 0))
+            check_all(g)
+            assert calls == {"profile": g.n, "local_clustering": g.n}
+
 
 class TestSerialization:
     def test_json_schema(self):
