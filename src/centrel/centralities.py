@@ -8,11 +8,11 @@ vertices still count in 1/n averages.
 from __future__ import annotations
 
 import math
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .graphs import Graph
+from .graphs import Graph, PreconditionError
 from .paths import (DistanceData, all_pairs, avg_path_length, density,
                     diameter, efficiency_sum, global_efficiency)
 
@@ -59,7 +59,8 @@ def global_clustering(g: Graph) -> Fraction:
     """Closed triplets over all connected ordered triples: 6T / sum d(d-1)."""
     denom = sum(d * (d - 1) for d in g.degrees())
     if denom == 0:
-        raise ValueError("global clustering undefined: no vertex of degree >= 2")
+        raise PreconditionError(
+            "global clustering undefined: no vertex of degree >= 2")
     return Fraction(6 * triangle_count(g), denom)
 
 
@@ -186,57 +187,36 @@ def stress_definitional(g: Graph, dd: DistanceData) -> list[int]:
 def closeness(g: Graph, dd: DistanceData, v: int) -> Fraction:
     """(n-1) over the sum of distances from v."""
     if g.n < 2:
-        raise ValueError("closeness needs at least 2 vertices")
+        raise PreconditionError("closeness needs at least 2 vertices")
     return Fraction(g.n - 1, dd.row_sum(v))
 
 
 def radiality(g: Graph, dd: DistanceData, v: int) -> Fraction:
     """Mean of (diam + 1 - dist(v, t)) over the other vertices."""
     if g.n < 2:
-        raise ValueError("radiality needs at least 2 vertices")
+        raise PreconditionError("radiality needs at least 2 vertices")
     diam = diameter(dd)
     row = dd.dist[v]
     total = sum(diam + 1 - row[t] for t in range(g.n) if t != v)
     return Fraction(total, g.n - 1)
 
 
-def neighborhood_efficiency(g: Graph, dd: DistanceData, v: int,
-                            induced: bool = False) -> Fraction:
-    """Efficiency among the neighbors of v.
-
-    Distances are read in the whole graph by default.  With ``induced``,
-    distances are recomputed inside the subgraph induced on the neighbors,
-    and unreachable pairs contribute 0.
-    """
+def neighborhood_efficiency(g: Graph, dd: DistanceData, v: int) -> Fraction:
+    """Efficiency among the neighbors of v, with whole-graph distances."""
     d = g.degree(v)
     if d <= 1:
         return Fraction(0)
     nbrs = g.neighbors(v)
     hist: Counter = Counter()  # hop distance -> number of ordered pairs
-    if not induced:
-        for a in nbrs:
-            hist.update(map(dd.dist[a].__getitem__, nbrs))
-    else:
-        index = {u: k for k, u in enumerate(nbrs)}
-        local_adj = [[index[w] for w in g.neighbors(u) if w in index] for u in nbrs]
-        for src in range(d):
-            dist = [-1] * d
-            dist[src] = 0
-            queue = deque([src])
-            while queue:
-                x = queue.popleft()
-                for y in local_adj[x]:
-                    if dist[y] < 0:
-                        dist[y] = dist[x] + 1
-                        queue.append(y)
-            hist.update(dist)
+    for a in nbrs:
+        hist.update(map(dd.dist[a].__getitem__, nbrs))
     return efficiency_sum(hist) / (d * (d - 1))
 
 
-def local_efficiency(g: Graph, dd: DistanceData, induced: bool = False) -> Fraction:
+def local_efficiency(g: Graph, dd: DistanceData) -> Fraction:
     """Mean neighborhood efficiency over all vertices (degree-1 terms are 0)."""
-    total = sum((neighborhood_efficiency(g, dd, v, induced=induced)
-                 for v in range(g.n)), Fraction(0))
+    total = sum((neighborhood_efficiency(g, dd, v) for v in range(g.n)),
+                Fraction(0))
     return total / g.n
 
 
@@ -246,7 +226,12 @@ def local_efficiency(g: Graph, dd: DistanceData, induced: bool = False) -> Fract
 
 @dataclass
 class CentralityReport:
-    """Every per-vertex and graph-level measure for one graph."""
+    """Every per-vertex and graph-level measure for one graph.
+
+    The field tables give the order of every output format; the human
+    per-vertex table heads each column with its label, right-aligned to its
+    width.
+    """
 
     degree: list[int]
     local_clustering: list[Fraction]
@@ -266,6 +251,9 @@ class CentralityReport:
                          "closeness", "radiality")
     FIELDS_GRAPH = ("density", "diameter", "avg_path_length", "global_efficiency",
                     "avg_clustering", "global_clustering", "local_efficiency")
+    HUMAN_COLUMNS = {"degree": ("deg", 4), "local_clustering": ("clustering", 12),
+                     "betweenness": ("betweenness", 12), "stress": ("stress", 7),
+                     "closeness": ("closeness", 12), "radiality": ("radiality", 12)}
 
 
 def compute_report(g: Graph, dd: DistanceData | None = None) -> CentralityReport:
@@ -276,7 +264,7 @@ def compute_report(g: Graph, dd: DistanceData | None = None) -> CentralityReport
     clustering = local_clusterings(g, dd)
     try:
         glob_c = global_clustering(g)
-    except ValueError:
+    except PreconditionError:
         glob_c = None
     return CentralityReport(
         degree=g.degrees(),

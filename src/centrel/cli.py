@@ -15,12 +15,13 @@ import sys
 
 from . import oracle
 from .centralities import CentralityReport, compute_report
-from .graphs import (FamilyParameterError, Graph, GraphFormatError, generate,
-                     load_graph, parse_family, to_edge_list_text, to_json_graph)
+from .graphs import (FamilyParameterError, Graph, GraphFormatError,
+                     PreconditionError, generate, load_graph, parse_family,
+                     to_edge_list_text, to_json_graph)
 from .neighborhood import profiles
-from .paths import DisconnectedGraphError, all_pairs
-from .relations import PreconditionError, check_all, sweep_windmill
-from .serialize import fmt_sig12, rational_json, rational_str
+from .paths import all_pairs
+from .relations import RelationReport, SweepRow, check_all, sweep_windmill
+from .serialize import csv_table, csv_value, human_value, json_value
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -41,93 +42,53 @@ def _graph_header(g: Graph, source: str) -> dict:
     return {"source": source, "n": g.n, "m": g.m}
 
 
-def _value_text(x, exact: bool) -> str:
-    if x is None:
-        return "undefined"
-    if exact:
-        return f"{rational_str(x)} ({float(x):.6g})"
-    return fmt_sig12(x)
+def _print_json(payload) -> None:
+    print(json.dumps(payload, indent=2))
+
+
+def _print_lines(lines: list[str]) -> None:
+    sys.stdout.write("\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------
 # compute
 # ---------------------------------------------------------------------------
 
-def _report_json(g: Graph, source: str, rep: CentralityReport, exact: bool) -> dict:
-    vertices = []
-    for i in range(g.n):
-        vertices.append({
-            "vertex": i,
-            "label": g.label_of(i),
-            "degree": rep.degree[i],
-            "local_clustering": rational_json(rep.local_clustering[i], exact),
-            "betweenness": rational_json(rep.betweenness[i], exact),
-            "stress": rep.stress[i],
-            "closeness": rational_json(rep.closeness[i], exact),
-            "radiality": rational_json(rep.radiality[i], exact),
-        })
-    graph_level = {
-        "density": rational_json(rep.density, exact),
-        "diameter": rep.diameter,
-        "avg_path_length": rational_json(rep.avg_path_length, exact),
-        "global_efficiency": rational_json(rep.global_efficiency, exact),
-        "avg_clustering": rational_json(rep.avg_clustering, exact),
-        "global_clustering": rational_json(rep.global_clustering, exact),
-        "local_efficiency": rational_json(rep.local_efficiency, exact),
-    }
-    return {"graph": _graph_header(g, source), "vertices": vertices,
-            "graph_level": graph_level}
-
-
-def _report_csv(g: Graph, rep: CentralityReport) -> str:
-    lines = ["scope,metric,value"]
-    glevel = [("density", rep.density), ("diameter", rep.diameter),
-              ("avg_path_length", rep.avg_path_length),
-              ("global_efficiency", rep.global_efficiency),
-              ("avg_clustering", rep.avg_clustering),
-              ("global_clustering", rep.global_clustering),
-              ("local_efficiency", rep.local_efficiency)]
-    for name, val in glevel:
-        lines.append(f"graph,{name}," + ("" if val is None else fmt_sig12(val)))
-    for i in range(g.n):
-        lines.append(f"vertex:{i},degree,{rep.degree[i]}")
-        lines.append(f"vertex:{i},local_clustering,{fmt_sig12(rep.local_clustering[i])}")
-        lines.append(f"vertex:{i},betweenness,{fmt_sig12(rep.betweenness[i])}")
-        lines.append(f"vertex:{i},stress,{rep.stress[i]}")
-        lines.append(f"vertex:{i},closeness,{fmt_sig12(rep.closeness[i])}")
-        lines.append(f"vertex:{i},radiality,{fmt_sig12(rep.radiality[i])}")
-    return "\n".join(lines) + "\n"
-
-
-def _report_human(g: Graph, source: str, rep: CentralityReport, exact: bool) -> str:
-    out = [f"graph {source}: n={g.n} m={g.m}", "", "graph-level:"]
-    for name in CentralityReport.FIELDS_GRAPH:
-        out.append(f"  {name:<18} {_value_text(getattr(rep, name), exact)}")
-    out.append("")
-    out.append("per-vertex:")
-    header = f"  {'v':>4} {'deg':>4} {'clustering':>12} {'betweenness':>12} " \
-             f"{'stress':>7} {'closeness':>12} {'radiality':>12}"
-    out.append(header)
-    for i in range(g.n):
-        out.append(f"  {i:>4} {rep.degree[i]:>4} "
-                   f"{rational_str(rep.local_clustering[i]):>12} "
-                   f"{rational_str(rep.betweenness[i]):>12} "
-                   f"{rep.stress[i]:>7} "
-                   f"{rational_str(rep.closeness[i]):>12} "
-                   f"{rational_str(rep.radiality[i]):>12}")
-    return "\n".join(out) + "\n"
-
-
 def cmd_compute(args) -> int:
     g, source = _graph_from_args(args)
     rep = compute_report(g)
     exact = not args.float_values
+    per_vertex = [(name, getattr(rep, name))
+                  for name in CentralityReport.FIELDS_PER_VERTEX]
+    graph_level = [(name, getattr(rep, name)) for name in CentralityReport.FIELDS_GRAPH]
     if args.format == "json":
-        print(json.dumps(_report_json(g, source, rep, exact), indent=2))
+        vertices = [{"vertex": i, "label": g.label_of(i),
+                     **{name: json_value(col[i], exact) for name, col in per_vertex}}
+                    for i in range(g.n)]
+        _print_json({"graph": _graph_header(g, source), "vertices": vertices,
+                     "graph_level": {name: json_value(x, exact)
+                                     for name, x in graph_level}})
     elif args.format == "csv":
-        sys.stdout.write(_report_csv(g, rep))
+        lines = ["scope,metric,value"]
+        lines += [f"graph,{name},{csv_value(x)}" for name, x in graph_level]
+        lines += [f"vertex:{i},{name},{csv_value(col[i])}"
+                  for i in range(g.n) for name, col in per_vertex]
+        _print_lines(lines)
     else:
-        sys.stdout.write(_report_human(g, source, rep, exact))
+        lines = [f"graph {source}: n={g.n} m={g.m}", "", "graph-level:"]
+        for name, x in graph_level:
+            text = human_value(x, exact)
+            if exact and x is not None:
+                text += f" ({float(x):.6g})"
+            lines.append(f"  {name:<18} {text}")
+        labels, widths = zip(("v", 4), *(CentralityReport.HUMAN_COLUMNS[name]
+                                         for name, _ in per_vertex))
+        table = [labels] + [(i, *(human_value(col[i], exact) for _, col in per_vertex))
+                            for i in range(g.n)]
+        lines += ["", "per-vertex:"]
+        lines += ["  " + " ".join(f"{cell:>{width}}" for cell, width in zip(row, widths))
+                  for row in table]
+        _print_lines(lines)
     return EXIT_OK
 
 
@@ -141,34 +102,21 @@ def cmd_check(args) -> int:
     all_hold = all(r.holds for r in reports)
     exact = not args.float_values
     if args.format == "json":
-        payload = {
-            "graph": _graph_header(g, source),
-            "all_hold": all_hold,
-            "relations": [r.to_json_dict(exact) for r in reports],
-        }
-        print(json.dumps(payload, indent=2))
+        _print_json({"graph": _graph_header(g, source), "all_hold": all_hold,
+                     "relations": json_value(reports, exact)})
     elif args.format == "csv":
-        lines = ["relation,direction,lhs,rhs,holds,slack,"
-                 "equality_expected,equality_observed,hypothesis_met"]
-        for r in reports:
-            lines.append(",".join([
-                r.relation, r.direction, fmt_sig12(r.lhs), fmt_sig12(r.rhs),
-                str(r.holds).lower(), fmt_sig12(r.slack),
-                str(r.equality_expected).lower(),
-                str(r.equality_observed).lower(),
-                str(r.hypothesis_met).lower()]))
-        sys.stdout.write("\n".join(lines) + "\n")
+        _print_lines(csv_table(RelationReport.CSV_FIELDS, reports))
     else:
-        print(f"graph {source}: n={g.n} m={g.m}")
+        lines = [f"graph {source}: n={g.n} m={g.m}"]
         for r in reports:
+            lhs, rhs, slack = (human_value(x, exact) for x in (r.lhs, r.rhs, r.slack))
             status = "holds" if r.holds else "VIOLATED"
             eq = " [equality]" if r.equality_observed else ""
-            print(f"  {r.relation:<13} {r.direction:<4} {status:<8} "
-                  f"lhs={rational_str(r.lhs)} rhs={rational_str(r.rhs)} "
-                  f"slack={rational_str(r.slack)}{eq}")
-            for note in r.notes:
-                print(f"      note: {note}")
-        print("all relations hold" if all_hold else "RELATION VIOLATION")
+            lines.append(f"  {r.relation:<13} {r.direction:<4} {status:<8} "
+                         f"lhs={lhs} rhs={rhs} slack={slack}{eq}")
+            lines += [f"      note: {note}" for note in r.notes]
+        lines.append("all relations hold" if all_hold else "RELATION VIOLATION")
+        _print_lines(lines)
     return EXIT_OK if all_hold else EXIT_VIOLATION
 
 
@@ -225,27 +173,14 @@ def cmd_sweep(args) -> int:
               "is excluded from the trend summary", file=sys.stderr)
     result = sweep_windmill(hi, k, eta_min=lo)
     if args.format == "json":
-        payload = {
-            "k": k,
-            "rows": [{"eta": eta,
-                      "avg_clustering": rational_json(a, not args.float_values),
-                      "global_clustering": rational_json(c, not args.float_values),
-                      "difference": rational_json(a - c, not args.float_values)}
-                     for eta, a, c in result.rows],
-            "avg_strictly_increasing": result.avg_strictly_increasing,
-            "glob_strictly_decreasing": result.glob_strictly_decreasing,
-        }
-        print(json.dumps(payload, indent=2))
+        _print_json(json_value(result, not args.float_values))
     else:
-        lines = ["eta,avg_clustering,global_clustering,difference"]
-        for eta, a, c in result.rows:
-            lines.append(f"{eta},{fmt_sig12(a)},{fmt_sig12(c)},{fmt_sig12(a - c)}")
-        trend = (f"# trend: avg_clustering strictly increasing: "
-                 f"{str(result.avg_strictly_increasing).lower()}; "
-                 f"global_clustering strictly decreasing: "
-                 f"{str(result.glob_strictly_decreasing).lower()}")
-        lines.append(trend)
-        sys.stdout.write("\n".join(lines) + "\n")
+        lines = csv_table(SweepRow.FIELDS, result.rows)
+        lines.append(f"# trend: avg_clustering strictly increasing: "
+                     f"{csv_value(result.avg_strictly_increasing)}; "
+                     f"global_clustering strictly decreasing: "
+                     f"{csv_value(result.glob_strictly_decreasing)}")
+        _print_lines(lines)
     return EXIT_OK
 
 
@@ -257,25 +192,18 @@ def cmd_oracle_diff(args) -> int:
     g, source = _graph_from_args(args)
     dd = all_pairs(g)
     fast = compute_report(g, dd)
-    slow = oracle.oracle_measures(g, cap=args.cap)
-    mismatches = []
-    for name in CentralityReport.FIELDS_PER_VERTEX:
-        a, b = getattr(fast, name), getattr(slow, name)
-        for i, (x, y) in enumerate(zip(a, b)):
-            if x != y:
-                mismatches.append(f"{name}[{i}]: fast={x} oracle={y}")
-    for name in CentralityReport.FIELDS_GRAPH:
-        x, y = getattr(fast, name), getattr(slow, name)
-        if x != y:
-            mismatches.append(f"{name}: fast={x} oracle={y}")
-    fast_profiles = profiles(g, dd)
-    slow_profiles = oracle.oracle_neighborhood_profiles(g, cap=args.cap)
-    for fp, sp in zip(fast_profiles, slow_profiles):
-        for fieldname in fp.FIELDS:
-            x, y = getattr(fp, fieldname), getattr(sp, fieldname)
-            if x != y:
-                mismatches.append(
-                    f"neighborhood.{fieldname}[{fp.vertex}]: fast={x} oracle={y}")
+    pe = oracle.enumerate_shortest_paths(g, cap=args.cap)
+    slow = oracle.oracle_measures(g, pe)
+    compared = [(f"{name}[{i}]", x, y)
+                for name in CentralityReport.FIELDS_PER_VERTEX
+                for i, (x, y) in enumerate(zip(getattr(fast, name), getattr(slow, name)))]
+    compared += [(name, getattr(fast, name), getattr(slow, name))
+                 for name in CentralityReport.FIELDS_GRAPH]
+    slow_profiles = oracle.oracle_neighborhood_profiles(g, pe)
+    compared += [(f"neighborhood.{name}[{fp.vertex}]", getattr(fp, name), getattr(sp, name))
+                 for fp, sp in zip(profiles(g, dd), slow_profiles) for name in fp.FIELDS]
+    mismatches = [f"{label}: fast={x} oracle={y}"
+                  for label, x, y in compared if x != y]
     if mismatches:
         print(f"graph {source}: {len(mismatches)} mismatches")
         for line in mismatches:
@@ -313,10 +241,12 @@ def build_parser() -> argparse.ArgumentParser:
     def add_format(p, choices=("json", "csv", "human"), default="human"):
         p.add_argument("--format", choices=choices, default=default)
         group = p.add_mutually_exclusive_group()
-        group.add_argument("--exact", dest="float_values", action="store_false",
-                           default=False, help="render exact p/q values (default)")
-        group.add_argument("--float", dest="float_values", action="store_true",
-                           help="render floating values only")
+        group.add_argument("--exact", dest="float_values", action="store_const",
+                           const=False, help="render exact p/q values (default; "
+                           "not with --format csv)")
+        group.add_argument("--float", dest="float_values", action="store_const",
+                           const=True, help="render floating values (not with "
+                           "--format csv)")
 
     p_compute = sub.add_parser("compute", help="full centrality report")
     add_source(p_compute)
@@ -353,16 +283,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "float_values", None) is not None and args.format == "csv":
+        parser.error(f"{args.command} --format csv always renders floats; "
+                     "--exact and --float apply to json and human only")
     try:
         return args.func(args)
     except (GraphFormatError, FamilyParameterError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (DisconnectedGraphError, PreconditionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
-    except ValueError as exc:
-        # size caps and other guards
+    except PreconditionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
 

@@ -27,6 +27,12 @@ class FamilyParameterError(ValueError):
     """Generator parameters violate the family's requirements."""
 
 
+class PreconditionError(ValueError):
+    """A well-formed graph that a measure or check cannot take: too small,
+    too large for a size cap, disconnected, or outside a checker's stated
+    hypotheses."""
+
+
 class Graph:
     """Immutable simple undirected graph on vertices 0..n-1.
 
@@ -405,7 +411,9 @@ def read_json_graph(text: str) -> Graph:
     """Parse the JSON graph format: {"n": int, "edges": [[i, j], ...]}."""
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError and integer literals past the
+        # interpreter's digit limit; RecursionError, nesting too deep to parse
         raise GraphFormatError(f"bad JSON: {exc}") from exc
     if not isinstance(obj, dict) or "n" not in obj or "edges" not in obj:
         raise GraphFormatError('JSON graph needs "n" and "edges" keys')
@@ -434,8 +442,11 @@ def load_graph(path: str) -> Graph:
 
     ``.json`` uses the JSON format; anything else is edge-list text.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise GraphFormatError(f"{path} is not UTF-8 text: {exc}") from exc
     if path.endswith(".json"):
         return read_json_graph(text)
     return read_edge_list_text(text)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .centralities import CentralityReport
-from .graphs import Graph
+from .graphs import Graph, PreconditionError
 from .neighborhood import NeighborhoodProfile
 
 DEFAULT_ENUMERATION_CAP = 12
@@ -56,12 +56,13 @@ def enumerate_shortest_paths(g: Graph, cap: int = DEFAULT_ENUMERATION_CAP
                              ) -> PathEnumeration:
     """DFS over the BFS-layered DAG, listing every shortest path."""
     if g.n > cap:
-        raise ValueError(f"graph too large for path enumeration (n={g.n} > cap={cap})")
+        raise PreconditionError(
+            f"graph too large for path enumeration (n={g.n} > cap={cap})")
     dist_rows = []
     for s in range(g.n):
         dist = _bfs_levels(g, s)
         if any(d < 0 for d in dist):
-            raise ValueError("path enumeration needs a connected graph")
+            raise PreconditionError("path enumeration needs a connected graph")
         dist_rows.append(dist)
 
     paths: dict[tuple[int, int], list[tuple[int, ...]]] = {}
@@ -96,9 +97,12 @@ def _triple_products(g: Graph, i: int) -> int:
     return total
 
 
-def oracle_measures(g: Graph, cap: int = DEFAULT_ENUMERATION_CAP) -> CentralityReport:
-    """CentralityReport recomputed literally from enumerated paths."""
-    pe = enumerate_shortest_paths(g, cap=cap)
+def oracle_measures(g: Graph, pe: PathEnumeration | None = None
+                    ) -> CentralityReport:
+    """CentralityReport recomputed literally from the enumerated paths ``pe``
+    of ``g`` (enumerated here, under the default cap, when omitted)."""
+    if pe is None:
+        pe = enumerate_shortest_paths(g)
     n = g.n
     dist = pe.dist
     degrees = [g.degree(i) for i in range(n)]
@@ -172,10 +176,12 @@ def oracle_measures(g: Graph, cap: int = DEFAULT_ENUMERATION_CAP) -> CentralityR
     )
 
 
-def oracle_neighborhood_profiles(g: Graph, cap: int = DEFAULT_ENUMERATION_CAP
+def oracle_neighborhood_profiles(g: Graph, pe: PathEnumeration | None = None
                                  ) -> list[NeighborhoodProfile]:
-    """Neighborhood-restricted values recomputed from enumerated paths."""
-    pe = enumerate_shortest_paths(g, cap=cap)
+    """Neighborhood-restricted values recomputed from the enumerated paths
+    ``pe`` of ``g`` (enumerated here, under the default cap, when omitted)."""
+    if pe is None:
+        pe = enumerate_shortest_paths(g)
     dist = pe.dist
     out = []
     for i in range(g.n):

@@ -9,10 +9,10 @@ from __future__ import annotations
 from collections import Counter, deque
 from fractions import Fraction
 
-from .graphs import MAX_DENSE_VERTICES, Graph
+from .graphs import MAX_DENSE_VERTICES, Graph, PreconditionError
 
 
-class DisconnectedGraphError(ValueError):
+class DisconnectedGraphError(PreconditionError):
     """Raised when a distance-based measure meets an unreachable pair."""
 
 
@@ -68,8 +68,8 @@ def _bfs_counting(g: Graph, source: int) -> tuple[list[int], list[int]]:
 def all_pairs(g: Graph) -> DistanceData:
     """BFS from every source; errors on disconnected input."""
     if g.n > MAX_DENSE_VERTICES:
-        raise ValueError(f"graph too large for dense all-pairs (n={g.n} > "
-                         f"{MAX_DENSE_VERTICES})")
+        raise PreconditionError(f"graph too large for dense all-pairs "
+                                f"(n={g.n} > {MAX_DENSE_VERTICES})")
     dist_rows = []
     sigma_rows = []
     for s in range(g.n):
@@ -85,7 +85,7 @@ def all_pairs(g: Graph) -> DistanceData:
 def diameter(dd: DistanceData) -> int:
     """Largest hop distance over all pairs (scanned once per DistanceData)."""
     if dd.n < 2:
-        raise ValueError("diameter needs at least 2 vertices")
+        raise PreconditionError("diameter needs at least 2 vertices")
     if dd._diameter is None:
         dd._diameter = max(max(row) for row in dd.dist)
     return dd._diameter
@@ -104,7 +104,7 @@ def avg_path_length(dd: DistanceData) -> Fraction:
     """Mean hop distance over ordered pairs s != t."""
     n = dd.n
     if n < 2:
-        raise ValueError("average path length needs at least 2 vertices")
+        raise PreconditionError("average path length needs at least 2 vertices")
     total = sum(sum(row) for row in dd.dist)
     return Fraction(total, n * (n - 1))
 
@@ -113,7 +113,7 @@ def global_efficiency(dd: DistanceData) -> Fraction:
     """Mean inverse hop distance over ordered pairs s != t."""
     n = dd.n
     if n < 2:
-        raise ValueError("global efficiency needs at least 2 vertices")
+        raise PreconditionError("global efficiency needs at least 2 vertices")
     hist: Counter = Counter()
     for row in dd.dist:
         hist.update(row)
@@ -123,5 +123,5 @@ def global_efficiency(dd: DistanceData) -> Fraction:
 def density(g: Graph) -> Fraction:
     """Edge count over the maximum possible edge count."""
     if g.n < 2:
-        raise ValueError("density needs at least 2 vertices")
+        raise PreconditionError("density needs at least 2 vertices")
     return Fraction(2 * g.m, g.n * (g.n - 1))

@@ -10,23 +10,19 @@ relations do not survive the conventions).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
+from typing import NamedTuple
 
 from .centralities import (average_clustering, betweenness_and_stress,
                            closeness, global_clustering, local_clusterings,
                            local_efficiency, radiality)
-from .graphs import FamilySpec, Graph, generate
+from .graphs import FamilySpec, Graph, PreconditionError, generate
 from .neighborhood import bc_loc, clo_loc, profiles, rad_loc
 from .paths import (DistanceData, all_pairs, avg_path_length, diameter)
-from .serialize import rational_json
 
 RELATION_ORDER = ("lemma1", "thm1", "thm2", "thm3", "cor_sandwich", "lemma2",
                   "thm4", "lemma3", "thm5", "thm6", "cor_thm6", "cor_regular")
-
-
-class PreconditionError(ValueError):
-    """The graph violates a checker's stated hypotheses."""
 
 
 @dataclass
@@ -50,19 +46,10 @@ class RelationReport:
     hypothesis_met: bool = True
     notes: list[str] = field(default_factory=list)
 
-    def to_json_dict(self, exact: bool = True) -> dict:
-        return {
-            "relation": self.relation,
-            "direction": self.direction,
-            "lhs": rational_json(self.lhs, exact),
-            "rhs": rational_json(self.rhs, exact),
-            "holds": self.holds,
-            "slack": rational_json(self.slack, exact),
-            "equality_expected": self.equality_expected,
-            "equality_observed": self.equality_observed,
-            "hypothesis_met": self.hypothesis_met,
-            "notes": list(self.notes),
-        }
+
+# Field order of every output format; CSV has no column for the free-text notes.
+RelationReport.FIELDS = tuple(f.name for f in fields(RelationReport))
+RelationReport.CSV_FIELDS = tuple(f for f in RelationReport.FIELDS if f != "notes")
 
 
 def _prepare(g: Graph, dd: DistanceData | None, allow_pendant: bool,
@@ -249,8 +236,6 @@ def check_lemma2(g: Graph, dd: DistanceData | None = None,
 
     Equality is expected when all per-vertex distance sums agree.
     """
-    if g.n < 2:
-        raise PreconditionError("needs at least 2 vertices")
     dd = _prepare(g, dd, allow_pendant, need_min_degree_2=False)
     lhs = sum((closeness(g, dd, v) for v in range(g.n)), Fraction(0)) / g.n
     rhs = 1 / avg_path_length(dd)
@@ -277,8 +262,6 @@ def check_thm4(g: Graph, dd: DistanceData | None = None,
 def check_lemma3(g: Graph, dd: DistanceData | None = None,
                  allow_pendant: bool = False) -> RelationReport:
     """Identity: mean radiality = diameter + 1 - average path length."""
-    if g.n < 2:
-        raise PreconditionError("needs at least 2 vertices")
     dd = _prepare(g, dd, allow_pendant, need_min_degree_2=False)
     lhs = sum((radiality(g, dd, v) for v in range(g.n)), Fraction(0)) / g.n
     rhs = diameter(dd) + 1 - avg_path_length(dd)
@@ -337,10 +320,7 @@ def check_thm6(g: Graph, dd: DistanceData | None = None,
     """
     dd = _prepare(g, dd, allow_pendant, need_min_degree_2=False)
     lhs = _mean(local_clusterings(g, dd))
-    try:
-        rhs = global_clustering(g)
-    except ValueError as exc:
-        raise PreconditionError(str(exc)) from exc
+    rhs = global_clustering(g)
 
     degrees = set(g.degrees())
     if len(degrees) == 1:
@@ -393,19 +373,39 @@ def check_all(g: Graph, dd: DistanceData | None = None,
 # Windmill divergence sweep
 # ---------------------------------------------------------------------------
 
+class SweepRow(NamedTuple):
+    """Average clustering C_WS and global clustering C of windmill(eta, k)."""
+
+    eta: int
+    avg_clustering: Fraction
+    global_clustering: Fraction
+
+    FIELDS = ("eta", "avg_clustering", "global_clustering", "difference")
+
+    @property
+    def difference(self) -> Fraction:
+        return self.avg_clustering - self.global_clustering
+
+
 @dataclass
 class SweepResult:
     """Per-size clustering values for a windmill family sweep.
 
-    ``rows`` holds (eta, C_WS, C).  Trend flags cover the eta >= 2 rows; the
-    eta = 1 point is a single clique where both coefficients are 1.
+    Trend flags cover the eta >= 2 rows; the eta = 1 point is a single
+    clique where both coefficients are 1.
     """
 
     k: int
-    rows: list[tuple[int, Fraction, Fraction]]
+    rows: list[SweepRow]
     avg_strictly_increasing: bool
     glob_strictly_decreasing: bool
-    degenerate_start: bool = False
+
+    @property
+    def degenerate_start(self) -> bool:
+        return self.rows[0].eta < 2
+
+
+SweepResult.FIELDS = tuple(f.name for f in fields(SweepResult))
 
 
 def sweep_windmill(eta_max: int, k: int, eta_min: int = 2) -> SweepResult:
@@ -417,10 +417,10 @@ def sweep_windmill(eta_max: int, k: int, eta_min: int = 2) -> SweepResult:
     rows = []
     for eta in range(eta_min, eta_max + 1):
         g = generate(FamilySpec("windmill", (eta, k)))
-        rows.append((eta, average_clustering(g), global_clustering(g)))
-    trend_rows = [r for r in rows if r[0] >= 2]
-    inc = all(a[1] < b[1] for a, b in zip(trend_rows, trend_rows[1:]))
-    dec = all(a[2] > b[2] for a, b in zip(trend_rows, trend_rows[1:]))
+        rows.append(SweepRow(eta, average_clustering(g), global_clustering(g)))
+    trend_rows = [r for r in rows if r.eta >= 2]
+    pairs = list(zip(trend_rows, trend_rows[1:]))
+    inc = all(a.avg_clustering < b.avg_clustering for a, b in pairs)
+    dec = all(a.global_clustering > b.global_clustering for a, b in pairs)
     return SweepResult(k=k, rows=rows, avg_strictly_increasing=inc,
-                       glob_strictly_decreasing=dec,
-                       degenerate_start=eta_min < 2)
+                       glob_strictly_decreasing=dec)

@@ -183,19 +183,6 @@ class TestLocalEfficiency:
             dd = all_pairs(g)
             assert local_efficiency(g, dd) == (1 + average_clustering(g)) / 2, name
 
-    def test_induced_variant_differs(self):
-        # cross-clique neighbor pairs are unreachable inside the induced
-        # neighborhood of the hub, so the induced value drops
-        g = make("windmill", 2, 3)
-        dd = all_pairs(g)
-        assert local_efficiency(g, dd, induced=True) == Fraction(13, 15)
-        assert local_efficiency(g, dd) == Fraction(14, 15)
-
-    def test_induced_variant_equal_on_complete(self):
-        g = make("complete", 5)
-        dd = all_pairs(g)
-        assert local_efficiency(g, dd, induced=True) == local_efficiency(g, dd)
-
 
 class TestReport:
     def test_report_fields_consistent(self):

@@ -1,9 +1,13 @@
 """CLI behavior: output schemas, exit codes, determinism."""
 
 import json
+import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from centrel import FamilySpec, from_edge_list, generate, oracle, to_edge_list_text
 from centrel.cli import main
 
 
@@ -122,6 +126,35 @@ class TestCompute:
         assert code == 2
         assert "edges" in err
 
+    @pytest.mark.parametrize("name, data", [
+        ("bad.edges", b"\xff\xfe0 1\n"),
+        ("bad.json", b'{"n": 3, "edges": [[0, 1]], "x": "\xe9"}'),
+        ("deep.json", b"[" * 100_000),
+        ("long-int.json", b'{"n": ' + b"1" * 5000 + b', "edges": []}'),
+    ], ids=["non-utf8-edges", "non-utf8-json", "deep-json", "long-int-json"])
+    def test_undecodable_or_unparsable_exit_2(self, capsys, tmp_path, name, data):
+        path = tmp_path / name
+        path.write_bytes(data)
+        code, out, err = run(capsys, "compute", "--input", str(path))
+        assert code == 2
+        assert out == "" and "error" in err
+
+    @pytest.mark.parametrize("name, text", [("one.edges", "n=1\n"),
+                                            ("one.json", '{"n": 1, "edges": []}')])
+    def test_single_vertex_exit_3(self, capsys, tmp_path, name, text):
+        path = tmp_path / name
+        path.write_text(text)
+        code, out, err = run(capsys, "compute", "--input", str(path))
+        assert code == 3
+        assert out == "" and "at least 2 vertices" in err
+
+    def test_float_human_renders_every_value_as_float(self, capsys):
+        code, out, _ = run(capsys, "compute", "--family", "windmill",
+                           "--params", "2,3", "--float")
+        assert code == 0
+        assert "/" not in out
+        assert "     0    4 0.333333333333" in out
+
 
 class TestCheck:
     def test_windmill_all_hold(self, capsys):
@@ -158,6 +191,14 @@ class TestCheck:
                            "--allow-pendant")
         assert code == 4  # conventions break some bounds; reported honestly
         assert "VIOLATED" in out
+
+    def test_float_human(self, capsys):
+        code, out, _ = run(capsys, "check", "--family", "windmill",
+                           "--params", "2,3", "--float")
+        assert code == 0
+        values = [line for line in out.splitlines() if "note:" not in line]
+        assert not any("/" in line for line in values)
+        assert "lhs=0.866666666667" in out
 
     def test_csv_format(self, capsys):
         code, out, _ = run(capsys, "check", "--family", "cycle",
@@ -249,6 +290,20 @@ class TestUnreadFlags:
         assert "unrecognized arguments" in err or "invalid choice" in err
 
 
+    @pytest.mark.parametrize("flag", ["--exact", "--float"])
+    @pytest.mark.parametrize("argv", [
+        ("compute", "--family", "cycle", "--params", "5", "--format", "csv"),
+        ("check", "--family", "cycle", "--params", "5", "--format", "csv"),
+        ("sweep", "--family", "windmill", "--params", "3,2,5"),
+    ])
+    def test_format_flag_rejected_with_csv(self, capsys, argv, flag):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, flag])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "--format csv" in err
+
+
 class TestOracleDiff:
     def test_match(self, capsys):
         code, out, _ = run(capsys, "oracle-diff", "--family", "windmill",
@@ -260,6 +315,20 @@ class TestOracleDiff:
         code, _, err = run(capsys, "oracle-diff", "--family", "complete",
                            "--params", "8", "--cap", "6")
         assert code == 3
+        assert "cap=6" in err
+
+    def test_paths_enumerated_once(self, capsys, monkeypatch):
+        calls = []
+        enumerate_paths = oracle.enumerate_shortest_paths
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return enumerate_paths(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, "enumerate_shortest_paths", counted)
+        code, _, _ = run(capsys, "oracle-diff", "--family", "windmill",
+                         "--params", "2,3")
+        assert code == 0 and len(calls) == 1
 
 
 class TestDeterminism:
@@ -275,3 +344,91 @@ class TestDeterminism:
         code2, out2, _ = run(capsys, *argv)
         assert code1 == code2 == 0
         assert out1 == out2
+
+
+def compute_json(capsys, path):
+    code, out, _ = run(capsys, "compute", "--input", str(path), "--format", "json")
+    assert code == 0
+    return json.loads(out)
+
+
+class TestMetamorphic:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_relabeling_permutes_vertex_values(self, capsys, tmp_path, seed):
+        g = generate(FamilySpec("random-min-degree-2", (11,), seed=seed))
+        perm = list(range(g.n))
+        random.Random(seed).shuffle(perm)
+        h = from_edge_list([(perm[i], perm[j]) for i, j in g.edges()], g.n)
+        (tmp_path / "g.edges").write_text(to_edge_list_text(g))
+        (tmp_path / "h.edges").write_text(to_edge_list_text(h))
+        a = compute_json(capsys, tmp_path / "g.edges")
+        b = compute_json(capsys, tmp_path / "h.edges")
+        assert a["graph_level"] == b["graph_level"]
+        for i, v in enumerate(a["vertices"]):
+            w = b["vertices"][perm[i]]
+            assert {k: x for k, x in v.items() if k not in ("vertex", "label")} == \
+                {k: x for k, x in w.items() if k not in ("vertex", "label")}
+
+    @pytest.mark.parametrize("family, params", [
+        ("windmill", "3,4"), ("circulant", "10,1,3"),
+        ("random-min-degree-2", "12")])
+    def test_edge_list_json_round_trip(self, capsys, tmp_path, family, params):
+        payloads = []
+        for fmt, name in (("human", "g.edges"), ("json", "g.json")):
+            code, _, _ = run(capsys, "generate", "--family", family, "--params",
+                             params, "--seed", "4", "--format", fmt,
+                             "--output", str(tmp_path / name))
+            assert code == 0
+            payload = compute_json(capsys, tmp_path / name)
+            del payload["graph"]["source"]
+            payloads.append(payload)
+        assert payloads[0] == payloads[1]
+
+
+# JSON values, biased towards the graph format's keys and small integers
+JSONISH = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 14) | st.integers() | st.floats()
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=5)
+    | st.dictionaries(st.sampled_from(["n", "edges"]) | st.text(max_size=3),
+                      inner, max_size=3),
+    max_leaves=24)
+GRAPHISH = st.fixed_dictionaries({
+    "n": st.integers(-1, 10) | JSONISH,
+    "edges": st.lists(st.lists(st.integers(-1, 10), min_size=1, max_size=3),
+                      max_size=14) | JSONISH})
+EDGE_TEXT = st.text(alphabet="0123456 \n\t#n=a-", max_size=48)
+
+FUZZ = settings(max_examples=60, deadline=None,
+                suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+class TestInputFuzz:
+    """Every input file ends with exit 0, 2 or 3, never with an exception."""
+
+    def exit_code(self, capsys, path, data: bytes) -> int:
+        path.write_bytes(data)
+        code = main(["compute", "--input", str(path)])
+        capsys.readouterr()
+        return code
+
+    @FUZZ
+    @given(data=st.binary(max_size=64) | EDGE_TEXT.map(str.encode))
+    def test_edge_list_bytes(self, capsys, tmp_path, data):
+        code = self.exit_code(capsys, tmp_path / "g.edges", data)
+        assert code in (0, 2, 3)
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError:
+            assert code == 2
+
+    @FUZZ
+    @given(text=JSONISH.map(json.dumps) | GRAPHISH.map(json.dumps)
+           | st.text(max_size=24))
+    def test_json_text(self, capsys, tmp_path, text):
+        code = self.exit_code(capsys, tmp_path / "g.json", text.encode())
+        assert code in (0, 2, 3)
+        try:
+            json.loads(text)
+        except ValueError:
+            assert code == 2

@@ -12,6 +12,7 @@ from centrel import (FamilySpec, PreconditionError, all_pairs, check_all,
 from centrel.graphs import from_edge_list
 from centrel.relations import (neighborhoods_are_clique_unions,
                                neighborhoods_unique_two_paths)
+from centrel.serialize import csv_value, human_value, json_value
 
 
 def make(family, *params, seed=None):
@@ -277,25 +278,28 @@ class TestPreconditionsAndPendants:
 class TestSerialization:
     def test_json_schema(self):
         r = check_thm5(make("windmill", 2, 3))
-        d = r.to_json_dict()
+        d = json_value(r)
         assert d["relation"] == "thm5"
         assert d["lhs"] == {"exact": "13/15", "value": 13 / 15}
         assert d["holds"] is True
-        assert set(d) == {"relation", "direction", "lhs", "rhs", "holds",
-                          "slack", "equality_expected", "equality_observed",
-                          "hypothesis_met", "notes"}
+        assert list(d) == ["relation", "direction", "lhs", "rhs", "holds",
+                           "slack", "equality_expected", "equality_observed",
+                           "hypothesis_met", "notes"]
 
     def test_float_mode(self):
         r = check_thm1(make("complete", 4))
-        d = r.to_json_dict(exact=False)
+        d = json_value(r, exact=False)
         assert d["lhs"] == 1.0 and isinstance(d["lhs"], float)
 
     def test_value_rendering(self):
-        from centrel.serialize import rational_json, rational_str
-        assert rational_json(Fraction(1, 2)) == {"exact": "1/2", "value": 0.5}
-        assert rational_json(3) == {"exact": "3", "value": 3.0}
-        assert rational_json(None) is None
-        assert rational_str(Fraction(6, 4)) == "3/2"
+        assert json_value(Fraction(1, 2)) == {"exact": "1/2", "value": 0.5}
+        assert json_value(Fraction(3)) == {"exact": "3", "value": 3.0}
+        assert json_value(3) == 3 and json_value(None) is None
+        assert human_value(Fraction(6, 4)) == "3/2"
+        assert human_value(Fraction(6, 4), exact=False) == "1.5"
+        assert human_value(None) == "undefined"
+        assert csv_value(Fraction(1, 3)) == "0.333333333333"
+        assert csv_value(True) == "true" and csv_value(None) == ""
 
 
 class TestAtScale:
