@@ -15,8 +15,7 @@ from .centralities import (CentralityReport, average_clustering,
                            triangle_count)
 from .graphs import (FamilySpec, Graph, from_edge_list, generate,
                      is_connected, load_graph, read_edge_list_text,
-                     read_json_graph, to_edge_list_text, to_json_graph,
-                     validate_no_pendant)
+                     read_json_graph, to_edge_list_text, to_json_graph)
 from .neighborhood import (NeighborhoodProfile, bc_loc, clo_loc,
                            is_complete_neighborhood, profile, profiles,
                            rad_loc)

@@ -35,9 +35,8 @@ def local_clustering(g: Graph, i: int) -> Fraction:
 def local_clusterings(g: Graph, dd: DistanceData) -> list[Fraction]:
     """Every vertex's local clustering (from adjacency alone), computed once
     per DistanceData; later calls return a copy of the stored list."""
-    if dd._clustering is None:
-        dd._clustering = [local_clustering(g, i) for i in range(g.n)]
-    return list(dd._clustering)
+    return list(dd.memo("clustering",
+                        lambda: [local_clustering(g, i) for i in range(g.n)]))
 
 
 def average_clustering(g: Graph) -> Fraction:
@@ -79,9 +78,7 @@ def betweenness_and_stress(g: Graph, dd: DistanceData | None = None
     """
     if dd is None:
         dd = all_pairs(g)
-    if dd._brandes is None:
-        dd._brandes = _brandes(g, dd)
-    bc, stress = dd._brandes
+    bc, stress = dd.memo("brandes", lambda: _brandes(g, dd))
     return list(bc), list(stress)
 
 

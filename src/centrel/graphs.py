@@ -33,6 +33,14 @@ class PreconditionError(ValueError):
     hypotheses."""
 
 
+def check_size_cap(n: int) -> None:
+    """Refuse a vertex count past ``MAX_DENSE_VERTICES``, the cap on dense
+    all-pairs data, before anything of that size is built."""
+    if n > MAX_DENSE_VERTICES:
+        raise PreconditionError(f"graph too large for dense all-pairs "
+                                f"(n={n} > {MAX_DENSE_VERTICES})")
+
+
 class Graph:
     """Immutable simple undirected graph on vertices 0..n-1.
 
@@ -125,11 +133,6 @@ def from_edge_list(edges: Iterable[tuple[int, int]], n: int,
     return Graph(adjacency, labels=labels, duplicates_collapsed=duplicates)
 
 
-def validate_no_pendant(g: Graph) -> bool:
-    """True iff every vertex has degree at least 2."""
-    return g.min_degree() >= 2
-
-
 def is_connected(g: Graph) -> bool:
     """True iff a BFS from vertex 0 reaches all vertices."""
     seen = [False] * g.n
@@ -152,27 +155,12 @@ def is_connected(g: Graph) -> bool:
 # Parametric families
 # ---------------------------------------------------------------------------
 
-FAMILIES = (
-    "complete",
-    "cycle",
-    "circulant",
-    "hypercube",
-    "windmill",
-    "friendship",
-    "complete-with-glued-4-cycles",
-    "random-min-degree-2",
-)
-
-
 @dataclass(frozen=True)
 class FamilySpec:
     """A named generator family plus its integer parameters.
 
-    Parameter arity by family:
-      complete(n), cycle(n), hypercube(d), friendship(eta),
-      complete-with-glued-4-cycles(n), random-min-degree-2(n): one parameter;
-      windmill(eta, k): two; circulant(n, s1, ..., sk): two or more.
-    ``seed`` only applies to random-min-degree-2.
+    ``FAMILIES`` gives the number of parameters each family takes.  ``seed``
+    only applies to random-min-degree-2.
     """
 
     family: str
@@ -186,17 +174,8 @@ class FamilySpec:
         object.__setattr__(self, "params", tuple(int(p) for p in self.params))
         if any(p <= 0 for p in self.params):
             raise FamilyParameterError("family parameters must be positive integers")
-        arity_ok = {
-            "complete": len(self.params) == 1,
-            "cycle": len(self.params) == 1,
-            "circulant": len(self.params) >= 2,
-            "hypercube": len(self.params) == 1,
-            "windmill": len(self.params) == 2,
-            "friendship": len(self.params) == 1,
-            "complete-with-glued-4-cycles": len(self.params) == 1,
-            "random-min-degree-2": len(self.params) == 1,
-        }[self.family]
-        if not arity_ok:
+        arity_ok, _ = FAMILIES[self.family]
+        if not arity_ok(len(self.params)):
             raise FamilyParameterError(
                 f"wrong number of parameters for {self.family}: {self.params}")
 
@@ -208,8 +187,9 @@ class FamilySpec:
 
 
 def _complete(n: int) -> Graph:
-    if n < 3:
-        raise FamilyParameterError("complete(n) needs n >= 3 for minimum degree 2")
+    # K_2 has minimum degree 1: generate accepts it only with allow_pendant
+    if n < 2:
+        raise FamilyParameterError("complete(n) needs n >= 2")
     return from_edge_list(combinations(range(n), 2), n)
 
 
@@ -245,8 +225,6 @@ def _windmill(eta: int, k: int) -> Graph:
     # eta vertex-disjoint copies of K_{k-1}, all joined to hub vertex 0.
     if k < 3:
         raise FamilyParameterError("windmill(eta, k) needs k >= 3")
-    if eta < 1:
-        raise FamilyParameterError("windmill(eta, k) needs eta >= 1")
     n = 1 + eta * (k - 1)
     edges = []
     for copy in range(eta):
@@ -259,8 +237,6 @@ def _windmill(eta: int, k: int) -> Graph:
 def _glued_4_cycles(n: int) -> Graph:
     # K_n plus, per original vertex v, a private 4-cycle v-a-b-c-v on three
     # fresh vertices.
-    if n < 1:
-        raise FamilyParameterError("complete-with-glued-4-cycles(n) needs n >= 1")
     total = n + 3 * n
     edges = list(combinations(range(n), 2))
     for v in range(n):
@@ -285,6 +261,22 @@ def _random_min_degree_2(n: int, seed: int | None, max_tries: int = 1000) -> Gra
         f"in {max_tries} tries")
 
 
+# name -> (accepts this many parameters, builds from the parameters and seed),
+# in the order that error messages list the families
+FAMILIES = {
+    "complete": (lambda k: k == 1, lambda p, seed: _complete(p[0])),
+    "cycle": (lambda k: k == 1, lambda p, seed: _cycle(p[0])),
+    "circulant": (lambda k: k >= 2, lambda p, seed: _circulant(p[0], p[1:])),
+    "hypercube": (lambda k: k == 1, lambda p, seed: _hypercube(p[0])),
+    "windmill": (lambda k: k == 2, lambda p, seed: _windmill(p[0], p[1])),
+    "friendship": (lambda k: k == 1, lambda p, seed: _windmill(p[0], 3)),
+    "complete-with-glued-4-cycles": (lambda k: k == 1,
+                                     lambda p, seed: _glued_4_cycles(p[0])),
+    "random-min-degree-2": (lambda k: k == 1,
+                            lambda p, seed: _random_min_degree_2(p[0], seed)),
+}
+
+
 def generate(spec: FamilySpec, allow_pendant: bool = False) -> Graph:
     """Generate the named family graph.
 
@@ -292,25 +284,8 @@ def generate(spec: FamilySpec, allow_pendant: bool = False) -> Graph:
     parameters that would break that are rejected unless ``allow_pendant``
     is set (used only for degree-1 convention experiments).
     """
-    family, params = spec.family, spec.params
-    if family == "complete":
-        if params[0] == 2 and allow_pendant:
-            return from_edge_list([(0, 1)], 2)
-        g = _complete(params[0])
-    elif family == "cycle":
-        g = _cycle(params[0])
-    elif family == "circulant":
-        g = _circulant(params[0], params[1:])
-    elif family == "hypercube":
-        g = _hypercube(params[0])
-    elif family == "windmill":
-        g = _windmill(params[0], params[1])
-    elif family == "friendship":
-        g = _windmill(params[0], 3)
-    elif family == "complete-with-glued-4-cycles":
-        g = _glued_4_cycles(params[0])
-    else:
-        g = _random_min_degree_2(params[0], spec.seed)
+    _, build = FAMILIES[spec.family]
+    g = build(spec.params, spec.seed)
     if not allow_pendant and g.min_degree() < 2:
         raise FamilyParameterError(
             f"{spec.name()} has a vertex of degree < 2; "
@@ -374,9 +349,7 @@ def read_edge_list_text(text: str) -> Graph:
                 raise GraphFormatError(
                     "labels must be integers in [0, n) when n= is declared") from exc
             edges.append((i, j))
-        if n_declared > MAX_DENSE_VERTICES:
-            raise GraphFormatError(f"vertex count {n_declared} exceeds soft cap "
-                                   f"{MAX_DENSE_VERTICES}")
+        check_size_cap(n_declared)
         return from_edge_list(edges, n_declared)
 
     index: dict[str, int] = {}
@@ -388,9 +361,7 @@ def read_edge_list_text(text: str) -> Graph:
         edges.append((index[a], index[b]))
     if not index:
         raise GraphFormatError("empty edge list and no n= header")
-    if len(index) > MAX_DENSE_VERTICES:
-        raise GraphFormatError(f"vertex count {len(index)} exceeds soft cap "
-                               f"{MAX_DENSE_VERTICES}")
+    check_size_cap(len(index))
     labels = sorted(index, key=index.get)
     return from_edge_list(edges, len(index), labels=labels)
 
@@ -428,8 +399,7 @@ def read_json_graph(text: str) -> Graph:
                 and all(_is_json_int(x) for x in e)):
             raise GraphFormatError(f"bad edge entry {e!r}")
         edges.append((e[0], e[1]))
-    if n > MAX_DENSE_VERTICES:
-        raise GraphFormatError(f"vertex count {n} exceeds soft cap {MAX_DENSE_VERTICES}")
+    check_size_cap(n)
     return from_edge_list(edges, n)
 
 

@@ -95,9 +95,7 @@ def profiles(g: Graph, dd: DistanceData) -> list[NeighborhoodProfile]:
 
     Later calls with the same ``dd`` return a copy of the stored list.
     """
-    if dd._profiles is None:
-        dd._profiles = [profile(g, dd, i) for i in range(g.n)]
-    return list(dd._profiles)
+    return list(dd.memo("profiles", lambda: [profile(g, dd, i) for i in range(g.n)]))
 
 
 def bc_loc(g: Graph, dd: DistanceData) -> Fraction:

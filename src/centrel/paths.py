@@ -9,7 +9,7 @@ from __future__ import annotations
 from collections import Counter, deque
 from fractions import Fraction
 
-from .graphs import MAX_DENSE_VERTICES, Graph, PreconditionError
+from .graphs import Graph, PreconditionError, check_size_cap
 
 
 class DisconnectedGraphError(PreconditionError):
@@ -23,20 +23,16 @@ class DistanceData:
     shortest s-t paths (``sigma[s][s] == 1`` by convention).  Both matrices
     are symmetric for undirected graphs.  The per-graph results built from
     them (the diameter, the Brandes betweenness and stress, the neighborhood
-    profiles) and the local clusterings of the same graph are memoized here on
-    first use, so the matrices must not be mutated afterwards.
+    profiles) and the local clusterings of the same graph are kept by
+    ``memo``, so the matrices must not be mutated afterwards.
     """
 
-    __slots__ = ("dist", "sigma", "_diameter", "_brandes", "_clustering",
-                 "_profiles")
+    __slots__ = ("dist", "sigma", "_memo")
 
     def __init__(self, dist: list[list[int]], sigma: list[list[int]]):
         self.dist = dist
         self.sigma = sigma
-        self._diameter: int | None = None
-        self._brandes: tuple | None = None  # set by betweenness_and_stress
-        self._clustering: list | None = None  # set by local_clusterings
-        self._profiles: list | None = None  # set by neighborhood.profiles
+        self._memo: dict = {}
 
     @property
     def n(self) -> int:
@@ -44,6 +40,13 @@ class DistanceData:
 
     def row_sum(self, v: int) -> int:
         return sum(self.dist[v])
+
+    def memo(self, key: str, build):
+        """``build()`` on the first call for ``key``; the stored result of
+        that call on every later one."""
+        if key not in self._memo:
+            self._memo[key] = build()
+        return self._memo[key]
 
 
 def _bfs_counting(g: Graph, source: int) -> tuple[list[int], list[int]]:
@@ -67,9 +70,7 @@ def _bfs_counting(g: Graph, source: int) -> tuple[list[int], list[int]]:
 
 def all_pairs(g: Graph) -> DistanceData:
     """BFS from every source; errors on disconnected input."""
-    if g.n > MAX_DENSE_VERTICES:
-        raise PreconditionError(f"graph too large for dense all-pairs "
-                                f"(n={g.n} > {MAX_DENSE_VERTICES})")
+    check_size_cap(g.n)
     dist_rows = []
     sigma_rows = []
     for s in range(g.n):
@@ -86,9 +87,7 @@ def diameter(dd: DistanceData) -> int:
     """Largest hop distance over all pairs (scanned once per DistanceData)."""
     if dd.n < 2:
         raise PreconditionError("diameter needs at least 2 vertices")
-    if dd._diameter is None:
-        dd._diameter = max(max(row) for row in dd.dist)
-    return dd._diameter
+    return dd.memo("diameter", lambda: max(max(row) for row in dd.dist))
 
 
 def efficiency_sum(hist: Counter) -> Fraction:

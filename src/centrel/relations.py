@@ -52,6 +52,23 @@ RelationReport.FIELDS = tuple(f.name for f in fields(RelationReport))
 RelationReport.CSV_FIELDS = tuple(f for f in RelationReport.FIELDS if f != "notes")
 
 
+def _report(relation: str, direction: str, lhs: Fraction, rhs: Fraction,
+            expected: bool, slack: Fraction | None = None,
+            notes: list[str] | None = None) -> RelationReport:
+    """The report of ``lhs direction rhs`` at zero tolerance.
+
+    ``slack`` defaults to |rhs - lhs| for "eq", rhs - lhs for "le" and
+    lhs - rhs for "ge".  An identity holds at slack 0 and an inequality at
+    slack >= 0; equality is observed at slack 0 either way.
+    """
+    if slack is None:
+        slack = {"eq": abs(rhs - lhs), "le": rhs - lhs, "ge": lhs - rhs}[direction]
+    holds = slack == 0 if direction == "eq" else slack >= 0
+    return RelationReport(relation, direction, lhs, rhs, holds, slack,
+                          equality_expected=expected,
+                          equality_observed=slack == 0, notes=notes or [])
+
+
 def _prepare(g: Graph, dd: DistanceData | None, allow_pendant: bool,
              need_min_degree_2: bool) -> DistanceData:
     if need_min_degree_2 and not allow_pendant and g.min_degree() < 2:
@@ -61,29 +78,24 @@ def _prepare(g: Graph, dd: DistanceData | None, allow_pendant: bool,
     return dd if dd is not None else all_pairs(g)
 
 
-def _eligible(g: Graph) -> list[int]:
-    """Vertices with the degree-normalized quantities defined."""
-    return [i for i in range(g.n) if g.degree(i) >= 2]
+def _eligible(g: Graph) -> tuple[list[int], list[str]]:
+    """Vertices with the degree-normalized quantities defined, and a note
+    on the vertices skipped, if any."""
+    eligible = [i for i in range(g.n) if g.degree(i) >= 2]
+    notes = [f"skipped {g.n - len(eligible)} vertices of degree <= 1 "
+             "(degree-1 convention)"] if len(eligible) < g.n else []
+    return eligible, notes
 
 
 def _mean(values: list[Fraction]) -> Fraction:
     return sum(values, Fraction(0)) / len(values) if values else Fraction(0)
 
 
-def _skip_note(g: Graph, notes: list[str]) -> None:
-    skipped = g.n - len(_eligible(g))
-    if skipped:
-        notes.append(f"skipped {skipped} vertices of degree <= 1 "
-                     "(degree-1 convention)")
-
-
 def check_lemma1(g: Graph, dd: DistanceData | None = None,
                  allow_pendant: bool = False) -> RelationReport:
     """Per-vertex identity: neighborhood average path length = 2 - c_i."""
     dd = _prepare(g, dd, allow_pendant, need_min_degree_2=True)
-    notes: list[str] = []
-    _skip_note(g, notes)
-    eligible = _eligible(g)
+    eligible, notes = _eligible(g)
     profs = profiles(g, dd)
     clustering = local_clusterings(g, dd)
     lhs_v = [profs[i].avg_path for i in eligible]
@@ -94,11 +106,8 @@ def check_lemma1(g: Graph, dd: DistanceData | None = None,
         if dev > worst:
             worst = dev
             notes.append(f"vertex {i}: L(N)={lhs_i} vs 2-c={rhs_i}")
-    lhs, rhs = _mean(lhs_v), _mean(rhs_v)
-    holds = worst == 0
-    return RelationReport("lemma1", "eq", lhs, rhs, holds, worst,
-                          equality_expected=True, equality_observed=holds,
-                          notes=notes)
+    return _report("lemma1", "eq", _mean(lhs_v), _mean(rhs_v), True,
+                   slack=worst, notes=notes)
 
 
 def check_thm1(g: Graph, dd: DistanceData | None = None,
@@ -107,10 +116,7 @@ def check_thm1(g: Graph, dd: DistanceData | None = None,
     dd = _prepare(g, dd, allow_pendant, need_min_degree_2=True)
     lhs = local_efficiency(g, dd)
     rhs = (1 + _mean(local_clusterings(g, dd))) / 2
-    slack = abs(rhs - lhs)
-    holds = slack == 0
-    return RelationReport("thm1", "eq", lhs, rhs, holds, slack,
-                          equality_expected=True, equality_observed=holds)
+    return _report("thm1", "eq", lhs, rhs, True)
 
 
 def check_thm2(g: Graph, dd: DistanceData | None = None,
@@ -129,11 +135,7 @@ def check_thm2(g: Graph, dd: DistanceData | None = None,
             term_total += Fraction(stress[i], d * (d - 1))
     lhs = _mean(local_clusterings(g, dd))
     rhs = 1 - term_total / g.n
-    slack = lhs - rhs
-    expected = diameter(dd) <= 2
-    return RelationReport("thm2", "ge", lhs, rhs, holds=slack >= 0, slack=slack,
-                          equality_expected=expected,
-                          equality_observed=slack == 0)
+    return _report("thm2", "ge", lhs, rhs, diameter(dd) <= 2)
 
 
 def neighborhoods_unique_two_paths(g: Graph, dd: DistanceData) -> bool:
@@ -193,11 +195,7 @@ def check_thm3(g: Graph, dd: DistanceData | None = None,
     dd = _prepare(g, dd, allow_pendant, need_min_degree_2=True)
     lhs = _mean(local_clusterings(g, dd))
     rhs = 1 - bc_loc(g, dd)
-    slack = rhs - lhs
-    expected = neighborhoods_unique_two_paths(g, dd)
-    return RelationReport("thm3", "le", lhs, rhs, holds=slack >= 0, slack=slack,
-                          equality_expected=expected,
-                          equality_observed=slack == 0)
+    return _report("thm3", "le", lhs, rhs, neighborhoods_unique_two_paths(g, dd))
 
 
 def check_cor_sandwich(g: Graph, dd: DistanceData | None = None,
@@ -206,9 +204,7 @@ def check_cor_sandwich(g: Graph, dd: DistanceData | None = None,
     BC(i,N(i))/(d(d-1)) <= L(N(i)) - 1 <= Str(i)/(d(d-1))."""
     dd = _prepare(g, dd, allow_pendant, need_min_degree_2=True)
     _, stress = betweenness_and_stress(g, dd)
-    notes: list[str] = []
-    _skip_note(g, notes)
-    eligible = _eligible(g)
+    eligible, notes = _eligible(g)
     profs = profiles(g, dd)
     pair_counts = [g.degree(i) * (g.degree(i) - 1) for i in eligible]
     lefts = [profs[i].betweenness / pc for i, pc in zip(eligible, pair_counts)]
@@ -221,13 +217,8 @@ def check_cor_sandwich(g: Graph, dd: DistanceData | None = None,
             worst = margin
             if margin < 0:
                 notes.append(f"vertex {i}: {left} <= {mid} <= {right} fails")
-    if worst is None:
-        worst = Fraction(0)
-    lhs, rhs = _mean(lefts), _mean(rights)
-    return RelationReport("cor_sandwich", "le", lhs, rhs,
-                          holds=worst >= 0, slack=worst,
-                          equality_expected=False,
-                          equality_observed=worst == 0, notes=notes)
+    return _report("cor_sandwich", "le", _mean(lefts), _mean(rights), False,
+                   slack=Fraction(0) if worst is None else worst, notes=notes)
 
 
 def check_lemma2(g: Graph, dd: DistanceData | None = None,
@@ -239,12 +230,8 @@ def check_lemma2(g: Graph, dd: DistanceData | None = None,
     dd = _prepare(g, dd, allow_pendant, need_min_degree_2=False)
     lhs = sum((closeness(g, dd, v) for v in range(g.n)), Fraction(0)) / g.n
     rhs = 1 / avg_path_length(dd)
-    slack = lhs - rhs
     row_sums = {dd.row_sum(v) for v in range(g.n)}
-    expected = len(row_sums) == 1
-    return RelationReport("lemma2", "ge", lhs, rhs, holds=slack >= 0, slack=slack,
-                          equality_expected=expected,
-                          equality_observed=slack == 0)
+    return _report("lemma2", "ge", lhs, rhs, len(row_sums) == 1)
 
 
 def check_thm4(g: Graph, dd: DistanceData | None = None,
@@ -252,11 +239,7 @@ def check_thm4(g: Graph, dd: DistanceData | None = None,
     """Bound: 1/(2 - average clustering) <= mean neighborhood closeness."""
     dd = _prepare(g, dd, allow_pendant, need_min_degree_2=True)
     lhs = 1 / (2 - _mean(local_clusterings(g, dd)))
-    rhs = clo_loc(g, dd)
-    slack = rhs - lhs
-    return RelationReport("thm4", "le", lhs, rhs, holds=slack >= 0, slack=slack,
-                          equality_expected=False,
-                          equality_observed=slack == 0)
+    return _report("thm4", "le", lhs, clo_loc(g, dd), False)
 
 
 def check_lemma3(g: Graph, dd: DistanceData | None = None,
@@ -265,10 +248,7 @@ def check_lemma3(g: Graph, dd: DistanceData | None = None,
     dd = _prepare(g, dd, allow_pendant, need_min_degree_2=False)
     lhs = sum((radiality(g, dd, v) for v in range(g.n)), Fraction(0)) / g.n
     rhs = diameter(dd) + 1 - avg_path_length(dd)
-    slack = abs(rhs - lhs)
-    holds = slack == 0
-    return RelationReport("lemma3", "eq", lhs, rhs, holds, slack,
-                          equality_expected=True, equality_observed=holds)
+    return _report("lemma3", "eq", lhs, rhs, True)
 
 
 def check_thm5(g: Graph, dd: DistanceData | None = None,
@@ -279,23 +259,21 @@ def check_thm5(g: Graph, dd: DistanceData | None = None,
     lhs = _mean(local_clusterings(g, dd))
     complete = sum(1 for p in profiles(g, dd) if p.is_complete)
     rhs = rad_loc(g, dd) - 1 + Fraction(complete, g.n)
-    slack = abs(rhs - lhs)
-    holds = slack == 0
-    report = RelationReport("thm5", "eq", lhs, rhs, holds, slack,
-                            equality_expected=True, equality_observed=holds)
-    report.notes.append(f"complete neighborhoods: {complete} of {g.n}")
-    return report
+    return _report("thm5", "eq", lhs, rhs, True,
+                   notes=[f"complete neighborhoods: {complete} of {g.n}"])
 
 
 def _degree_class_ordering(g: Graph, clustering: list[Fraction]) -> str:
     """Classify the joint degree/clustering ordering across vertices.
 
-    Returns "both", "co", "anti", or "none".  Ties in degree force equal
-    clustering for either ordering to hold.
+    Returns "regular" (one degree), "both", "co", "anti", or "none".  Ties
+    in degree force equal clustering for either ordering to hold.
     """
     by_degree: dict[int, set[Fraction]] = {}
     for i in range(g.n):
         by_degree.setdefault(g.degree(i), set()).add(clustering[i])
+    if len(by_degree) == 1:
+        return "regular"
     if any(len(vals) > 1 for vals in by_degree.values()):
         return "none"
     reps = [next(iter(by_degree[d])) for d in sorted(by_degree)]
@@ -310,6 +288,15 @@ def _degree_class_ordering(g: Graph, clustering: list[Fraction]) -> str:
     return "none"
 
 
+# degree/clustering ordering -> (relation, direction, equality expected, note)
+_THM6_CASES = {
+    "regular": ("cor_regular", "eq", True, "regular graph"),
+    "both": ("thm6", "eq", True, "all local clusterings equal"),
+    "co": ("thm6", "le", False, "co-monotone degree/clustering ordering"),
+    "anti": ("cor_thm6", "ge", False, "anti-monotone degree/clustering ordering"),
+}
+
+
 def check_thm6(g: Graph, dd: DistanceData | None = None,
                allow_pendant: bool = False) -> RelationReport:
     """Chebyshev ordering between average and global clustering.
@@ -319,41 +306,18 @@ def check_thm6(g: Graph, dd: DistanceData | None = None,
     exact equality.  When neither ordering holds no direction is asserted.
     """
     dd = _prepare(g, dd, allow_pendant, need_min_degree_2=False)
-    lhs = _mean(local_clusterings(g, dd))
+    clustering = local_clusterings(g, dd)
+    lhs = _mean(clustering)
     rhs = global_clustering(g)
-
-    degrees = set(g.degrees())
-    if len(degrees) == 1:
-        slack = abs(rhs - lhs)
-        holds = slack == 0
-        return RelationReport("cor_regular", "eq", lhs, rhs, holds, slack,
-                              equality_expected=True, equality_observed=holds,
-                              notes=["regular graph"])
-
-    ordering = _degree_class_ordering(g, local_clusterings(g, dd))
-    if ordering == "both":
-        slack = abs(rhs - lhs)
-        holds = slack == 0
-        return RelationReport("thm6", "eq", lhs, rhs, holds, slack,
-                              equality_expected=True, equality_observed=holds,
-                              notes=["all local clusterings equal"])
-    if ordering == "co":
-        slack = rhs - lhs
-        return RelationReport("thm6", "le", lhs, rhs, holds=slack >= 0,
-                              slack=slack, equality_expected=False,
-                              equality_observed=slack == 0,
-                              notes=["co-monotone degree/clustering ordering"])
-    if ordering == "anti":
-        slack = lhs - rhs
-        return RelationReport("cor_thm6", "ge", lhs, rhs, holds=slack >= 0,
-                              slack=slack, equality_expected=False,
-                              equality_observed=slack == 0,
-                              notes=["anti-monotone degree/clustering ordering"])
-    return RelationReport("thm6", "none", lhs, rhs, holds=True,
-                          slack=Fraction(0), equality_expected=False,
-                          equality_observed=lhs == rhs, hypothesis_met=False,
-                          notes=["no degree/clustering ordering holds; "
-                                 "no direction asserted"])
+    ordering = _degree_class_ordering(g, clustering)
+    if ordering == "none":
+        return RelationReport("thm6", "none", lhs, rhs, holds=True,
+                              slack=Fraction(0), equality_expected=False,
+                              equality_observed=lhs == rhs, hypothesis_met=False,
+                              notes=["no degree/clustering ordering holds; "
+                                     "no direction asserted"])
+    relation, direction, expected, note = _THM6_CASES[ordering]
+    return _report(relation, direction, lhs, rhs, expected, notes=[note])
 
 
 CHECKERS = (check_lemma1, check_thm1, check_thm2, check_thm3,

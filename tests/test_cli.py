@@ -155,6 +155,27 @@ class TestCompute:
         assert "/" not in out
         assert "     0    4 0.333333333333" in out
 
+    def test_float_human_table_aligned(self, capsys):
+        code, out, _ = run(capsys, "compute", "--family", "windmill",
+                           "--params", "2,3", "--float")
+        table = out.split("per-vertex:\n", 1)[1].splitlines()
+        assert code == 0 and len(table) == 6
+        assert [len(row) for row in table[1:]] == [len(table[0])] * 5
+
+    @pytest.mark.parametrize("name, text", [
+        ("header.edges", "n=20001\n"),
+        ("labels.edges", "".join(f"{i} {i + 1}\n" for i in range(20000))),
+        ("big.json", '{"n": 20001, "edges": []}'),
+    ], ids=["n-header-edges", "labeled-edges", "json"])
+    def test_size_cap_exit_3_with_the_family_message(self, capsys, tmp_path,
+                                                     name, text):
+        path = tmp_path / name
+        path.write_text(text)
+        code, out, err = run(capsys, "compute", "--input", str(path))
+        assert (code, out) == (3, "")
+        assert err == run(capsys, "compute", "--family", "cycle",
+                          "--params", "20001")[2]
+
 
 class TestCheck:
     def test_windmill_all_hold(self, capsys):

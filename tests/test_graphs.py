@@ -1,12 +1,15 @@
 """Graph construction, validation, generators, and file formats."""
 
+import hashlib
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from centrel import (FamilySpec, from_edge_list, generate, is_connected,
                      load_graph, read_edge_list_text, read_json_graph,
-                     to_edge_list_text, to_json_graph, validate_no_pendant)
+                     to_edge_list_text, to_json_graph)
 from centrel.centralities import triangle_count
 from centrel.graphs import FamilyParameterError, GraphFormatError, parse_family
 
@@ -135,12 +138,52 @@ class TestGenerators:
             parse_family("windmill", "2,x")
 
 
-class TestPredicates:
-    def test_no_pendant(self, path3):
-        assert validate_no_pendant(generate(FamilySpec("complete", (3,))))
-        assert not validate_no_pendant(path3)
-        assert validate_no_pendant(generate(FamilySpec("windmill", (3, 3))))
+# Every family in its listed order: one instance (params, seed) and the
+# SHA-256 of its edge-list text.
+FAMILY_INSTANCES = {
+    "complete": ((5,), None,
+                 "ba863e08cce39e19271278ac0df22f4c59abad25bb4e8c5cd60d5bc0f2b525d6"),
+    "cycle": ((6,), None,
+              "ad5857d08be18ea941efb52566f34fa5d316995352b95defa78404731a1d163d"),
+    "circulant": ((8, 1, 3), None,
+                  "fcae0a54ed904cd8edb7c6ac5eff9f1844cf535144618d1426d6db58df56c86b"),
+    "hypercube": ((3,), None,
+                  "6987ae2346b5aa85cf4e101a2a92c8d2b999cb242d4330927ce5c6c32accd7af"),
+    "windmill": ((3, 4), None,
+                 "6905a391e90a880d16d15f707d2228db97d7a0aab3ef05e561b5c8f88d222e54"),
+    "friendship": ((3,), None,
+                   "fac370749c511023aad2225d54167a68974bcca1115189175fe2b9de83298d8d"),
+    "complete-with-glued-4-cycles": (
+        (3,), None, "832235fc3192642108c781d7e61d069a3122561e03a951832630635037a00e91"),
+    "random-min-degree-2": (
+        (12,), 5, "db2f9946f5fbc31669ffb9c51ea85a4bc358434e3bf50728fd6ab91131de5573"),
+}
 
+
+class TestFamilyTable:
+    @pytest.mark.parametrize("family", FAMILY_INSTANCES)
+    def test_wrong_parameter_count_names_the_family(self, family):
+        params = FAMILY_INSTANCES[family][0]
+        # circulant takes two or more parameters, every other family a fixed count
+        too_many_or_few = params[:1] if family == "circulant" else params + (3,)
+        for bad in ((), too_many_or_few):
+            with pytest.raises(FamilyParameterError,
+                               match=f"parameters for {re.escape(family)}:"):
+                FamilySpec(family, bad)
+
+    def test_unknown_family_lists_every_family_in_order(self):
+        with pytest.raises(FamilyParameterError) as exc:
+            FamilySpec("moebius", (5,))
+        assert str(exc.value).endswith("known: " + ", ".join(FAMILY_INSTANCES))
+
+    @pytest.mark.parametrize("family", FAMILY_INSTANCES)
+    def test_edge_list_text_pinned(self, family):
+        params, seed, digest = FAMILY_INSTANCES[family]
+        text = to_edge_list_text(generate(FamilySpec(family, params, seed=seed)))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+class TestPredicates:
     def test_is_connected(self, two_triangles):
         assert is_connected(generate(FamilySpec("complete", (4,))))
         assert not is_connected(two_triangles)

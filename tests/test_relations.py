@@ -1,5 +1,7 @@
 """Relation checkers: direction, slack, equality detection, serialization."""
 
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
@@ -199,6 +201,14 @@ class TestThm6:
         r = check_thm6(g)
         assert not r.hypothesis_met and r.direction == "none" and r.holds
 
+    def test_all_clusterings_equal_on_k23(self):
+        # two degree classes, every clustering 0: both orderings hold
+        g = from_edge_list([(a, b) for a in (0, 1) for b in (2, 3, 4)], 5)
+        r = check_thm6(g)
+        assert (r.relation, r.direction, r.lhs, r.rhs) == ("thm6", "eq", 0, 0)
+        assert r.holds and r.equality_expected and r.equality_observed
+        assert r.notes == ["all local clusterings equal"]
+
 
 class TestPreconditionsAndPendants:
     def test_min_degree_required(self, path3):
@@ -230,6 +240,13 @@ class TestPreconditionsAndPendants:
         r4 = check_thm4(path3, allow_pendant=True)
         assert not r4.holds
         assert r4.lhs == Fraction(1, 2) and r4.rhs == Fraction(1, 6)
+
+    def test_check_all_on_path3_pinned(self, path3):
+        # every report under the degree-1 conventions, skip notes and the
+        # violated relations included, byte for byte
+        text = json.dumps(json_value(check_all(path3, allow_pendant=True)))
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "fbed2f330ca352cb9d1be69277cd76cab9d148895a4e30ec91b85546eb52e12d")
 
     def test_check_all_order_and_meta_invariant(self, family_suite):
         for name, g in family_suite:
