@@ -13,7 +13,7 @@ from .centralities import (CentralityReport, average_clustering,
                            global_clustering, local_clustering,
                            local_clusterings, local_efficiency, radiality,
                            triangle_count)
-from .graphs import (FamilySpec, Graph, from_edge_list, generate,
+from .graphs import (FamilySpec, Graph, bfs, from_edge_list, generate,
                      is_connected, load_graph, read_edge_list_text,
                      read_json_graph, to_edge_list_text, to_json_graph)
 from .neighborhood import (NeighborhoodProfile, bc_loc, clo_loc,
@@ -21,7 +21,7 @@ from .neighborhood import (NeighborhoodProfile, bc_loc, clo_loc,
                            rad_loc)
 from .oracle import (PathEnumeration, enumerate_shortest_paths,
                      oracle_measures, oracle_neighborhood_profiles)
-from .paths import (DisconnectedGraphError, DistanceData, all_pairs,
+from .paths import (Analysis, DisconnectedGraphError, all_pairs,
                     avg_path_length, density, diameter, global_efficiency)
 from .relations import (PreconditionError, RelationReport, SweepResult,
                         check_all, check_cor_sandwich, check_lemma1,

@@ -15,7 +15,10 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Sequence
 
-# Dense all-pairs matrices get unwieldy past this; refuse early.
+# The exact all-pairs analysis runs one BFS and one Brandes sweep per source,
+# so its time grows as n*m while it keeps no n*n data; past this many vertices
+# a sparse graph would take tens of minutes (measured in the README), so refuse
+# early.
 MAX_DENSE_VERTICES = 20_000
 
 
@@ -34,11 +37,11 @@ class PreconditionError(ValueError):
 
 
 def check_size_cap(n: int) -> None:
-    """Refuse a vertex count past ``MAX_DENSE_VERTICES``, the cap on dense
-    all-pairs data, before anything of that size is built."""
+    """Refuse a vertex count past ``MAX_DENSE_VERTICES``, the cap on the
+    exact all-pairs analysis, before anything of that size is built."""
     if n > MAX_DENSE_VERTICES:
-        raise PreconditionError(f"graph too large for dense all-pairs "
-                                f"(n={n} > {MAX_DENSE_VERTICES})")
+        raise PreconditionError(f"graph too large for the exact all-pairs "
+                                f"analysis (n={n} > {MAX_DENSE_VERTICES})")
 
 
 class Graph:
@@ -94,6 +97,10 @@ class Graph:
         """Neighbors of i in increasing vertex order."""
         return self._neighbors[i]
 
+    def neighbor_set(self, i: int) -> frozenset[int]:
+        """Neighbors of i as a set, for membership and intersection."""
+        return self._adj[i]
+
     def adjacent(self, i: int, j: int) -> bool:
         return j in self._adj[i]
 
@@ -133,22 +140,33 @@ def from_edge_list(edges: Iterable[tuple[int, int]], n: int,
     return Graph(adjacency, labels=labels, duplicates_collapsed=duplicates)
 
 
+def bfs(g: Graph, source: int) -> tuple[list[int], list[int], list[int]]:
+    """Counting BFS from ``source``: the reached vertices in visit order
+    (so by nondecreasing distance), the hop distances (-1 when unreachable)
+    and the shortest-path counts (``sigma[source] == 1``)."""
+    dist = [-1] * g.n
+    sigma = [0] * g.n
+    dist[source] = 0
+    sigma[source] = 1
+    order = [source]
+    for v in order:  # the list grows behind the loop: it is the queue
+        below = dist[v] + 1
+        sv = sigma[v]
+        for w in g.neighbors(v):
+            dw = dist[w]
+            if dw < 0:
+                dist[w] = below
+                sigma[w] = sv
+                order.append(w)
+            elif dw == below:
+                sigma[w] += sv
+    return order, dist, sigma
+
+
 def is_connected(g: Graph) -> bool:
     """True iff a BFS from vertex 0 reaches all vertices."""
-    seen = [False] * g.n
-    seen[0] = True
-    frontier = [0]
-    count = 1
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for w in g.neighbors(v):
-                if not seen[w]:
-                    seen[w] = True
-                    count += 1
-                    nxt.append(w)
-        frontier = nxt
-    return count == g.n
+    order, _, _ = bfs(g, 0)
+    return len(order) == g.n
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,10 @@
 """Brute-force ground truth for small graphs.
 
 Everything here is recomputed from first principles: its own BFS distances,
-exhaustive shortest-path enumeration, and definition-literal formulas.  No
-computation is shared with the fast modules (only the report containers are
-reused), so field-by-field agreement is a meaningful check.
+path counts from their literal recurrence, exhaustive shortest-path
+enumeration, and definition-literal formulas.  No computation is shared with
+the fast modules (only the report containers are reused), so field-by-field
+agreement is a meaningful check.
 """
 
 from __future__ import annotations
@@ -52,18 +53,56 @@ def _bfs_levels(g: Graph, source: int) -> list[int]:
     return dist
 
 
+def _distance_rows(g: Graph) -> list[list[int]]:
+    """Hop distances from every source; the graph must be connected."""
+    dist_rows = [_bfs_levels(g, s) for s in range(g.n)]
+    if any(d < 0 for row in dist_rows for d in row):
+        raise PreconditionError("the oracle needs a connected graph")
+    return dist_rows
+
+
+def _path_counts(g: Graph, dist: list[int]) -> list[int]:
+    """Shortest-path counts from the source of the distance row ``dist``,
+    by the literal recurrence: sigma(t) is the sum of sigma(u) over the
+    neighbors u of t one level closer to the source."""
+    sigma = [0] * g.n
+    for t in sorted(range(g.n), key=dist.__getitem__):
+        sigma[t] = 1 if dist[t] == 0 else sum(
+            sigma[u] for u in g.neighbors(t) if dist[u] == dist[t] - 1)
+    return sigma
+
+
+def _pairs_through(g: Graph) -> list[list[tuple[int, int]]]:
+    """For each vertex i, (sigma(s, i) * sigma(i, t), sigma(s, t)) over the
+    ordered pairs s != t of other vertices with i on a shortest s-t path,
+    that is with dist(s, i) + dist(i, t) = dist(s, t)."""
+    dist = _distance_rows(g)
+    sigma = [_path_counts(g, row) for row in dist]
+    n = g.n
+    return [[(sigma[s][i] * sigma[i][t], sigma[s][t])
+             for s in range(n) for t in range(n)
+             if i != s != t != i and dist[s][i] + dist[i][t] == dist[s][t]]
+            for i in range(n)]
+
+
+def betweenness_definitional(g: Graph) -> list[Fraction]:
+    """Betweenness straight from the definition, pair by ordered pair."""
+    return [sum((Fraction(through, total) for through, total in pairs), Fraction(0))
+            for pairs in _pairs_through(g)]
+
+
+def stress_definitional(g: Graph) -> list[int]:
+    """Stress straight from the definition, pair by ordered pair."""
+    return [sum(through for through, _ in pairs) for pairs in _pairs_through(g)]
+
+
 def enumerate_shortest_paths(g: Graph, cap: int = DEFAULT_ENUMERATION_CAP
                              ) -> PathEnumeration:
     """DFS over the BFS-layered DAG, listing every shortest path."""
     if g.n > cap:
         raise PreconditionError(
             f"graph too large for path enumeration (n={g.n} > cap={cap})")
-    dist_rows = []
-    for s in range(g.n):
-        dist = _bfs_levels(g, s)
-        if any(d < 0 for d in dist):
-            raise PreconditionError("path enumeration needs a connected graph")
-        dist_rows.append(dist)
+    dist_rows = _distance_rows(g)
 
     paths: dict[tuple[int, int], list[tuple[int, ...]]] = {}
     for s in range(g.n):

@@ -1,45 +1,60 @@
-"""All-pairs shortest-path distances, path counts, and global distance metrics.
+"""One BFS per source, folded into per-graph distance and path summaries.
 
 Distances are exact hop counts; shortest-path counts come from the standard
-BFS dynamic program.  Derived means are exact rationals.
+BFS dynamic program.  ``all_pairs`` runs one counting BFS and one Brandes
+dependency sweep per source and keeps only the per-graph summaries in
+``Analysis``: no row outlives its source.  Derived means are exact
+rationals.
 """
 
 from __future__ import annotations
 
-from collections import Counter, deque
+import math
+from collections import Counter
+from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .graphs import Graph, PreconditionError, check_size_cap
+from .graphs import Graph, PreconditionError, bfs, check_size_cap
 
 
 class DisconnectedGraphError(PreconditionError):
     """Raised when a distance-based measure meets an unreachable pair."""
 
 
-class DistanceData:
-    """Dense all-pairs hop counts ``dist`` and shortest-path counts ``sigma``.
+@dataclass(eq=False)
+class Analysis:
+    """Per-graph summaries of one BFS per source, none of them n×n.
 
-    ``dist[s][t]`` is the hop distance, ``sigma[s][t]`` the number of distinct
-    shortest s-t paths (``sigma[s][s] == 1`` by convention).  Both matrices
-    are symmetric for undirected graphs.  The per-graph results built from
-    them (the diameter, the Brandes betweenness and stress, the neighborhood
+    For every vertex v:
+
+    - ``row_sums[v]``: the sum of the hop distances from v
+    - ``hists[v]``: hop distance -> number of vertices that far from v
+      (v itself at 0), so its largest key is v's eccentricity
+    - ``pair_hists[v]``: hop distance -> number of ordered pairs (s, t) of
+      neighbors of v that far apart (the pairs s == t at 0 included)
+    - ``pair_sums[v][k]``: the sum of the distances from the k-th neighbor
+      of v to the neighbors of v
+    - ``detours[v]``: path count sigma(s, t) -> number of ordered pairs of
+      neighbors s, t of v at distance 2
+
+    ``betweenness`` and ``stress`` are the Brandes results of the same pass.
+    The per-graph results built from these (the diameter, the neighborhood
     profiles) and the local clusterings of the same graph are kept by
-    ``memo``, so the matrices must not be mutated afterwards.
+    ``memo``, so the summaries must not be mutated afterwards.
     """
 
-    __slots__ = ("dist", "sigma", "_memo")
-
-    def __init__(self, dist: list[list[int]], sigma: list[list[int]]):
-        self.dist = dist
-        self.sigma = sigma
-        self._memo: dict = {}
+    row_sums: list[int]
+    hists: list[Counter]
+    pair_hists: list[Counter]
+    pair_sums: list[list[int]]
+    detours: list[Counter]
+    betweenness: list[Fraction]
+    stress: list[int]
+    _memo: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def n(self) -> int:
-        return len(self.dist)
-
-    def row_sum(self, v: int) -> int:
-        return sum(self.dist[v])
+        return len(self.row_sums)
 
     def memo(self, key: str, build):
         """``build()`` on the first call for ``key``; the stored result of
@@ -49,45 +64,81 @@ class DistanceData:
         return self._memo[key]
 
 
-def _bfs_counting(g: Graph, source: int) -> tuple[list[int], list[int]]:
-    dist = [-1] * g.n
-    sigma = [0] * g.n
-    dist[source] = 0
-    sigma[source] = 1
-    queue = deque([source])
-    while queue:
-        v = queue.popleft()
-        dv = dist[v]
-        sv = sigma[v]
-        for w in g.neighbors(v):
-            if dist[w] < 0:
-                dist[w] = dv + 1
-                queue.append(w)
-            if dist[w] == dv + 1:
-                sigma[w] += sv
-    return dist, sigma
+def all_pairs(g: Graph) -> Analysis:
+    """One BFS per source, folded into an ``Analysis``; errors on
+    disconnected input.
 
+    The same loop runs the Brandes (2001) dependency sweep from each source:
+    the vertices are visited in reverse BFS order, and each v sums over its
+    successors w, the neighbors one hop farther from s.  Stress sums the
+    tail counts T(v) = sum of 1 + T(w) (targets below v, path multiplicity
+    included), as in Brandes (2008).
 
-def all_pairs(g: Graph) -> DistanceData:
-    """BFS from every source; errors on disconnected input."""
+    Betweenness is accumulated on integers.  Let L_s be the lcm of the path
+    counts sigma_s(.), and keep D(v) = L_s * delta_s(v).  D(w) is a multiple
+    of sigma(w), so it is stored as A(w) = D(w) / sigma(w) and the Brandes
+    step D(v) = sum of sigma(v) * (L_s + D(w)) / sigma(w) becomes
+    A(v) = sum of L_s // sigma(w) + A(w), with exact floor division.  The
+    sources share one running common denominator L: the integer totals are
+    rescaled when L_s does not divide L, and each vertex's value is a single
+    ``Fraction(total, L)`` at the end.
+    """
     check_size_cap(g.n)
-    dist_rows = []
-    sigma_rows = []
-    for s in range(g.n):
-        dist, sigma = _bfs_counting(g, s)
-        if any(d < 0 for d in dist):
+    n = g.n
+    nbrs = [g.neighbors(v) for v in range(n)]
+    row_sums = []
+    hists = []
+    pair_hists = [Counter() for _ in range(n)]
+    pair_sums: list[list[int]] = [[] for _ in range(n)]
+    detours = [Counter() for _ in range(n)]
+    stress = [0] * n
+    totals = [0] * n
+    denom = 1
+    for s in range(n):
+        order, dist, sigma = bfs(g, s)
+        if len(order) < n:
             raise DisconnectedGraphError(
                 f"vertex {s} cannot reach every vertex; distance sums undefined")
-        dist_rows.append(dist)
-        sigma_rows.append(sigma)
-    return DistanceData(dist_rows, sigma_rows)
+        row_sums.append(sum(dist))
+        hists.append(Counter(dist))
+        # s is a neighbor of each i in N(s): fold in its distances to N(i)
+        for i in nbrs[s]:
+            row = [dist[t] for t in nbrs[i]]
+            pair_hists[i].update(row)
+            pair_sums[i].append(sum(row))
+            detours[i].update([sigma[t] for t in nbrs[i] if dist[t] == 2])
+
+        lcm_s = math.lcm(*set(sigma))
+        if denom % lcm_s:
+            grown = math.lcm(denom, lcm_s)
+            factor = grown // denom
+            totals = [t * factor for t in totals]
+            denom = grown
+        factor = denom // lcm_s
+        steps = [0] * n  # L_s // sigma(w) + A(w)
+        paths_below = [0] * n  # 1 + T(w)
+        for k in range(n - 1, 0, -1):  # order[0] is s, which is skipped
+            v = order[k]
+            farther = dist[v] + 1
+            scaled = tail = 0  # A(v) and T(v)
+            for w in nbrs[v]:
+                if dist[w] == farther:
+                    scaled += steps[w]
+                    tail += paths_below[w]
+            sv = sigma[v]
+            steps[v] = lcm_s // sv + scaled
+            paths_below[v] = 1 + tail
+            stress[v] += sv * tail
+            totals[v] += sv * scaled * factor
+    return Analysis(row_sums, hists, pair_hists, pair_sums, detours,
+                    [Fraction(t, denom) for t in totals], stress)
 
 
-def diameter(dd: DistanceData) -> int:
-    """Largest hop distance over all pairs (scanned once per DistanceData)."""
-    if dd.n < 2:
+def diameter(an: Analysis) -> int:
+    """Largest eccentricity (read once per Analysis)."""
+    if an.n < 2:
         raise PreconditionError("diameter needs at least 2 vertices")
-    return dd.memo("diameter", lambda: max(max(row) for row in dd.dist))
+    return an.memo("diameter", lambda: max(max(hist) for hist in an.hists))
 
 
 def efficiency_sum(hist: Counter) -> Fraction:
@@ -99,23 +150,22 @@ def efficiency_sum(hist: Counter) -> Fraction:
                Fraction(0))
 
 
-def avg_path_length(dd: DistanceData) -> Fraction:
+def avg_path_length(an: Analysis) -> Fraction:
     """Mean hop distance over ordered pairs s != t."""
-    n = dd.n
+    n = an.n
     if n < 2:
         raise PreconditionError("average path length needs at least 2 vertices")
-    total = sum(sum(row) for row in dd.dist)
-    return Fraction(total, n * (n - 1))
+    return Fraction(sum(an.row_sums), n * (n - 1))
 
 
-def global_efficiency(dd: DistanceData) -> Fraction:
+def global_efficiency(an: Analysis) -> Fraction:
     """Mean inverse hop distance over ordered pairs s != t."""
-    n = dd.n
+    n = an.n
     if n < 2:
         raise PreconditionError("global efficiency needs at least 2 vertices")
     hist: Counter = Counter()
-    for row in dd.dist:
-        hist.update(row)
+    for row_hist in an.hists:
+        hist.update(row_hist)
     return efficiency_sum(hist) / (n * (n - 1))
 
 

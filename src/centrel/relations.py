@@ -19,7 +19,7 @@ from .centralities import (average_clustering, betweenness_and_stress,
                            local_efficiency, radiality)
 from .graphs import FamilySpec, Graph, PreconditionError, generate
 from .neighborhood import bc_loc, clo_loc, profiles, rad_loc
-from .paths import (DistanceData, all_pairs, avg_path_length, diameter)
+from .paths import Analysis, all_pairs, avg_path_length, diameter
 
 RELATION_ORDER = ("lemma1", "thm1", "thm2", "thm3", "cor_sandwich", "lemma2",
                   "thm4", "lemma3", "thm5", "thm6", "cor_thm6", "cor_regular")
@@ -69,13 +69,13 @@ def _report(relation: str, direction: str, lhs: Fraction, rhs: Fraction,
                           equality_observed=slack == 0, notes=notes or [])
 
 
-def _prepare(g: Graph, dd: DistanceData | None, allow_pendant: bool,
-             need_min_degree_2: bool) -> DistanceData:
+def _prepare(g: Graph, an: Analysis | None, allow_pendant: bool,
+             need_min_degree_2: bool) -> Analysis:
     if need_min_degree_2 and not allow_pendant and g.min_degree() < 2:
         raise PreconditionError(
             "graph has a vertex of degree < 2; rerun with the pendant override "
             "to apply the degree-1 conventions")
-    return dd if dd is not None else all_pairs(g)
+    return an if an is not None else all_pairs(g)
 
 
 def _eligible(g: Graph) -> tuple[list[int], list[str]]:
@@ -91,13 +91,13 @@ def _mean(values: list[Fraction]) -> Fraction:
     return sum(values, Fraction(0)) / len(values) if values else Fraction(0)
 
 
-def check_lemma1(g: Graph, dd: DistanceData | None = None,
+def check_lemma1(g: Graph, an: Analysis | None = None,
                  allow_pendant: bool = False) -> RelationReport:
     """Per-vertex identity: neighborhood average path length = 2 - c_i."""
-    dd = _prepare(g, dd, allow_pendant, need_min_degree_2=True)
+    an = _prepare(g, an, allow_pendant, need_min_degree_2=True)
     eligible, notes = _eligible(g)
-    profs = profiles(g, dd)
-    clustering = local_clusterings(g, dd)
+    profs = profiles(g, an)
+    clustering = local_clusterings(g, an)
     lhs_v = [profs[i].avg_path for i in eligible]
     rhs_v = [2 - clustering[i] for i in eligible]
     worst = Fraction(0)
@@ -110,46 +110,39 @@ def check_lemma1(g: Graph, dd: DistanceData | None = None,
                    slack=worst, notes=notes)
 
 
-def check_thm1(g: Graph, dd: DistanceData | None = None,
+def check_thm1(g: Graph, an: Analysis | None = None,
                allow_pendant: bool = False) -> RelationReport:
     """Identity: local efficiency = (1 + average clustering) / 2."""
-    dd = _prepare(g, dd, allow_pendant, need_min_degree_2=True)
-    lhs = local_efficiency(g, dd)
-    rhs = (1 + _mean(local_clusterings(g, dd))) / 2
+    an = _prepare(g, an, allow_pendant, need_min_degree_2=True)
+    lhs = local_efficiency(g, an)
+    rhs = (1 + _mean(local_clusterings(g, an))) / 2
     return _report("thm1", "eq", lhs, rhs, True)
 
 
-def check_thm2(g: Graph, dd: DistanceData | None = None,
+def check_thm2(g: Graph, an: Analysis | None = None,
                allow_pendant: bool = False) -> RelationReport:
     """Bound: average clustering >= 1 - mean of Str(i)/(d_i(d_i-1)).
 
     Equality is expected whenever the diameter is at most 2 (every
     through-path then has length exactly 2).
     """
-    dd = _prepare(g, dd, allow_pendant, need_min_degree_2=True)
-    _, stress = betweenness_and_stress(g, dd)
+    an = _prepare(g, an, allow_pendant, need_min_degree_2=True)
+    _, stress = betweenness_and_stress(g, an)
     term_total = Fraction(0)
     for i in range(g.n):
         d = g.degree(i)
         if d >= 2:
             term_total += Fraction(stress[i], d * (d - 1))
-    lhs = _mean(local_clusterings(g, dd))
+    lhs = _mean(local_clusterings(g, an))
     rhs = 1 - term_total / g.n
-    return _report("thm2", "ge", lhs, rhs, diameter(dd) <= 2)
+    return _report("thm2", "ge", lhs, rhs, diameter(an) <= 2)
 
 
-def neighborhoods_unique_two_paths(g: Graph, dd: DistanceData) -> bool:
+def neighborhoods_unique_two_paths(an: Analysis) -> bool:
     """True iff every non-adjacent neighbor pair, in every neighborhood, is
     joined by a single shortest path (exactly one common neighbor)."""
-    for i in range(g.n):
-        nbrs = g.neighbors(i)
-        for a_idx in range(len(nbrs)):
-            s = nbrs[a_idx]
-            for b_idx in range(a_idx + 1, len(nbrs)):
-                t = nbrs[b_idx]
-                if not g.adjacent(s, t) and dd.sigma[s][t] != 1:
-                    return False
-    return True
+    # the non-adjacent pairs of distinct neighbors are those at distance 2
+    return all(paths == 1 for detours in an.detours for paths in detours)
 
 
 def neighborhoods_are_clique_unions(g: Graph) -> bool:
@@ -184,7 +177,7 @@ def neighborhoods_are_clique_unions(g: Graph) -> bool:
     return True
 
 
-def check_thm3(g: Graph, dd: DistanceData | None = None,
+def check_thm3(g: Graph, an: Analysis | None = None,
                allow_pendant: bool = False) -> RelationReport:
     """Bound: average clustering <= 1 - local betweenness.
 
@@ -192,20 +185,20 @@ def check_thm3(g: Graph, dd: DistanceData | None = None,
     unique shortest (2-hop) path; that implies, and is stronger than, every
     neighborhood splitting into disjoint cliques.
     """
-    dd = _prepare(g, dd, allow_pendant, need_min_degree_2=True)
-    lhs = _mean(local_clusterings(g, dd))
-    rhs = 1 - bc_loc(g, dd)
-    return _report("thm3", "le", lhs, rhs, neighborhoods_unique_two_paths(g, dd))
+    an = _prepare(g, an, allow_pendant, need_min_degree_2=True)
+    lhs = _mean(local_clusterings(g, an))
+    rhs = 1 - bc_loc(g, an)
+    return _report("thm3", "le", lhs, rhs, neighborhoods_unique_two_paths(an))
 
 
-def check_cor_sandwich(g: Graph, dd: DistanceData | None = None,
+def check_cor_sandwich(g: Graph, an: Analysis | None = None,
                        allow_pendant: bool = False) -> RelationReport:
     """Per-vertex sandwich:
     BC(i,N(i))/(d(d-1)) <= L(N(i)) - 1 <= Str(i)/(d(d-1))."""
-    dd = _prepare(g, dd, allow_pendant, need_min_degree_2=True)
-    _, stress = betweenness_and_stress(g, dd)
+    an = _prepare(g, an, allow_pendant, need_min_degree_2=True)
+    _, stress = betweenness_and_stress(g, an)
     eligible, notes = _eligible(g)
-    profs = profiles(g, dd)
+    profs = profiles(g, an)
     pair_counts = [g.degree(i) * (g.degree(i) - 1) for i in eligible]
     lefts = [profs[i].betweenness / pc for i, pc in zip(eligible, pair_counts)]
     rights = [Fraction(stress[i], pc) for i, pc in zip(eligible, pair_counts)]
@@ -221,44 +214,43 @@ def check_cor_sandwich(g: Graph, dd: DistanceData | None = None,
                    slack=Fraction(0) if worst is None else worst, notes=notes)
 
 
-def check_lemma2(g: Graph, dd: DistanceData | None = None,
+def check_lemma2(g: Graph, an: Analysis | None = None,
                  allow_pendant: bool = False) -> RelationReport:
     """Bound: mean closeness >= 1 / average path length.
 
     Equality is expected when all per-vertex distance sums agree.
     """
-    dd = _prepare(g, dd, allow_pendant, need_min_degree_2=False)
-    lhs = sum((closeness(g, dd, v) for v in range(g.n)), Fraction(0)) / g.n
-    rhs = 1 / avg_path_length(dd)
-    row_sums = {dd.row_sum(v) for v in range(g.n)}
-    return _report("lemma2", "ge", lhs, rhs, len(row_sums) == 1)
+    an = _prepare(g, an, allow_pendant, need_min_degree_2=False)
+    lhs = sum((closeness(g, an, v) for v in range(g.n)), Fraction(0)) / g.n
+    rhs = 1 / avg_path_length(an)
+    return _report("lemma2", "ge", lhs, rhs, len(set(an.row_sums)) == 1)
 
 
-def check_thm4(g: Graph, dd: DistanceData | None = None,
+def check_thm4(g: Graph, an: Analysis | None = None,
                allow_pendant: bool = False) -> RelationReport:
     """Bound: 1/(2 - average clustering) <= mean neighborhood closeness."""
-    dd = _prepare(g, dd, allow_pendant, need_min_degree_2=True)
-    lhs = 1 / (2 - _mean(local_clusterings(g, dd)))
-    return _report("thm4", "le", lhs, clo_loc(g, dd), False)
+    an = _prepare(g, an, allow_pendant, need_min_degree_2=True)
+    lhs = 1 / (2 - _mean(local_clusterings(g, an)))
+    return _report("thm4", "le", lhs, clo_loc(g, an), False)
 
 
-def check_lemma3(g: Graph, dd: DistanceData | None = None,
+def check_lemma3(g: Graph, an: Analysis | None = None,
                  allow_pendant: bool = False) -> RelationReport:
     """Identity: mean radiality = diameter + 1 - average path length."""
-    dd = _prepare(g, dd, allow_pendant, need_min_degree_2=False)
-    lhs = sum((radiality(g, dd, v) for v in range(g.n)), Fraction(0)) / g.n
-    rhs = diameter(dd) + 1 - avg_path_length(dd)
+    an = _prepare(g, an, allow_pendant, need_min_degree_2=False)
+    lhs = sum((radiality(g, an, v) for v in range(g.n)), Fraction(0)) / g.n
+    rhs = diameter(an) + 1 - avg_path_length(an)
     return _report("lemma3", "eq", lhs, rhs, True)
 
 
-def check_thm5(g: Graph, dd: DistanceData | None = None,
+def check_thm5(g: Graph, an: Analysis | None = None,
                allow_pendant: bool = False) -> RelationReport:
     """Identity: average clustering = local radiality - 1 + (complete
     neighborhoods) / n."""
-    dd = _prepare(g, dd, allow_pendant, need_min_degree_2=True)
-    lhs = _mean(local_clusterings(g, dd))
-    complete = sum(1 for p in profiles(g, dd) if p.is_complete)
-    rhs = rad_loc(g, dd) - 1 + Fraction(complete, g.n)
+    an = _prepare(g, an, allow_pendant, need_min_degree_2=True)
+    lhs = _mean(local_clusterings(g, an))
+    complete = sum(1 for p in profiles(g, an) if p.is_complete)
+    rhs = rad_loc(g, an) - 1 + Fraction(complete, g.n)
     return _report("thm5", "eq", lhs, rhs, True,
                    notes=[f"complete neighborhoods: {complete} of {g.n}"])
 
@@ -297,7 +289,7 @@ _THM6_CASES = {
 }
 
 
-def check_thm6(g: Graph, dd: DistanceData | None = None,
+def check_thm6(g: Graph, an: Analysis | None = None,
                allow_pendant: bool = False) -> RelationReport:
     """Chebyshev ordering between average and global clustering.
 
@@ -305,8 +297,8 @@ def check_thm6(g: Graph, dd: DistanceData | None = None,
     ones C_WS >= C, regular graphs (and graphs with all clusterings equal)
     exact equality.  When neither ordering holds no direction is asserted.
     """
-    dd = _prepare(g, dd, allow_pendant, need_min_degree_2=False)
-    clustering = local_clusterings(g, dd)
+    an = _prepare(g, an, allow_pendant, need_min_degree_2=False)
+    clustering = local_clusterings(g, an)
     lhs = _mean(clustering)
     rhs = global_clustering(g)
     ordering = _degree_class_ordering(g, clustering)
@@ -325,12 +317,12 @@ CHECKERS = (check_lemma1, check_thm1, check_thm2, check_thm3,
             check_thm5, check_thm6)
 
 
-def check_all(g: Graph, dd: DistanceData | None = None,
+def check_all(g: Graph, an: Analysis | None = None,
               allow_pendant: bool = False) -> list[RelationReport]:
     """Run every checker, sharing one distance computation."""
-    if dd is None:
-        dd = all_pairs(g)
-    return [chk(g, dd, allow_pendant=allow_pendant) for chk in CHECKERS]
+    if an is None:
+        an = all_pairs(g)
+    return [chk(g, an, allow_pendant=allow_pendant) for chk in CHECKERS]
 
 
 # ---------------------------------------------------------------------------

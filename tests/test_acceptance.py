@@ -17,11 +17,10 @@ from centrel import (all_pairs, average_clustering, check_lemma1,
                      check_cor_sandwich, compute_report, generate,
                      global_clustering, local_efficiency, oracle_measures,
                      oracle_neighborhood_profiles, sweep_windmill)
-from centrel.centralities import (CentralityReport, betweenness_and_stress,
-                                  betweenness_definitional,
-                                  stress_definitional)
+from centrel.centralities import CentralityReport, betweenness_and_stress
 from centrel.graphs import FamilySpec
 from centrel.neighborhood import profiles
+from centrel.oracle import betweenness_definitional, stress_definitional
 
 from conftest import family_suite_specs, random_suite_specs
 
@@ -185,10 +184,10 @@ def test_c09_oracle_equivalence(family_suite):
 def test_c10_brandes_definitional_cross_check(full_suite_dd):
     bad = []
     for name, g, dd in full_suite_dd:
-        bc, st = betweenness_and_stress(g)
-        if bc != betweenness_definitional(g, dd):
+        bc, st = betweenness_and_stress(g, dd)
+        if bc != betweenness_definitional(g):
             bad.append(f"{name}.betweenness")
-        if st != stress_definitional(g, dd):
+        if st != stress_definitional(g):
             bad.append(f"{name}.stress")
     ok = not bad
     report_line(10, ok, f"dependency accumulation equals definition-level "

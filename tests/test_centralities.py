@@ -5,13 +5,13 @@ from fractions import Fraction
 import pytest
 
 from centrel import (DisconnectedGraphError, FamilySpec, all_pairs,
-                     average_clustering, betweenness_and_stress, closeness,
+                     average_clustering, betweenness_and_stress, bfs, closeness,
                      compute_report, generate, global_clustering,
                      local_clustering, local_clusterings, local_efficiency,
                      radiality)
-from centrel.centralities import (betweenness_definitional,
-                                  stress_definitional, triangle_count)
+from centrel.centralities import triangle_count
 from centrel.graphs import from_edge_list
+from centrel.oracle import betweenness_definitional, stress_definitional
 
 
 def make(family, *params, seed=None):
@@ -98,20 +98,20 @@ class TestBetweennessStress:
         assert all(x == 1 for x in bc)
         assert all(x == 2 for x in st)
 
-    def test_memoized_per_distance_data(self, monkeypatch):
-        import centrel.centralities as cents
+    def test_read_from_one_pass_per_analysis(self, monkeypatch):
+        import centrel.paths as paths
         calls = []
-        kernel = cents._brandes
-        monkeypatch.setattr(cents, "_brandes",
-                            lambda g, dd: calls.append(dd) or kernel(g, dd))
+        kernel = paths.bfs
+        monkeypatch.setattr(paths, "bfs", lambda g, s: calls.append(s) or kernel(g, s))
         g = make("random-min-degree-2", 16, seed=2)
-        dd = all_pairs(g)
-        first = betweenness_and_stress(g, dd)
-        second = betweenness_and_stress(g, dd)
-        assert calls == [dd]
-        assert second == first
-        assert betweenness_and_stress(g) == first  # fresh rows, same values
-        assert len(calls) == 2
+        an = all_pairs(g)
+        first = betweenness_and_stress(g, an)
+        first[0][0] = Fraction(-1)  # callers get copies
+        second = betweenness_and_stress(g, an)
+        assert calls == list(range(g.n))
+        assert second[0][0] != -1
+        assert betweenness_and_stress(g) == second  # a fresh pass, same values
+        assert calls == 2 * list(range(g.n))
 
     def test_needs_connected_graph(self):
         with pytest.raises(DisconnectedGraphError):
@@ -119,10 +119,9 @@ class TestBetweennessStress:
 
     def test_brandes_equals_definitional(self, family_suite):
         for name, g in family_suite:
-            dd = all_pairs(g)
             bc, st = betweenness_and_stress(g)
-            assert bc == betweenness_definitional(g, dd), name
-            assert st == stress_definitional(g, dd), name
+            assert bc == betweenness_definitional(g), name
+            assert st == stress_definitional(g), name
 
     def test_stress_dominates_betweenness(self, full_suite):
         for name, g in full_suite[:30]:
@@ -135,12 +134,10 @@ class TestBetweennessStress:
         # ordered pairs weighted by interior length
         for g in (make("complete", 6), make("windmill", 2, 3),
                   make("windmill", 4, 5)):
-            dd = all_pairs(g)
+            rows = [bfs(g, s)[1:] for s in range(g.n)]
             bc, _ = betweenness_and_stress(g)
-            assert all(dd.sigma[s][t] == 1
-                       for s in range(g.n) for t in range(g.n) if s != t)
-            expected = sum(dd.dist[s][t] - 1
-                           for s in range(g.n) for t in range(g.n) if s != t)
+            assert all(count == 1 for _, sigma in rows for count in sigma)
+            expected = sum(d - 1 for dist, _ in rows for d in dist if d)
             assert sum(bc) == expected
 
 

@@ -16,11 +16,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from centrel import (FamilySpec, all_pairs, betweenness_and_stress,
+from centrel import (FamilySpec, all_pairs, betweenness_and_stress, bfs,
                      generate, global_efficiency, local_efficiency, profile,
                      radiality)
-from centrel.centralities import betweenness_definitional, stress_definitional
 from centrel.graphs import from_edge_list
+from centrel.oracle import betweenness_definitional, stress_definitional
 
 MANY_PATH_FAMILIES = [
     ("hypercube", (3,)), ("hypercube", (4,)), ("hypercube", (5,)),
@@ -49,49 +49,59 @@ def graphs_with_pendants(draw, max_n=40):
     return from_edge_list(sorted(g.edges()) + [(anchor, g.n)], g.n + 1)
 
 
+def rows(g):
+    """The BFS distance and path-count rows from every source."""
+    dist, sigma = [], []
+    for s in range(g.n):
+        _, dist_s, sigma_s = bfs(g, s)
+        dist.append(dist_s)
+        sigma.append(sigma_s)
+    return dist, sigma
+
+
 def assert_brandes_matches_definition(g):
-    dd = all_pairs(g)
     bc, stress = betweenness_and_stress(g)
     assert all(isinstance(x, Fraction) for x in bc)
-    assert bc == betweenness_definitional(g, dd)
-    assert stress == stress_definitional(g, dd)
+    assert bc == betweenness_definitional(g)
+    assert stress == stress_definitional(g)
 
 
-def reference_global_efficiency(dd):
-    n = dd.n
-    total = sum((Fraction(1, dd.dist[s][t])
+def reference_global_efficiency(dist):
+    n = len(dist)
+    total = sum((Fraction(1, dist[s][t])
                  for s in range(n) for t in range(n) if s != t), Fraction(0))
     return total / (n * (n - 1))
 
 
-def reference_local_efficiency(g, dd):
+def reference_local_efficiency(g, dist):
     total = Fraction(0)
     for v in range(g.n):
         nbrs = g.neighbors(v)
         d = len(nbrs)
         if d > 1:
-            pairs = sum((Fraction(1, dd.dist[a][b])
+            pairs = sum((Fraction(1, dist[a][b])
                          for a in nbrs for b in nbrs if a != b), Fraction(0))
             total += pairs / (d * (d - 1))
     return total / g.n
 
 
-def reference_radiality(dd, v):
-    n = dd.n
-    diam = max(dd.dist[s][t] for s in range(n) for t in range(n))
-    return Fraction(sum(diam + 1 - dd.dist[v][t] for t in range(n) if t != v),
+def reference_radiality(dist, v):
+    n = len(dist)
+    diam = max(dist[s][t] for s in range(n) for t in range(n))
+    return Fraction(sum(diam + 1 - dist[v][t] for t in range(n) if t != v),
                     n - 1)
 
 
 def assert_efficiencies_and_radiality_match(g):
-    dd = all_pairs(g)
-    assert global_efficiency(dd) == reference_global_efficiency(dd)
-    assert local_efficiency(g, dd) == reference_local_efficiency(g, dd)
+    an = all_pairs(g)
+    dist, _ = rows(g)
+    assert global_efficiency(an) == reference_global_efficiency(dist)
+    assert local_efficiency(g, an) == reference_local_efficiency(g, dist)
     for v in range(g.n):
-        assert radiality(g, dd, v) == reference_radiality(dd, v)
+        assert radiality(g, an, v) == reference_radiality(dist, v)
 
 
-def reference_profile(g, dd, i):
+def reference_profile(g, dist, sigma, i):
     """(avg_path, betweenness, diameter, radiality, closeness, is_complete)
     from per-pair definitions over ordered pairs of distinct neighbors."""
     nbrs = g.neighbors(i)
@@ -100,7 +110,6 @@ def reference_profile(g, dd, i):
     complete = all(g.adjacent(s, t) for s, t in pairs)
     if d <= 1:
         return Fraction(0), Fraction(0), 0, Fraction(0), Fraction(0), complete
-    dist, sigma = dd.dist, dd.sigma
     diam = max(dist[s][t] for s, t in pairs)
     betweenness = sum((Fraction(sigma[s][i] * sigma[i][t], sigma[s][t])
                        for s, t in pairs if dist[s][i] + dist[i][t] == dist[s][t]),
@@ -115,11 +124,12 @@ def reference_profile(g, dd, i):
 
 
 def assert_profiles_match(g):
-    dd = all_pairs(g)
+    an = all_pairs(g)
+    dist, sigma = rows(g)
     for i in range(g.n):
-        p = profile(g, dd, i)
+        p = profile(g, an, i)
         assert (p.avg_path, p.betweenness, p.diameter, p.radiality, p.closeness,
-                p.is_complete) == reference_profile(g, dd, i), i
+                p.is_complete) == reference_profile(g, dist, sigma, i), i
 
 
 @given(connected_graphs())
@@ -144,7 +154,7 @@ def test_profile_matches_per_pair_reference(g):
 @pytest.mark.parametrize("family,params", MANY_PATH_FAMILIES)
 def test_many_path_families(family, params):
     g = generate(FamilySpec(family, params))
-    assert max(max(row) for row in all_pairs(g).sigma) > 1
+    assert max(max(row) for row in rows(g)[1]) > 1
     assert_brandes_matches_definition(g)
     assert_efficiencies_and_radiality_match(g)
     assert_profiles_match(g)
@@ -158,6 +168,6 @@ def test_many_path_families(family, params):
 ])
 def test_source_lcms_differ(g):
     # the running common denominator has to grow past the first source's
-    lcms = {math.lcm(*row) for row in all_pairs(g).sigma}
+    lcms = {math.lcm(*row) for row in rows(g)[1]}
     assert len(lcms) > 1
     assert_brandes_matches_definition(g)

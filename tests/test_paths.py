@@ -1,5 +1,6 @@
 """Distance/path-count correctness and the global distance metrics."""
 
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from centrel import (DisconnectedGraphError, FamilySpec, all_pairs,
-                     avg_path_length, density, diameter, generate,
+                     avg_path_length, bfs, density, diameter, generate,
                      global_efficiency)
 from centrel.graphs import from_edge_list, is_connected
 from centrel.oracle import enumerate_shortest_paths
@@ -21,28 +22,38 @@ def complete(n):
     return generate(FamilySpec("complete", (n,)))
 
 
+def rows(g):
+    """The BFS distance and path-count rows from every source."""
+    dist, sigma = [], []
+    for s in range(g.n):
+        _, dist_s, sigma_s = bfs(g, s)
+        dist.append(dist_s)
+        sigma.append(sigma_s)
+    return dist, sigma
+
+
 class TestAllPairs:
     def test_c4_antipodal(self):
-        dd = all_pairs(cycle(4))
-        assert dd.dist[0][2] == 2
-        assert dd.sigma[0][2] == 2
+        _, dist, sigma = bfs(cycle(4), 0)
+        assert dist[2] == 2
+        assert sigma[2] == 2
 
     def test_complete_all_unit(self):
         for n in (3, 5, 7):
-            dd = all_pairs(complete(n))
+            dist, sigma = rows(complete(n))
             for s in range(n):
                 for t in range(n):
                     if s != t:
-                        assert dd.dist[s][t] == 1 and dd.sigma[s][t] == 1
+                        assert dist[s][t] == 1 and sigma[s][t] == 1
 
     def test_c5_unique_two_hop(self):
-        dd = all_pairs(cycle(5))
-        assert dd.dist[1][4] == 2
-        assert dd.sigma[1][4] == 1
+        _, dist, sigma = bfs(cycle(5), 1)
+        assert dist[4] == 2
+        assert sigma[4] == 1
 
     def test_sigma_diagonal_convention(self):
-        dd = all_pairs(cycle(5))
-        assert all(dd.sigma[v][v] == 1 for v in range(5))
+        _, sigma = rows(cycle(5))
+        assert all(sigma[v][v] == 1 for v in range(5))
 
     def test_disconnected_rejected(self, two_triangles):
         with pytest.raises(DisconnectedGraphError):
@@ -55,23 +66,34 @@ class TestAllPairs:
 
     def test_matrices_symmetric_zero_diagonal(self, family_suite):
         for name, g in family_suite[:10]:
-            dd = all_pairs(g)
+            dist, sigma = rows(g)
             for s in range(g.n):
-                assert dd.dist[s][s] == 0
+                assert dist[s][s] == 0
                 for t in range(g.n):
-                    assert dd.dist[s][t] == dd.dist[t][s]
-                    assert dd.sigma[s][t] == dd.sigma[t][s]
+                    assert dist[s][t] == dist[t][s]
+                    assert sigma[s][t] == sigma[t][s]
 
     def test_distance_one_iff_edge(self):
         g = generate(FamilySpec("windmill", (3, 4)))
-        dd = all_pairs(g)
+        dist, sigma = rows(g)
         for s in range(g.n):
             for t in range(g.n):
                 if s == t:
                     continue
-                assert (dd.dist[s][t] == 1) == g.adjacent(s, t)
-                if dd.dist[s][t] == 1:
-                    assert dd.sigma[s][t] == 1
+                assert (dist[s][t] == 1) == g.adjacent(s, t)
+                if dist[s][t] == 1:
+                    assert sigma[s][t] == 1
+
+    def test_analysis_keeps_no_dense_rows(self):
+        # the dense dist and sigma rows took 2 * 8 * n^2 bytes
+        g = generate(FamilySpec("random-min-degree-2", (500,), seed=1))
+        tracemalloc.start()
+        try:
+            all_pairs(g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * g.n ** 2
 
 
 class TestGlobalMetrics:
@@ -127,22 +149,24 @@ def connected_graphs(draw, max_n=9):
 
 @given(connected_graphs())
 @settings(max_examples=60, deadline=None)
-def test_all_pairs_matches_enumeration(g):
-    dd = all_pairs(g)
+def test_bfs_matches_enumeration(g):
     pe = enumerate_shortest_paths(g, cap=10)
     for s in range(g.n):
+        order, dist, sigma = bfs(g, s)
+        assert sorted(order) == list(range(g.n)) and order[0] == s
+        assert all(dist[a] <= dist[b] for a, b in zip(order, order[1:]))
         for t in range(g.n):
             if s == t:
                 continue
-            assert dd.dist[s][t] == pe.dist[s][t]
-            assert dd.sigma[s][t] == pe.count(s, t)
+            assert dist[t] == pe.dist[s][t]
+            assert sigma[t] == pe.count(s, t)
 
 
 @given(connected_graphs())
 @settings(max_examples=60, deadline=None)
 def test_triangle_inequality(g):
-    dd = all_pairs(g)
+    dist, _ = rows(g)
     for s in range(g.n):
         for t in range(g.n):
             for u in range(g.n):
-                assert dd.dist[s][t] <= dd.dist[s][u] + dd.dist[u][t]
+                assert dist[s][t] <= dist[s][u] + dist[u][t]

@@ -9,8 +9,8 @@ import pytest
 from centrel import (FamilySpec, PreconditionError, all_pairs, check_all,
                      check_cor_sandwich, check_lemma1, check_lemma2,
                      check_lemma3, check_thm1, check_thm2, check_thm3,
-                     check_thm4, check_thm5, check_thm6, generate,
-                     sweep_windmill)
+                     check_thm4, check_thm5, check_thm6, compute_report,
+                     generate, sweep_windmill)
 from centrel.graphs import from_edge_list
 from centrel.relations import (neighborhoods_are_clique_unions,
                                neighborhoods_unique_two_paths)
@@ -88,14 +88,14 @@ class TestThm3:
         g = make("cycle", 4)
         dd = all_pairs(g)
         assert neighborhoods_are_clique_unions(g)
-        assert not neighborhoods_unique_two_paths(g, dd)
+        assert not neighborhoods_unique_two_paths(dd)
 
     def test_detectors_agree_on_windmills(self):
         for eta, k in [(2, 3), (4, 4), (3, 5)]:
             g = make("windmill", eta, k)
             dd = all_pairs(g)
             assert neighborhoods_are_clique_unions(g)
-            assert neighborhoods_unique_two_paths(g, dd)
+            assert neighborhoods_unique_two_paths(dd)
 
 
 class TestCorSandwich:
@@ -125,7 +125,7 @@ class TestLemma2:
     def test_windmill_strict(self):
         g = make("windmill", 2, 3)
         dd = all_pairs(g)
-        assert {dd.row_sum(v) for v in range(g.n)} == {4, 6}
+        assert set(dd.row_sums) == {4, 6}
         r = check_lemma2(g, dd)
         assert r.holds and not r.equality_expected and not r.equality_observed
 
@@ -259,16 +259,18 @@ class TestPreconditionsAndPendants:
                 if r.equality_expected:
                     assert r.equality_observed, f"{name}: {r.relation}"
 
-    def test_check_all_runs_brandes_once(self, monkeypatch, family_suite):
-        import centrel.centralities as cents
+    def test_check_and_compute_run_one_bfs_per_source(self, monkeypatch,
+                                                       family_suite):
+        import centrel.paths as paths
         calls = []
-        kernel = cents._brandes
-        monkeypatch.setattr(cents, "_brandes",
-                            lambda g, dd: calls.append(g) or kernel(g, dd))
-        graphs = [g for _, g in family_suite[:10]]
-        for g in graphs:
-            check_all(g)
-        assert calls == graphs
+        kernel = paths.bfs
+        monkeypatch.setattr(paths, "bfs", lambda g, s: calls.append(s) or kernel(g, s))
+        for _, g in family_suite[:10]:
+            calls.clear()
+            an = all_pairs(g)
+            check_all(g, an)
+            compute_report(g, an)
+            assert calls == list(range(g.n))
 
     def test_check_all_builds_per_graph_quantities_once(self, monkeypatch,
                                                          family_suite):
