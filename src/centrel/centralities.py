@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .graphs import Graph, PreconditionError
-from .paths import (Analysis, all_pairs, avg_path_length, density, diameter,
+from .paths import (Analysis, avg_path_length, density, diameter,
                     efficiency_sum, global_efficiency)
 
 
@@ -29,11 +29,11 @@ def local_clustering(g: Graph, i: int) -> Fraction:
     return Fraction(twice_links, d * (d - 1))
 
 
-def local_clusterings(g: Graph, an: Analysis) -> list[Fraction]:
+def local_clusterings(an: Analysis) -> list[Fraction]:
     """Every vertex's local clustering (from adjacency alone), computed once
     per Analysis; later calls return a copy of the stored list."""
     return list(an.memo("clustering",
-                        lambda: [local_clustering(g, i) for i in range(g.n)]))
+                        lambda: [local_clustering(an.g, i) for i in range(an.n)]))
 
 
 def average_clustering(g: Graph) -> Fraction:
@@ -61,16 +61,12 @@ def global_clustering(g: Graph) -> Fraction:
 # Betweenness and stress
 # ---------------------------------------------------------------------------
 
-def betweenness_and_stress(g: Graph, an: Analysis | None = None
-                           ) -> tuple[list[Fraction], list[int]]:
+def betweenness_and_stress(an: Analysis) -> tuple[list[Fraction], list[int]]:
     """Exact Brandes betweenness and stress, from the pass of ``all_pairs``.
 
-    Both sums run over ordered pairs (s, t), s != t != i.  The values are
-    read from ``an`` (built from ``g`` when omitted, so ``g`` must be
-    connected); every call returns fresh copies.
+    Both sums run over ordered pairs (s, t), s != t != i.  Every call returns
+    fresh copies of the values in ``an``.
     """
-    if an is None:
-        an = all_pairs(g)
     return list(an.betweenness), list(an.stress)
 
 
@@ -78,36 +74,32 @@ def betweenness_and_stress(g: Graph, an: Analysis | None = None
 # Closeness, radiality, local efficiency
 # ---------------------------------------------------------------------------
 
-def closeness(g: Graph, an: Analysis, v: int) -> Fraction:
+def closeness(an: Analysis, v: int) -> Fraction:
     """(n-1) over the sum of distances from v."""
-    if g.n < 2:
-        raise PreconditionError("closeness needs at least 2 vertices")
-    return Fraction(g.n - 1, an.row_sums[v])
+    return Fraction(an.n - 1, an.row_sums[v])
 
 
-def radiality(g: Graph, an: Analysis, v: int) -> Fraction:
+def radiality(an: Analysis, v: int) -> Fraction:
     """Mean of (diam + 1 - dist(v, t)) over the other vertices t, summed
     over v's distance histogram."""
-    if g.n < 2:
-        raise PreconditionError("radiality needs at least 2 vertices")
     diam = diameter(an)
     total = sum(count * (diam + 1 - d) for d, count in an.hists[v].items() if d)
-    return Fraction(total, g.n - 1)
+    return Fraction(total, an.n - 1)
 
 
-def neighborhood_efficiency(g: Graph, an: Analysis, v: int) -> Fraction:
+def neighborhood_efficiency(an: Analysis, v: int) -> Fraction:
     """Efficiency among the neighbors of v, with whole-graph distances."""
-    d = g.degree(v)
+    d = an.g.degree(v)
     if d <= 1:
         return Fraction(0)
     return efficiency_sum(an.pair_hists[v]) / (d * (d - 1))
 
 
-def local_efficiency(g: Graph, an: Analysis) -> Fraction:
+def local_efficiency(an: Analysis) -> Fraction:
     """Mean neighborhood efficiency over all vertices (degree-1 terms are 0)."""
-    total = sum((neighborhood_efficiency(g, an, v) for v in range(g.n)),
+    total = sum((neighborhood_efficiency(an, v) for v in range(an.n)),
                 Fraction(0))
-    return total / g.n
+    return total / an.n
 
 
 # ---------------------------------------------------------------------------
@@ -146,12 +138,11 @@ class CentralityReport:
                      "closeness": ("closeness", 12), "radiality": ("radiality", 12)}
 
 
-def compute_report(g: Graph, an: Analysis | None = None) -> CentralityReport:
-    """Compute the full CentralityReport (connected graphs only)."""
-    if an is None:
-        an = all_pairs(g)
-    bc, st = betweenness_and_stress(g, an)
-    clustering = local_clusterings(g, an)
+def compute_report(an: Analysis) -> CentralityReport:
+    """Every measure of the analysed graph."""
+    g = an.g
+    bc, st = betweenness_and_stress(an)
+    clustering = local_clusterings(an)
     try:
         glob_c = global_clustering(g)
     except PreconditionError:
@@ -161,13 +152,13 @@ def compute_report(g: Graph, an: Analysis | None = None) -> CentralityReport:
         local_clustering=clustering,
         betweenness=bc,
         stress=st,
-        closeness=[closeness(g, an, v) for v in range(g.n)],
-        radiality=[radiality(g, an, v) for v in range(g.n)],
+        closeness=[closeness(an, v) for v in range(g.n)],
+        radiality=[radiality(an, v) for v in range(g.n)],
         density=density(g),
         diameter=diameter(an),
         avg_path_length=avg_path_length(an),
         global_efficiency=global_efficiency(an),
         avg_clustering=sum(clustering, Fraction(0)) / g.n,
         global_clustering=glob_c,
-        local_efficiency=local_efficiency(g, an),
+        local_efficiency=local_efficiency(an),
     )

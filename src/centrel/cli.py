@@ -56,7 +56,7 @@ def _print_lines(lines: list[str]) -> None:
 
 def cmd_compute(args) -> int:
     g, source = _graph_from_args(args)
-    rep = compute_report(g)
+    rep = compute_report(all_pairs(g))
     exact = not args.float_values
     per_vertex = [(name, getattr(rep, name))
                   for name in CentralityReport.FIELDS_PER_VERTEX]
@@ -194,7 +194,7 @@ def cmd_sweep(args) -> int:
 def cmd_oracle_diff(args) -> int:
     g, source = _graph_from_args(args)
     an = all_pairs(g)
-    fast = compute_report(g, an)
+    fast = compute_report(an)
     pe = oracle.enumerate_shortest_paths(g, cap=args.cap)
     slow = oracle.oracle_measures(g, pe)
     compared = [(f"{name}[{i}]", x, y)
@@ -204,7 +204,7 @@ def cmd_oracle_diff(args) -> int:
                  for name in CentralityReport.FIELDS_GRAPH]
     slow_profiles = oracle.oracle_neighborhood_profiles(g, pe)
     compared += [(f"neighborhood.{name}[{fp.vertex}]", getattr(fp, name), getattr(sp, name))
-                 for fp, sp in zip(profiles(g, an), slow_profiles) for name in fp.FIELDS]
+                 for fp, sp in zip(profiles(an), slow_profiles) for name in fp.FIELDS]
     mismatches = [f"{label}: fast={x} oracle={y}"
                   for label, x, y in compared if x != y]
     if mismatches:

@@ -50,7 +50,7 @@ class NeighborhoodProfile:
               "is_complete")
 
 
-def profile(g: Graph, an: Analysis, i: int) -> NeighborhoodProfile:
+def profile(an: Analysis, i: int) -> NeighborhoodProfile:
     """Every field for vertex i from the neighbor-pair summaries of ``an``.
 
     Two neighbors s, t have i on a shortest s-t path exactly when
@@ -58,6 +58,7 @@ def profile(g: Graph, an: Analysis, i: int) -> NeighborhoodProfile:
     the betweenness is the sum of 1/sigma(s, t) over those ordered pairs.
     Completeness is read from adjacency.
     """
+    g = an.g
     d = g.degree(i)
     complete = is_complete_neighborhood(g, i)
     if d <= 1:
@@ -80,26 +81,26 @@ def profile(g: Graph, an: Analysis, i: int) -> NeighborhoodProfile:
     )
 
 
-def profiles(g: Graph, an: Analysis) -> list[NeighborhoodProfile]:
+def profiles(an: Analysis) -> list[NeighborhoodProfile]:
     """Every vertex's profile, computed once per Analysis.
 
     Later calls with the same ``an`` return a copy of the stored list.
     """
-    return list(an.memo("profiles", lambda: [profile(g, an, i) for i in range(g.n)]))
+    return list(an.memo("profiles", lambda: [profile(an, i) for i in range(an.n)]))
 
 
-def bc_loc(g: Graph, an: Analysis) -> Fraction:
+def bc_loc(an: Analysis) -> Fraction:
     """Mean of BC(i, N(i)) / (d_i (d_i - 1)) over all vertices."""
     return sum((p.betweenness / (d * (d - 1))
-                for p, d in zip(profiles(g, an), g.degrees()) if d > 1),
-               Fraction(0)) / g.n
+                for p, d in zip(profiles(an), an.g.degrees()) if d > 1),
+               Fraction(0)) / an.n
 
 
-def rad_loc(g: Graph, an: Analysis) -> Fraction:
+def rad_loc(an: Analysis) -> Fraction:
     """Mean neighborhood radiality over all vertices."""
-    return sum((p.radiality for p in profiles(g, an)), Fraction(0)) / g.n
+    return sum((p.radiality for p in profiles(an)), Fraction(0)) / an.n
 
 
-def clo_loc(g: Graph, an: Analysis) -> Fraction:
+def clo_loc(an: Analysis) -> Fraction:
     """Mean neighborhood closeness over all vertices."""
-    return sum((p.closeness for p in profiles(g, an)), Fraction(0)) / g.n
+    return sum((p.closeness for p in profiles(an)), Fraction(0)) / an.n

@@ -25,6 +25,10 @@ class DisconnectedGraphError(PreconditionError):
 class Analysis:
     """Per-graph summaries of one BFS per source, none of them n×n.
 
+    ``g`` is the graph the pass ran on.  ``all_pairs`` builds an Analysis
+    only for a graph that is under the size cap, has at least 2 vertices and
+    is connected, so every measure that reads one can rely on all three.
+
     For every vertex v:
 
     - ``row_sums[v]``: the sum of the hop distances from v
@@ -43,6 +47,7 @@ class Analysis:
     ``memo``, so the summaries must not be mutated afterwards.
     """
 
+    g: Graph
     row_sums: list[int]
     hists: list[Counter]
     pair_hists: list[Counter]
@@ -54,7 +59,7 @@ class Analysis:
 
     @property
     def n(self) -> int:
-        return len(self.row_sums)
+        return self.g.n
 
     def memo(self, key: str, build):
         """``build()`` on the first call for ``key``; the stored result of
@@ -65,8 +70,10 @@ class Analysis:
 
 
 def all_pairs(g: Graph) -> Analysis:
-    """One BFS per source, folded into an ``Analysis``; errors on
-    disconnected input.
+    """One BFS per source, folded into an ``Analysis``.
+
+    Raises ``PreconditionError`` for a graph past the size cap or with fewer
+    than 2 vertices, and ``DisconnectedGraphError`` for a disconnected one.
 
     The same loop runs the Brandes (2001) dependency sweep from each source:
     the vertices are visited in reverse BFS order, and each v sums over its
@@ -85,6 +92,9 @@ def all_pairs(g: Graph) -> Analysis:
     """
     check_size_cap(g.n)
     n = g.n
+    if n < 2:
+        raise PreconditionError(
+            f"the all-pairs analysis needs at least 2 vertices (n={n})")
     nbrs = [g.neighbors(v) for v in range(n)]
     row_sums = []
     hists = []
@@ -130,14 +140,12 @@ def all_pairs(g: Graph) -> Analysis:
             paths_below[v] = 1 + tail
             stress[v] += sv * tail
             totals[v] += sv * scaled * factor
-    return Analysis(row_sums, hists, pair_hists, pair_sums, detours,
+    return Analysis(g, row_sums, hists, pair_hists, pair_sums, detours,
                     [Fraction(t, denom) for t in totals], stress)
 
 
 def diameter(an: Analysis) -> int:
     """Largest eccentricity (read once per Analysis)."""
-    if an.n < 2:
-        raise PreconditionError("diameter needs at least 2 vertices")
     return an.memo("diameter", lambda: max(max(hist) for hist in an.hists))
 
 
@@ -152,21 +160,15 @@ def efficiency_sum(hist: Counter) -> Fraction:
 
 def avg_path_length(an: Analysis) -> Fraction:
     """Mean hop distance over ordered pairs s != t."""
-    n = an.n
-    if n < 2:
-        raise PreconditionError("average path length needs at least 2 vertices")
-    return Fraction(sum(an.row_sums), n * (n - 1))
+    return Fraction(sum(an.row_sums), an.n * (an.n - 1))
 
 
 def global_efficiency(an: Analysis) -> Fraction:
     """Mean inverse hop distance over ordered pairs s != t."""
-    n = an.n
-    if n < 2:
-        raise PreconditionError("global efficiency needs at least 2 vertices")
     hist: Counter = Counter()
     for row_hist in an.hists:
         hist.update(row_hist)
-    return efficiency_sum(hist) / (n * (n - 1))
+    return efficiency_sum(hist) / (an.n * (an.n - 1))
 
 
 def density(g: Graph) -> Fraction:

@@ -69,13 +69,11 @@ def _report(relation: str, direction: str, lhs: Fraction, rhs: Fraction,
                           equality_observed=slack == 0, notes=notes or [])
 
 
-def _prepare(g: Graph, an: Analysis | None, allow_pendant: bool,
-             need_min_degree_2: bool) -> Analysis:
-    if need_min_degree_2 and not allow_pendant and g.min_degree() < 2:
+def _refuse_pendant(g: Graph, allow_pendant: bool) -> None:
+    if not allow_pendant and g.min_degree() < 2:
         raise PreconditionError(
             "graph has a vertex of degree < 2; rerun with the pendant override "
             "to apply the degree-1 conventions")
-    return an if an is not None else all_pairs(g)
 
 
 def _eligible(g: Graph) -> tuple[list[int], list[str]]:
@@ -91,13 +89,12 @@ def _mean(values: list[Fraction]) -> Fraction:
     return sum(values, Fraction(0)) / len(values) if values else Fraction(0)
 
 
-def check_lemma1(g: Graph, an: Analysis | None = None,
-                 allow_pendant: bool = False) -> RelationReport:
+def check_lemma1(an: Analysis, allow_pendant: bool = False) -> RelationReport:
     """Per-vertex identity: neighborhood average path length = 2 - c_i."""
-    an = _prepare(g, an, allow_pendant, need_min_degree_2=True)
-    eligible, notes = _eligible(g)
-    profs = profiles(g, an)
-    clustering = local_clusterings(g, an)
+    _refuse_pendant(an.g, allow_pendant)
+    eligible, notes = _eligible(an.g)
+    profs = profiles(an)
+    clustering = local_clusterings(an)
     lhs_v = [profs[i].avg_path for i in eligible]
     rhs_v = [2 - clustering[i] for i in eligible]
     worst = Fraction(0)
@@ -110,30 +107,29 @@ def check_lemma1(g: Graph, an: Analysis | None = None,
                    slack=worst, notes=notes)
 
 
-def check_thm1(g: Graph, an: Analysis | None = None,
-               allow_pendant: bool = False) -> RelationReport:
+def check_thm1(an: Analysis, allow_pendant: bool = False) -> RelationReport:
     """Identity: local efficiency = (1 + average clustering) / 2."""
-    an = _prepare(g, an, allow_pendant, need_min_degree_2=True)
-    lhs = local_efficiency(g, an)
-    rhs = (1 + _mean(local_clusterings(g, an))) / 2
+    _refuse_pendant(an.g, allow_pendant)
+    lhs = local_efficiency(an)
+    rhs = (1 + _mean(local_clusterings(an))) / 2
     return _report("thm1", "eq", lhs, rhs, True)
 
 
-def check_thm2(g: Graph, an: Analysis | None = None,
-               allow_pendant: bool = False) -> RelationReport:
+def check_thm2(an: Analysis, allow_pendant: bool = False) -> RelationReport:
     """Bound: average clustering >= 1 - mean of Str(i)/(d_i(d_i-1)).
 
     Equality is expected whenever the diameter is at most 2 (every
     through-path then has length exactly 2).
     """
-    an = _prepare(g, an, allow_pendant, need_min_degree_2=True)
-    _, stress = betweenness_and_stress(g, an)
+    g = an.g
+    _refuse_pendant(g, allow_pendant)
+    _, stress = betweenness_and_stress(an)
     term_total = Fraction(0)
     for i in range(g.n):
         d = g.degree(i)
         if d >= 2:
             term_total += Fraction(stress[i], d * (d - 1))
-    lhs = _mean(local_clusterings(g, an))
+    lhs = _mean(local_clusterings(an))
     rhs = 1 - term_total / g.n
     return _report("thm2", "ge", lhs, rhs, diameter(an) <= 2)
 
@@ -145,60 +141,27 @@ def neighborhoods_unique_two_paths(an: Analysis) -> bool:
     return all(paths == 1 for detours in an.detours for paths in detours)
 
 
-def neighborhoods_are_clique_unions(g: Graph) -> bool:
-    """True iff each induced neighborhood splits into disjoint cliques.
-
-    This is the textbook phrasing of the betweenness-bound equality regime,
-    but on its own it is weaker than ``neighborhoods_unique_two_paths``: a
-    4-cycle satisfies it (two isolated neighbors) while a second 2-hop route
-    through the opposite vertex still breaks equality.
-    """
-    for i in range(g.n):
-        nbrs = g.neighbors(i)
-        nbr_set = set(nbrs)
-        seen: set[int] = set()
-        for start in nbrs:
-            if start in seen:
-                continue
-            component = {start}
-            frontier = [start]
-            while frontier:
-                u = frontier.pop()
-                for w in g.neighbors(u):
-                    if w in nbr_set and w not in component:
-                        component.add(w)
-                        frontier.append(w)
-            comp = sorted(component)
-            for x_idx in range(len(comp)):
-                for y_idx in range(x_idx + 1, len(comp)):
-                    if not g.adjacent(comp[x_idx], comp[y_idx]):
-                        return False
-            seen |= component
-    return True
-
-
-def check_thm3(g: Graph, an: Analysis | None = None,
-               allow_pendant: bool = False) -> RelationReport:
+def check_thm3(an: Analysis, allow_pendant: bool = False) -> RelationReport:
     """Bound: average clustering <= 1 - local betweenness.
 
     Equality is expected exactly when every non-adjacent neighbor pair has a
     unique shortest (2-hop) path; that implies, and is stronger than, every
     neighborhood splitting into disjoint cliques.
     """
-    an = _prepare(g, an, allow_pendant, need_min_degree_2=True)
-    lhs = _mean(local_clusterings(g, an))
-    rhs = 1 - bc_loc(g, an)
+    _refuse_pendant(an.g, allow_pendant)
+    lhs = _mean(local_clusterings(an))
+    rhs = 1 - bc_loc(an)
     return _report("thm3", "le", lhs, rhs, neighborhoods_unique_two_paths(an))
 
 
-def check_cor_sandwich(g: Graph, an: Analysis | None = None,
-                       allow_pendant: bool = False) -> RelationReport:
+def check_cor_sandwich(an: Analysis, allow_pendant: bool = False) -> RelationReport:
     """Per-vertex sandwich:
     BC(i,N(i))/(d(d-1)) <= L(N(i)) - 1 <= Str(i)/(d(d-1))."""
-    an = _prepare(g, an, allow_pendant, need_min_degree_2=True)
-    _, stress = betweenness_and_stress(g, an)
+    g = an.g
+    _refuse_pendant(g, allow_pendant)
+    _, stress = betweenness_and_stress(an)
     eligible, notes = _eligible(g)
-    profs = profiles(g, an)
+    profs = profiles(an)
     pair_counts = [g.degree(i) * (g.degree(i) - 1) for i in eligible]
     lefts = [profs[i].betweenness / pc for i, pc in zip(eligible, pair_counts)]
     rights = [Fraction(stress[i], pc) for i, pc in zip(eligible, pair_counts)]
@@ -214,45 +177,39 @@ def check_cor_sandwich(g: Graph, an: Analysis | None = None,
                    slack=Fraction(0) if worst is None else worst, notes=notes)
 
 
-def check_lemma2(g: Graph, an: Analysis | None = None,
-                 allow_pendant: bool = False) -> RelationReport:
+def check_lemma2(an: Analysis, allow_pendant: bool = False) -> RelationReport:
     """Bound: mean closeness >= 1 / average path length.
 
     Equality is expected when all per-vertex distance sums agree.
     """
-    an = _prepare(g, an, allow_pendant, need_min_degree_2=False)
-    lhs = sum((closeness(g, an, v) for v in range(g.n)), Fraction(0)) / g.n
+    lhs = sum((closeness(an, v) for v in range(an.n)), Fraction(0)) / an.n
     rhs = 1 / avg_path_length(an)
     return _report("lemma2", "ge", lhs, rhs, len(set(an.row_sums)) == 1)
 
 
-def check_thm4(g: Graph, an: Analysis | None = None,
-               allow_pendant: bool = False) -> RelationReport:
+def check_thm4(an: Analysis, allow_pendant: bool = False) -> RelationReport:
     """Bound: 1/(2 - average clustering) <= mean neighborhood closeness."""
-    an = _prepare(g, an, allow_pendant, need_min_degree_2=True)
-    lhs = 1 / (2 - _mean(local_clusterings(g, an)))
-    return _report("thm4", "le", lhs, clo_loc(g, an), False)
+    _refuse_pendant(an.g, allow_pendant)
+    lhs = 1 / (2 - _mean(local_clusterings(an)))
+    return _report("thm4", "le", lhs, clo_loc(an), False)
 
 
-def check_lemma3(g: Graph, an: Analysis | None = None,
-                 allow_pendant: bool = False) -> RelationReport:
+def check_lemma3(an: Analysis, allow_pendant: bool = False) -> RelationReport:
     """Identity: mean radiality = diameter + 1 - average path length."""
-    an = _prepare(g, an, allow_pendant, need_min_degree_2=False)
-    lhs = sum((radiality(g, an, v) for v in range(g.n)), Fraction(0)) / g.n
+    lhs = sum((radiality(an, v) for v in range(an.n)), Fraction(0)) / an.n
     rhs = diameter(an) + 1 - avg_path_length(an)
     return _report("lemma3", "eq", lhs, rhs, True)
 
 
-def check_thm5(g: Graph, an: Analysis | None = None,
-               allow_pendant: bool = False) -> RelationReport:
+def check_thm5(an: Analysis, allow_pendant: bool = False) -> RelationReport:
     """Identity: average clustering = local radiality - 1 + (complete
     neighborhoods) / n."""
-    an = _prepare(g, an, allow_pendant, need_min_degree_2=True)
-    lhs = _mean(local_clusterings(g, an))
-    complete = sum(1 for p in profiles(g, an) if p.is_complete)
-    rhs = rad_loc(g, an) - 1 + Fraction(complete, g.n)
+    _refuse_pendant(an.g, allow_pendant)
+    lhs = _mean(local_clusterings(an))
+    complete = sum(1 for p in profiles(an) if p.is_complete)
+    rhs = rad_loc(an) - 1 + Fraction(complete, an.n)
     return _report("thm5", "eq", lhs, rhs, True,
-                   notes=[f"complete neighborhoods: {complete} of {g.n}"])
+                   notes=[f"complete neighborhoods: {complete} of {an.n}"])
 
 
 def _degree_class_ordering(g: Graph, clustering: list[Fraction]) -> str:
@@ -289,19 +246,17 @@ _THM6_CASES = {
 }
 
 
-def check_thm6(g: Graph, an: Analysis | None = None,
-               allow_pendant: bool = False) -> RelationReport:
+def check_thm6(an: Analysis, allow_pendant: bool = False) -> RelationReport:
     """Chebyshev ordering between average and global clustering.
 
     Co-monotone degree/clustering sequences give C_WS <= C, anti-monotone
     ones C_WS >= C, regular graphs (and graphs with all clusterings equal)
     exact equality.  When neither ordering holds no direction is asserted.
     """
-    an = _prepare(g, an, allow_pendant, need_min_degree_2=False)
-    clustering = local_clusterings(g, an)
+    clustering = local_clusterings(an)
     lhs = _mean(clustering)
-    rhs = global_clustering(g)
-    ordering = _degree_class_ordering(g, clustering)
+    rhs = global_clustering(an.g)
+    ordering = _degree_class_ordering(an.g, clustering)
     if ordering == "none":
         return RelationReport("thm6", "none", lhs, rhs, holds=True,
                               slack=Fraction(0), equality_expected=False,
@@ -317,12 +272,14 @@ CHECKERS = (check_lemma1, check_thm1, check_thm2, check_thm3,
             check_thm5, check_thm6)
 
 
-def check_all(g: Graph, an: Analysis | None = None,
-              allow_pendant: bool = False) -> list[RelationReport]:
-    """Run every checker, sharing one distance computation."""
-    if an is None:
-        an = all_pairs(g)
-    return [chk(g, an, allow_pendant=allow_pendant) for chk in CHECKERS]
+def check_all(g: Graph, allow_pendant: bool = False) -> list[RelationReport]:
+    """Run every checker on one analysis of ``g``.
+
+    A degree-1 vertex is refused before the analysis is built.
+    """
+    _refuse_pendant(g, allow_pendant)
+    an = all_pairs(g)
+    return [chk(an, allow_pendant=allow_pendant) for chk in CHECKERS]
 
 
 # ---------------------------------------------------------------------------
@@ -355,10 +312,6 @@ class SweepResult:
     rows: list[SweepRow]
     avg_strictly_increasing: bool
     glob_strictly_decreasing: bool
-
-    @property
-    def degenerate_start(self) -> bool:
-        return self.rows[0].eta < 2
 
 
 SweepResult.FIELDS = tuple(f.name for f in fields(SweepResult))

@@ -38,7 +38,7 @@ def test_c01_local_efficiency_identity():
     for spec in specs:
         g = generate(spec)
         dd = all_pairs(g)
-        slack = abs(local_efficiency(g, dd) - (1 + average_clustering(g)) / 2)
+        slack = abs(local_efficiency(dd) - (1 + average_clustering(g)) / 2)
         worst = max(worst, slack)
     elapsed = time.monotonic() - start
     ok = worst == 0 and elapsed < 10.0
@@ -49,7 +49,7 @@ def test_c01_local_efficiency_identity():
 def test_c02_neighborhood_path_identity(full_suite_dd):
     worst = Fraction(0)
     for name, g, dd in full_suite_dd:
-        r = check_lemma1(g, dd)
+        r = check_lemma1(dd)
         worst = max(worst, r.slack)
     ok = worst == 0
     report_line(2, ok, f"per-vertex 2-c identity on {len(full_suite_dd)} "
@@ -61,7 +61,7 @@ def test_c03_stress_bound(full_suite_dd):
     diam2_equalities = 0
     bad = []
     for name, g, dd in full_suite_dd:
-        r = check_thm2(g, dd)
+        r = check_thm2(dd)
         all_hold &= r.holds
         if r.equality_expected:  # diameter <= 2
             diam2_equalities += 1
@@ -78,7 +78,7 @@ def test_c04_betweenness_bound_and_equality_detector(full_suite_dd):
     detector_agrees = True
     clique_families_equal = True
     for name, g, dd in full_suite_dd:
-        r = check_thm3(g, dd)
+        r = check_thm3(dd)
         all_hold &= r.holds
         detector_agrees &= (r.equality_expected == (r.slack == 0))
         if name.startswith(("complete(", "windmill(")):
@@ -91,7 +91,7 @@ def test_c04_betweenness_bound_and_equality_detector(full_suite_dd):
 def test_c05_sandwich(full_suite_dd):
     worst = None
     for name, g, dd in full_suite_dd:
-        r = check_cor_sandwich(g, dd)
+        r = check_cor_sandwich(dd)
         if worst is None or r.slack < worst:
             worst = r.slack
     ok = worst is not None and worst >= 0
@@ -102,13 +102,11 @@ def test_c06_closeness_and_radiality_relations(full_suite_dd):
     ok = True
     for name, g, dd in full_suite_dd:
         for checker in (check_lemma2, check_thm4, check_lemma3, check_thm5):
-            r = checker(g, dd)
+            r = checker(dd)
             ok &= r.holds
             if r.direction == "eq":
                 ok &= r.slack == 0
-    wm = generate(FamilySpec("windmill", (2, 3)))
-    wdd = all_pairs(wm)
-    r5 = check_thm5(wm, wdd)
+    r5 = check_thm5(all_pairs(generate(FamilySpec("windmill", (2, 3)))))
     hand_values = (r5.notes[0] == "complete neighborhoods: 4 of 5"
                    and r5.lhs == Fraction(13, 15)
                    and r5.rhs == Fraction(16, 15) - 1 + Fraction(4, 5))
@@ -123,12 +121,12 @@ def test_c07_clustering_comparison(full_suite):
     for name, g in full_suite:
         degrees = set(g.degrees())
         if len(degrees) == 1:
-            r = check_thm6(g)
+            r = check_thm6(all_pairs(g))
             if not (r.relation == "cor_regular" and r.slack == 0):
                 ok = False
                 detail.append(f"regular {name}")
         elif name.startswith("windmill("):
-            r = check_thm6(g)
+            r = check_thm6(all_pairs(g))
             if not (r.relation == "cor_thm6" and r.hypothesis_met
                     and r.lhs >= r.rhs):
                 ok = False
@@ -164,13 +162,13 @@ def test_c09_oracle_equivalence(family_suite):
     graphs += [(name, g) for name, g in family_suite if g.n <= 12]
     mismatched = []
     for name, g in graphs:
-        fast = compute_report(g)
+        an = all_pairs(g)
+        fast = compute_report(an)
         slow = oracle_measures(g)
         for field in CentralityReport.FIELDS_PER_VERTEX + CentralityReport.FIELDS_GRAPH:
             if getattr(fast, field) != getattr(slow, field):
                 mismatched.append(f"{name}.{field}")
-        fast_profiles = profiles(g, all_pairs(g))
-        for fp, sp in zip(fast_profiles, oracle_neighborhood_profiles(g)):
+        for fp, sp in zip(profiles(an), oracle_neighborhood_profiles(g)):
             for field in fp.FIELDS:
                 if getattr(fp, field) != getattr(sp, field):
                     mismatched.append(f"{name}.neighborhood.{field}")
@@ -184,7 +182,7 @@ def test_c09_oracle_equivalence(family_suite):
 def test_c10_brandes_definitional_cross_check(full_suite_dd):
     bad = []
     for name, g, dd in full_suite_dd:
-        bc, st = betweenness_and_stress(g, dd)
+        bc, st = betweenness_and_stress(dd)
         if bc != betweenness_definitional(g):
             bad.append(f"{name}.betweenness")
         if st != stress_definitional(g):

@@ -18,6 +18,10 @@ def make(family, *params, seed=None):
     return generate(FamilySpec(family, params, seed=seed))
 
 
+def analysed(family, *params, seed=None):
+    return all_pairs(make(family, *params, seed=seed))
+
+
 class TestClustering:
     def test_local_clusterings_memoized_per_distance_data(self, monkeypatch):
         import centrel.centralities as cents
@@ -27,9 +31,9 @@ class TestClustering:
                             lambda g, i: calls.append(i) or per_vertex(g, i))
         g = make("windmill", 2, 3)
         dd = all_pairs(g)
-        first = local_clusterings(g, dd)
+        first = local_clusterings(dd)
         first[0] = Fraction(7)
-        assert local_clusterings(g, dd) == [per_vertex(g, i) for i in range(g.n)]
+        assert local_clusterings(dd) == [per_vertex(g, i) for i in range(g.n)]
         assert calls == list(range(g.n))
 
     def test_local_complete(self):
@@ -84,17 +88,17 @@ class TestClustering:
 class TestBetweennessStress:
     def test_complete_zero(self):
         for n in (3, 5, 7):
-            bc, st = betweenness_and_stress(make("complete", n))
+            bc, st = betweenness_and_stress(analysed("complete", n))
             assert all(x == 0 for x in bc)
             assert all(x == 0 for x in st)
 
     def test_c5(self):
-        bc, st = betweenness_and_stress(make("cycle", 5))
+        bc, st = betweenness_and_stress(analysed("cycle", 5))
         assert all(x == 2 for x in bc)
         assert all(x == 2 for x in st)
 
     def test_c4(self):
-        bc, st = betweenness_and_stress(make("cycle", 4))
+        bc, st = betweenness_and_stress(analysed("cycle", 4))
         assert all(x == 1 for x in bc)
         assert all(x == 2 for x in st)
 
@@ -105,27 +109,27 @@ class TestBetweennessStress:
         monkeypatch.setattr(paths, "bfs", lambda g, s: calls.append(s) or kernel(g, s))
         g = make("random-min-degree-2", 16, seed=2)
         an = all_pairs(g)
-        first = betweenness_and_stress(g, an)
+        first = betweenness_and_stress(an)
         first[0][0] = Fraction(-1)  # callers get copies
-        second = betweenness_and_stress(g, an)
+        second = betweenness_and_stress(an)
         assert calls == list(range(g.n))
         assert second[0][0] != -1
-        assert betweenness_and_stress(g) == second  # a fresh pass, same values
+        assert betweenness_and_stress(all_pairs(g)) == second  # a fresh pass, same values
         assert calls == 2 * list(range(g.n))
 
     def test_needs_connected_graph(self):
         with pytest.raises(DisconnectedGraphError):
-            betweenness_and_stress(from_edge_list([(0, 1), (2, 3)], 4))
+            all_pairs(from_edge_list([(0, 1), (2, 3)], 4))
 
     def test_brandes_equals_definitional(self, family_suite):
         for name, g in family_suite:
-            bc, st = betweenness_and_stress(g)
+            bc, st = betweenness_and_stress(all_pairs(g))
             assert bc == betweenness_definitional(g), name
             assert st == stress_definitional(g), name
 
     def test_stress_dominates_betweenness(self, full_suite):
         for name, g in full_suite[:30]:
-            bc, st = betweenness_and_stress(g)
+            bc, st = betweenness_and_stress(all_pairs(g))
             for b, s in zip(bc, st):
                 assert b >= 0 and s >= b, name
 
@@ -135,7 +139,7 @@ class TestBetweennessStress:
         for g in (make("complete", 6), make("windmill", 2, 3),
                   make("windmill", 4, 5)):
             rows = [bfs(g, s)[1:] for s in range(g.n)]
-            bc, _ = betweenness_and_stress(g)
+            bc, _ = betweenness_and_stress(all_pairs(g))
             assert all(count == 1 for _, sigma in rows for count in sigma)
             expected = sum(d - 1 for dist, _ in rows for d in dist if d)
             assert sum(bc) == expected
@@ -143,48 +147,42 @@ class TestBetweennessStress:
 
 class TestClosenessRadiality:
     def test_complete(self):
-        g = make("complete", 5)
-        dd = all_pairs(g)
+        dd = analysed("complete", 5)
         for v in range(5):
-            assert closeness(g, dd, v) == 1
-            assert radiality(g, dd, v) == 1
+            assert closeness(dd, v) == 1
+            assert radiality(dd, v) == 1
 
     def test_c5(self):
-        g = make("cycle", 5)
-        dd = all_pairs(g)
+        dd = analysed("cycle", 5)
         for v in range(5):
-            assert closeness(g, dd, v) == Fraction(2, 3)
-            assert radiality(g, dd, v) == Fraction(3, 2)
+            assert closeness(dd, v) == Fraction(2, 3)
+            assert radiality(dd, v) == Fraction(3, 2)
 
     def test_windmill_hub(self):
-        g = make("windmill", 2, 3)
-        dd = all_pairs(g)
-        assert closeness(g, dd, 0) == 1
+        dd = analysed("windmill", 2, 3)
+        assert closeness(dd, 0) == 1
 
 
 class TestLocalEfficiency:
     def test_complete(self):
-        g = make("complete", 4)
-        assert local_efficiency(g, all_pairs(g)) == 1
+        assert local_efficiency(analysed("complete", 4)) == 1
 
     def test_c5(self):
-        g = make("cycle", 5)
-        assert local_efficiency(g, all_pairs(g)) == Fraction(1, 2)
+        assert local_efficiency(analysed("cycle", 5)) == Fraction(1, 2)
 
     def test_windmill(self):
-        g = make("windmill", 2, 3)
-        assert local_efficiency(g, all_pairs(g)) == Fraction(14, 15)
+        assert local_efficiency(analysed("windmill", 2, 3)) == Fraction(14, 15)
 
     def test_half_one_plus_clustering_identity(self, full_suite):
         for name, g in full_suite[:40]:
             dd = all_pairs(g)
-            assert local_efficiency(g, dd) == (1 + average_clustering(g)) / 2, name
+            assert local_efficiency(dd) == (1 + average_clustering(g)) / 2, name
 
 
 class TestReport:
     def test_report_fields_consistent(self):
         g = make("windmill", 2, 3)
-        rep = compute_report(g)
+        rep = compute_report(all_pairs(g))
         assert rep.degree == [4, 2, 2, 2, 2]
         assert rep.avg_clustering == Fraction(13, 15)
         assert rep.global_clustering == Fraction(3, 5)
@@ -195,7 +193,7 @@ class TestReport:
 
     def test_report_value_ranges(self, full_suite):
         for name, g in full_suite[:25]:
-            rep = compute_report(g)
+            rep = compute_report(all_pairs(g))
             assert 0 <= rep.avg_clustering <= 1, name
             assert 0 <= rep.density <= 1, name
             assert 0 <= rep.local_efficiency <= 1, name

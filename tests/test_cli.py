@@ -213,6 +213,14 @@ class TestCheck:
         assert code == 4  # conventions break some bounds; reported honestly
         assert "VIOLATED" in out
 
+    def test_single_vertex_with_pendant_override_exit_3(self, capsys, tmp_path):
+        path = tmp_path / "one.edges"
+        path.write_text("n=1\n")
+        code, out, err = run(capsys, "check", "--allow-pendant", "--input",
+                             str(path))
+        assert (code, out) == (3, "")
+        assert err == "error: the all-pairs analysis needs at least 2 vertices (n=1)\n"
+
     def test_float_human(self, capsys):
         code, out, _ = run(capsys, "check", "--family", "windmill",
                            "--params", "2,3", "--float")

@@ -60,7 +60,7 @@ def rows(g):
 
 
 def assert_brandes_matches_definition(g):
-    bc, stress = betweenness_and_stress(g)
+    bc, stress = betweenness_and_stress(all_pairs(g))
     assert all(isinstance(x, Fraction) for x in bc)
     assert bc == betweenness_definitional(g)
     assert stress == stress_definitional(g)
@@ -96,9 +96,9 @@ def assert_efficiencies_and_radiality_match(g):
     an = all_pairs(g)
     dist, _ = rows(g)
     assert global_efficiency(an) == reference_global_efficiency(dist)
-    assert local_efficiency(g, an) == reference_local_efficiency(g, dist)
+    assert local_efficiency(an) == reference_local_efficiency(g, dist)
     for v in range(g.n):
-        assert radiality(g, an, v) == reference_radiality(dist, v)
+        assert radiality(an, v) == reference_radiality(dist, v)
 
 
 def reference_profile(g, dist, sigma, i):
@@ -127,7 +127,7 @@ def assert_profiles_match(g):
     an = all_pairs(g)
     dist, sigma = rows(g)
     for i in range(g.n):
-        p = profile(g, an, i)
+        p = profile(an, i)
         assert (p.avg_path, p.betweenness, p.diameter, p.radiality, p.closeness,
                 p.is_complete) == reference_profile(g, dist, sigma, i), i
 

@@ -20,47 +20,47 @@ def with_dd(g):
     return g, all_pairs(g)
 
 
-def field(g, dd, i, name):
-    return getattr(profile(g, dd, i), name)
+def field(an, i, name):
+    return getattr(profile(an, i), name)
 
 
 class TestAvgPath:
     def test_complete(self):
         g, dd = with_dd(make("complete", 4))
-        assert all(field(g, dd, i, "avg_path") == 1 for i in range(4))
+        assert all(field(dd, i, "avg_path") == 1 for i in range(4))
 
     def test_cycle(self):
         g, dd = with_dd(make("cycle", 5))
-        assert all(field(g, dd, i, "avg_path") == 2 for i in range(5))
+        assert all(field(dd, i, "avg_path") == 2 for i in range(5))
 
     def test_windmill_hub(self):
         g, dd = with_dd(make("windmill", 2, 3))
-        assert field(g, dd, 0, "avg_path") == Fraction(5, 3)
+        assert field(dd, 0, "avg_path") == Fraction(5, 3)
 
     def test_degree_one_convention(self, path3):
         dd = all_pairs(path3)
-        assert field(path3, dd, 0, "avg_path") == 0
+        assert field(dd, 0, "avg_path") == 0
 
 
 class TestBetweenness:
     def test_complete(self):
         g, dd = with_dd(make("complete", 5))
-        assert all(field(g, dd, i, "betweenness") == 0 for i in range(5))
-        assert bc_loc(g, dd) == 0
+        assert all(field(dd, i, "betweenness") == 0 for i in range(5))
+        assert bc_loc(dd) == 0
 
     def test_c4(self):
         g, dd = with_dd(make("cycle", 4))
-        assert field(g, dd, 0, "betweenness") == 1
-        assert bc_loc(g, dd) == Fraction(1, 2)
+        assert field(dd, 0, "betweenness") == 1
+        assert bc_loc(dd) == Fraction(1, 2)
 
     def test_c5(self):
         g, dd = with_dd(make("cycle", 5))
-        assert field(g, dd, 0, "betweenness") == 2
-        assert bc_loc(g, dd) == 1
+        assert field(dd, 0, "betweenness") == 2
+        assert bc_loc(dd) == 1
 
     def test_windmill_hub(self):
         g, dd = with_dd(make("windmill", 2, 3))
-        assert field(g, dd, 0, "betweenness") == 8
+        assert field(dd, 0, "betweenness") == 8
 
     def test_common_neighbor_form(self, full_suite):
         # each non-adjacent neighbor pair contributes 1 / (number of common
@@ -77,39 +77,39 @@ class TestBetweenness:
                             common = sum(1 for w in g.neighbors(s)
                                          if g.adjacent(w, t))
                             expected += Fraction(2, common)
-                assert field(g, dd, i, "betweenness") == expected, name
+                assert field(dd, i, "betweenness") == expected, name
 
 
 class TestRadiality:
     def test_complete(self):
         g, dd = with_dd(make("complete", 4))
-        assert all(field(g, dd, i, "radiality") == 1 for i in range(4))
-        assert rad_loc(g, dd) == 1
+        assert all(field(dd, i, "radiality") == 1 for i in range(4))
+        assert rad_loc(dd) == 1
 
     def test_cycle(self):
         g, dd = with_dd(make("cycle", 5))
-        assert rad_loc(g, dd) == 1
+        assert rad_loc(dd) == 1
 
     def test_windmill(self):
         g, dd = with_dd(make("windmill", 2, 3))
-        assert rad_loc(g, dd) == Fraction(16, 15)
+        assert rad_loc(dd) == Fraction(16, 15)
 
 
 class TestCloseness:
     def test_complete(self):
         g, dd = with_dd(make("complete", 4))
-        assert all(field(g, dd, i, "closeness") == 1 for i in range(4))
-        assert clo_loc(g, dd) == 1
+        assert all(field(dd, i, "closeness") == 1 for i in range(4))
+        assert clo_loc(dd) == 1
 
     def test_cycle(self):
         g, dd = with_dd(make("cycle", 5))
-        assert all(field(g, dd, i, "closeness") == Fraction(1, 2)
+        assert all(field(dd, i, "closeness") == Fraction(1, 2)
                    for i in range(5))
-        assert clo_loc(g, dd) == Fraction(1, 2)
+        assert clo_loc(dd) == Fraction(1, 2)
 
     def test_windmill_bound(self):
         g, dd = with_dd(make("windmill", 2, 3))
-        value = clo_loc(g, dd)
+        value = clo_loc(dd)
         assert value == Fraction(23, 25)
         assert value >= Fraction(15, 17)
 
@@ -118,8 +118,8 @@ class TestPerVertexInvariants:
     def test_profiles_on_suite(self, full_suite):
         for name, g in full_suite[:35]:
             dd = all_pairs(g)
-            _, stress = betweenness_and_stress(g)
-            for p in profiles(g, dd):
+            _, stress = betweenness_and_stress(dd)
+            for p in profiles(dd):
                 i = p.vertex
                 d = g.degree(i)
                 if d < 2:
@@ -144,17 +144,17 @@ class TestPerVertexInvariants:
                 assert p.radiality == c_i + 1 - int(p.is_complete), name
 
     def test_degree_one_profile_is_zero(self, path3):
-        p = profile(path3, all_pairs(path3), 0)
+        p = profile(all_pairs(path3), 0)
         assert (p.avg_path, p.betweenness, p.diameter, p.radiality,
                 p.closeness, p.is_complete) == (0, 0, 0, 0, 0, True)
 
     def test_profiles_memoized_and_read_only(self):
         g, dd = with_dd(make("windmill", 2, 3))
-        first = profiles(g, dd)
+        first = profiles(dd)
         first.clear()
-        assert profiles(g, dd) == [profile(g, dd, i) for i in range(g.n)]
+        assert profiles(dd) == [profile(dd, i) for i in range(g.n)]
         with pytest.raises(dataclasses.FrozenInstanceError):
-            profiles(g, dd)[0].avg_path = Fraction(0)
+            profiles(dd)[0].avg_path = Fraction(0)
 
     def test_is_complete_neighborhood(self):
         g = make("windmill", 2, 3)

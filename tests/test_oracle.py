@@ -65,7 +65,7 @@ class TestOracleAgreement:
         for g, name in [(make("complete", 4), "K4"),
                         (make("cycle", 5), "C5"),
                         (make("windmill", 2, 3), "windmill(2,3)")]:
-            assert_reports_equal(compute_report(g), oracle_measures(g), name)
+            assert_reports_equal(compute_report(all_pairs(g)), oracle_measures(g), name)
 
     def test_c5_oracle_values(self):
         rep = oracle_measures(make("cycle", 5))
@@ -76,7 +76,7 @@ class TestOracleAgreement:
     def test_small_random_graphs(self):
         for seed in range(25):
             g = make("random-min-degree-2", 5 + seed % 6, seed=seed)
-            assert_reports_equal(compute_report(g), oracle_measures(g),
+            assert_reports_equal(compute_report(all_pairs(g)), oracle_measures(g),
                                  f"seed={seed}")
 
     def test_neighborhood_profiles_agree(self):
@@ -84,8 +84,7 @@ class TestOracleAgreement:
                         (make("cycle", 6), "C6"),
                         (make("hypercube", 3), "Q3"),
                         (make("random-min-degree-2", 9, seed=13), "rand9")]:
-            dd = all_pairs(g)
-            fast = profiles(g, dd)
+            fast = profiles(all_pairs(g))
             slow = oracle_neighborhood_profiles(g)
             for fp, sp in zip(fast, slow):
                 for field in fp.FIELDS:

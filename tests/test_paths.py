@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from centrel import (DisconnectedGraphError, FamilySpec, all_pairs,
                      avg_path_length, bfs, density, diameter, generate,
                      global_efficiency)
-from centrel.graphs import from_edge_list, is_connected
+from centrel.graphs import PreconditionError, from_edge_list, is_connected
 from centrel.oracle import enumerate_shortest_paths
 
 
@@ -58,6 +58,10 @@ class TestAllPairs:
     def test_disconnected_rejected(self, two_triangles):
         with pytest.raises(DisconnectedGraphError):
             all_pairs(two_triangles)
+
+    def test_single_vertex_rejected(self):
+        with pytest.raises(PreconditionError, match="at least 2 vertices"):
+            all_pairs(from_edge_list([], 1))
 
     def test_dense_size_guard(self):
         g = generate(FamilySpec("cycle", (20_001,)))

@@ -10,10 +10,9 @@ from centrel import (FamilySpec, PreconditionError, all_pairs, check_all,
                      check_cor_sandwich, check_lemma1, check_lemma2,
                      check_lemma3, check_thm1, check_thm2, check_thm3,
                      check_thm4, check_thm5, check_thm6, compute_report,
-                     generate, sweep_windmill)
+                     generate, profiles, sweep_windmill)
 from centrel.graphs import from_edge_list
-from centrel.relations import (neighborhoods_are_clique_unions,
-                               neighborhoods_unique_two_paths)
+from centrel.relations import neighborhoods_unique_two_paths
 from centrel.serialize import csv_value, human_value, json_value
 
 
@@ -21,63 +20,67 @@ def make(family, *params, seed=None):
     return generate(FamilySpec(family, params, seed=seed))
 
 
+def analysed(family, *params, seed=None):
+    return all_pairs(make(family, *params, seed=seed))
+
+
 class TestLemma1:
     def test_k4(self):
-        r = check_lemma1(make("complete", 4))
+        r = check_lemma1(analysed("complete", 4))
         assert r.holds and r.lhs == 1 and r.rhs == 1 and r.slack == 0
 
     def test_c5(self):
-        r = check_lemma1(make("cycle", 5))
+        r = check_lemma1(analysed("cycle", 5))
         assert r.holds and r.lhs == 2 and r.rhs == 2
 
     def test_random(self):
-        r = check_lemma1(make("random-min-degree-2", 30, seed=7))
+        r = check_lemma1(analysed("random-min-degree-2", 30, seed=7))
         assert r.holds and r.slack == 0
 
 
 class TestThm1:
     def test_k4(self):
-        r = check_thm1(make("complete", 4))
+        r = check_thm1(analysed("complete", 4))
         assert r.holds and r.lhs == 1 and r.rhs == 1
 
     def test_c5(self):
-        r = check_thm1(make("cycle", 5))
+        r = check_thm1(analysed("cycle", 5))
         assert r.holds and r.lhs == Fraction(1, 2)
 
     def test_windmill_5_4(self):
-        r = check_thm1(make("windmill", 5, 4))
+        r = check_thm1(analysed("windmill", 5, 4))
         assert r.holds and r.slack == 0
 
 
 class TestThm2:
     def test_c5_equality(self):
-        r = check_thm2(make("cycle", 5))
+        r = check_thm2(analysed("cycle", 5))
         assert r.holds and r.lhs == 0 and r.rhs == 0
         assert r.equality_expected and r.equality_observed
 
     def test_k4_trivial_equality(self):
-        r = check_thm2(make("complete", 4))
+        r = check_thm2(analysed("complete", 4))
         assert r.holds and r.lhs == 1 and r.rhs == 1 and r.equality_observed
 
     def test_c6_strict(self):
-        r = check_thm2(make("cycle", 6))
+        r = check_thm2(analysed("cycle", 6))
         assert r.holds and not r.equality_expected and not r.equality_observed
         assert r.rhs <= 0  # the stress term overshoots past zero
 
 
 class TestThm3:
     def test_complete_equality(self):
-        r = check_thm3(make("complete", 6))
+        r = check_thm3(analysed("complete", 6))
         assert r.holds and r.equality_expected and r.equality_observed
 
     @pytest.mark.parametrize("eta,k", [(2, 3), (3, 3), (2, 4), (3, 4)])
     def test_windmill_equality(self, eta, k):
-        r = check_thm3(make("windmill", eta, k))
+        r = check_thm3(analysed("windmill", eta, k))
         assert r.holds and r.equality_expected and r.equality_observed
 
     def test_c4_strict(self):
         g = make("cycle", 4)
-        r = check_thm3(g)
+        r = check_thm3(all_pairs(g))
         assert r.holds and r.rhs == Fraction(1, 2) and r.lhs == 0
         assert not r.equality_expected and not r.equality_observed
 
@@ -85,90 +88,83 @@ class TestThm3:
         # the induced neighborhoods of a 4-cycle are clique unions (two
         # isolated vertices), yet the antipodal pair has two 2-hop routes,
         # so the bound stays strict; the detector must look at path counts
-        g = make("cycle", 4)
-        dd = all_pairs(g)
-        assert neighborhoods_are_clique_unions(g)
-        assert not neighborhoods_unique_two_paths(dd)
+        assert not neighborhoods_unique_two_paths(analysed("cycle", 4))
 
     def test_detectors_agree_on_windmills(self):
         for eta, k in [(2, 3), (4, 4), (3, 5)]:
-            g = make("windmill", eta, k)
-            dd = all_pairs(g)
-            assert neighborhoods_are_clique_unions(g)
-            assert neighborhoods_unique_two_paths(dd)
+            assert neighborhoods_unique_two_paths(analysed("windmill", eta, k))
 
 
 class TestCorSandwich:
     def test_k4(self):
-        r = check_cor_sandwich(make("complete", 4))
+        r = check_cor_sandwich(analysed("complete", 4))
         assert r.holds and r.lhs == 0 and r.rhs == 0
 
     def test_c5(self):
-        r = check_cor_sandwich(make("cycle", 5))
+        r = check_cor_sandwich(analysed("cycle", 5))
         assert r.holds and r.lhs == 1 and r.rhs == 1
 
     def test_random(self):
-        r = check_cor_sandwich(make("random-min-degree-2", 25, seed=3))
+        r = check_cor_sandwich(analysed("random-min-degree-2", 25, seed=3))
         assert r.holds
 
 
 class TestLemma2:
     def test_complete_equality(self):
-        r = check_lemma2(make("complete", 5))
+        r = check_lemma2(analysed("complete", 5))
         assert r.holds and r.equality_observed and r.lhs == 1
 
     def test_c5_equality(self):
-        r = check_lemma2(make("cycle", 5))
+        r = check_lemma2(analysed("cycle", 5))
         assert r.holds and r.equality_expected and r.equality_observed
         assert r.lhs == Fraction(2, 3)
 
     def test_windmill_strict(self):
-        g = make("windmill", 2, 3)
-        dd = all_pairs(g)
-        assert set(dd.row_sums) == {4, 6}
-        r = check_lemma2(g, dd)
+        an = analysed("windmill", 2, 3)
+        assert set(an.row_sums) == {4, 6}
+        r = check_lemma2(an)
         assert r.holds and not r.equality_expected and not r.equality_observed
 
 
 class TestThm4:
     def test_k4_equality(self):
-        r = check_thm4(make("complete", 4))
+        r = check_thm4(analysed("complete", 4))
         assert r.holds and r.lhs == 1 and r.rhs == 1
 
     def test_c5_equality(self):
-        r = check_thm4(make("cycle", 5))
+        r = check_thm4(analysed("cycle", 5))
         assert r.holds and r.lhs == Fraction(1, 2) and r.rhs == Fraction(1, 2)
 
     def test_random(self):
-        r = check_thm4(make("random-min-degree-2", 30, seed=11))
+        r = check_thm4(analysed("random-min-degree-2", 30, seed=11))
         assert r.holds
 
 
 class TestLemma3:
     def test_k4(self):
-        r = check_lemma3(make("complete", 4))
+        r = check_lemma3(analysed("complete", 4))
         assert r.holds and r.lhs == 1 and r.rhs == 1
 
     def test_c5(self):
-        r = check_lemma3(make("cycle", 5))
+        r = check_lemma3(analysed("cycle", 5))
         assert r.holds and r.lhs == Fraction(3, 2)
 
     def test_every_family(self, family_suite):
         for name, g in family_suite:
-            assert check_lemma3(g).slack == 0, name
+            assert check_lemma3(all_pairs(g)).slack == 0, name
 
 
 class TestThm5:
     def test_k4(self):
-        r = check_thm5(make("complete", 4))
+        r = check_thm5(analysed("complete", 4))
         assert r.holds and r.lhs == 1
 
     def test_c5(self):
-        r = check_thm5(make("cycle", 5))
+        r = check_thm5(analysed("cycle", 5))
         assert r.holds and r.lhs == 0
 
     def test_windmill(self):
-        r = check_thm5(make("windmill", 2, 3))
+        r = check_thm5(analysed("windmill", 2, 3))
         assert r.holds and r.lhs == Fraction(13, 15)
         assert "4 of 5" in r.notes[0]
 
@@ -177,19 +173,19 @@ class TestThm6:
     def test_regular_graphs(self):
         for g in (make("cycle", 5), make("hypercube", 3),
                   make("circulant", 8, 1, 2)):
-            r = check_thm6(g)
+            r = check_thm6(all_pairs(g))
             assert r.relation == "cor_regular"
             assert r.holds and r.slack == 0 and r.equality_observed
 
     def test_windmill_anti_monotone(self):
-        r = check_thm6(make("windmill", 2, 3))
+        r = check_thm6(analysed("windmill", 2, 3))
         assert r.relation == "cor_thm6" and r.direction == "ge"
         assert r.hypothesis_met and r.holds
         assert r.lhs == Fraction(13, 15) and r.rhs == Fraction(3, 5)
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_glued_cycles_reverse_order(self, n):
-        r = check_thm6(make("complete-with-glued-4-cycles", n))
+        r = check_thm6(analysed("complete-with-glued-4-cycles", n))
         assert r.relation == "thm6" and r.direction == "le"
         assert r.holds and r.lhs < r.rhs
 
@@ -198,13 +194,13 @@ class TestThm6:
         # clustering 1 (triangle corners) and 0 (square corners)
         g = from_edge_list([(0, 1), (1, 2), (2, 0),
                             (2, 3), (3, 4), (4, 5), (5, 2)], 6)
-        r = check_thm6(g)
+        r = check_thm6(all_pairs(g))
         assert not r.hypothesis_met and r.direction == "none" and r.holds
 
     def test_all_clusterings_equal_on_k23(self):
         # two degree classes, every clustering 0: both orderings hold
         g = from_edge_list([(a, b) for a in (0, 1) for b in (2, 3, 4)], 5)
-        r = check_thm6(g)
+        r = check_thm6(all_pairs(g))
         assert (r.relation, r.direction, r.lhs, r.rhs) == ("thm6", "eq", 0, 0)
         assert r.holds and r.equality_expected and r.equality_observed
         assert r.notes == ["all local clusterings equal"]
@@ -213,31 +209,31 @@ class TestThm6:
 class TestPreconditionsAndPendants:
     def test_min_degree_required(self, path3):
         with pytest.raises(PreconditionError):
-            check_lemma1(path3)
+            check_lemma1(all_pairs(path3))
         with pytest.raises(PreconditionError):
-            check_thm1(path3)
+            check_thm1(all_pairs(path3))
 
     def test_lemma1_pendant_override_skips_degree_one(self, path3):
-        r = check_lemma1(path3, allow_pendant=True)
+        r = check_lemma1(all_pairs(path3), allow_pendant=True)
         assert r.holds
         assert any("skipped 2" in note for note in r.notes)
 
     def test_thm2_fails_under_conventions(self, path3):
         # degree-1 terms drop to 0, which breaks the stress bound: an honest
         # violation report rather than an error
-        r = check_thm2(path3, allow_pendant=True)
+        r = check_thm2(all_pairs(path3), allow_pendant=True)
         assert not r.holds and r.lhs == 0 and r.rhs == Fraction(2, 3)
 
     def test_lemma3_fine_with_pendants(self, path3):
-        assert check_lemma3(path3).holds
+        assert check_lemma3(all_pairs(path3)).holds
 
     def test_convention_outcomes_on_path3(self, path3):
         # the radiality identity survives the degree-1 conventions (the two
         # singleton neighborhoods count as complete), the closeness bound
         # does not; both are reported, not masked
-        r5 = check_thm5(path3, allow_pendant=True)
+        r5 = check_thm5(all_pairs(path3), allow_pendant=True)
         assert r5.holds and r5.notes[0] == "complete neighborhoods: 2 of 3"
-        r4 = check_thm4(path3, allow_pendant=True)
+        r4 = check_thm4(all_pairs(path3), allow_pendant=True)
         assert not r4.holds
         assert r4.lhs == Fraction(1, 2) and r4.rhs == Fraction(1, 6)
 
@@ -267,10 +263,23 @@ class TestPreconditionsAndPendants:
         monkeypatch.setattr(paths, "bfs", lambda g, s: calls.append(s) or kernel(g, s))
         for _, g in family_suite[:10]:
             calls.clear()
-            an = all_pairs(g)
-            check_all(g, an)
-            compute_report(g, an)
+            check_all(g)
             assert calls == list(range(g.n))
+            # the report and the profiles of one analysis read its pass
+            an = all_pairs(g)
+            calls.clear()
+            compute_report(an)
+            profiles(an)
+            assert calls == []
+
+    def test_check_all_refuses_a_pendant_before_any_bfs(self, monkeypatch, path3):
+        import centrel.paths as paths
+        calls = []
+        kernel = paths.bfs
+        monkeypatch.setattr(paths, "bfs", lambda g, s: calls.append(s) or kernel(g, s))
+        with pytest.raises(PreconditionError, match="degree < 2"):
+            check_all(path3)
+        assert calls == []
 
     def test_check_all_builds_per_graph_quantities_once(self, monkeypatch,
                                                          family_suite):
@@ -296,7 +305,7 @@ class TestPreconditionsAndPendants:
 
 class TestSerialization:
     def test_json_schema(self):
-        r = check_thm5(make("windmill", 2, 3))
+        r = check_thm5(analysed("windmill", 2, 3))
         d = json_value(r)
         assert d["relation"] == "thm5"
         assert d["lhs"] == {"exact": "13/15", "value": 13 / 15}
@@ -306,7 +315,7 @@ class TestSerialization:
                            "hypothesis_met", "notes"]
 
     def test_float_mode(self):
-        r = check_thm1(make("complete", 4))
+        r = check_thm1(analysed("complete", 4))
         d = json_value(r, exact=False)
         assert d["lhs"] == 1.0 and isinstance(d["lhs"], float)
 
@@ -363,7 +372,6 @@ class TestSweep:
 
     def test_degenerate_start_flagged(self):
         result = sweep_windmill(4, 3, eta_min=1)
-        assert result.degenerate_start
         assert result.rows[0] == (1, 1, 1)
         # trend flags ignore the single-clique point
         assert result.avg_strictly_increasing
