@@ -12,21 +12,23 @@ from fractions import Fraction
 
 from .graphs import Graph, PreconditionError
 from .paths import (Analysis, avg_path_length, density, diameter,
-                    efficiency_sum, global_efficiency)
+                    efficiency_sum, exact_sum, global_efficiency)
+
+
+def _clustering_ratio(g: Graph, i: int) -> tuple[int, int]:
+    """Local clustering of i as (twice the links among its neighbors,
+    d(d-1)), or (0, 1) for degree <= 1.  Each link a-b is counted from a and
+    from b, as a common neighbor of i and the other end."""
+    d = g.degree(i)
+    if d <= 1:
+        return 0, 1
+    nbrs = g.neighbor_set(i)
+    return sum(len(nbrs & g.neighbor_set(a)) for a in nbrs), d * (d - 1)
 
 
 def local_clustering(g: Graph, i: int) -> Fraction:
-    """Edge density of the subgraph induced on the neighbors of i.
-
-    Each link a-b among the neighbors is counted twice, once from a and once
-    from b, as a common neighbor of i and the other end.
-    """
-    d = g.degree(i)
-    if d <= 1:
-        return Fraction(0)
-    nbrs = g.neighbor_set(i)
-    twice_links = sum(len(nbrs & g.neighbor_set(a)) for a in nbrs)
-    return Fraction(twice_links, d * (d - 1))
+    """Edge density of the subgraph induced on the neighbors of i."""
+    return Fraction(*_clustering_ratio(g, i))
 
 
 def local_clusterings(an: Analysis) -> list[Fraction]:
@@ -38,7 +40,7 @@ def local_clusterings(an: Analysis) -> list[Fraction]:
 
 def average_clustering(g: Graph) -> Fraction:
     """Mean of the local clustering coefficients over all n vertices."""
-    return sum((local_clustering(g, i) for i in range(g.n)), Fraction(0)) / g.n
+    return exact_sum(_clustering_ratio(g, i) for i in range(g.n)) / g.n
 
 
 def triangle_count(g: Graph) -> int:
@@ -97,9 +99,8 @@ def neighborhood_efficiency(an: Analysis, v: int) -> Fraction:
 
 def local_efficiency(an: Analysis) -> Fraction:
     """Mean neighborhood efficiency over all vertices (degree-1 terms are 0)."""
-    total = sum((neighborhood_efficiency(an, v) for v in range(an.n)),
-                Fraction(0))
-    return total / an.n
+    return exact_sum(neighborhood_efficiency(an, v).as_integer_ratio()
+                     for v in range(an.n)) / an.n
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +159,7 @@ def compute_report(an: Analysis) -> CentralityReport:
         diameter=diameter(an),
         avg_path_length=avg_path_length(an),
         global_efficiency=global_efficiency(an),
-        avg_clustering=sum(clustering, Fraction(0)) / g.n,
+        avg_clustering=exact_sum(c.as_integer_ratio() for c in clustering) / g.n,
         global_clustering=glob_c,
         local_efficiency=local_efficiency(an),
     )

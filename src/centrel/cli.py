@@ -16,8 +16,8 @@ import sys
 from . import oracle
 from .centralities import CentralityReport, compute_report
 from .graphs import (FamilyParameterError, Graph, GraphFormatError,
-                     PreconditionError, generate, load_graph, parse_family,
-                     to_edge_list_text, to_json_graph)
+                     PreconditionError, check_size_cap, generate, load_graph,
+                     parse_family, to_edge_list_text, to_json_graph)
 from .neighborhood import profiles
 from .paths import all_pairs
 from .relations import RelationReport, SweepRow, check_all, sweep_windmill
@@ -35,6 +35,7 @@ def _graph_from_args(args) -> tuple[Graph, str]:
     if args.input:
         return load_graph(args.input), args.input
     spec = parse_family(args.family, args.params or "", seed=args.seed)
+    check_size_cap(spec.order())  # before a graph past the cap is built
     return generate(spec, allow_pendant=args.allow_pendant), spec.name()
 
 

@@ -177,8 +177,8 @@ def is_connected(g: Graph) -> bool:
 class FamilySpec:
     """A named generator family plus its integer parameters.
 
-    ``FAMILIES`` gives the number of parameters each family takes.  ``seed``
-    only applies to random-min-degree-2.
+    ``FAMILIES`` gives the number of parameters each family takes and the
+    vertex count they give.  ``seed`` only applies to random-min-degree-2.
     """
 
     family: str
@@ -192,7 +192,7 @@ class FamilySpec:
         object.__setattr__(self, "params", tuple(int(p) for p in self.params))
         if any(p <= 0 for p in self.params):
             raise FamilyParameterError("family parameters must be positive integers")
-        arity_ok, _ = FAMILIES[self.family]
+        arity_ok = FAMILIES[self.family][0]
         if not arity_ok(len(self.params)):
             raise FamilyParameterError(
                 f"wrong number of parameters for {self.family}: {self.params}")
@@ -202,6 +202,12 @@ class FamilySpec:
         if self.seed is not None:
             s += f"@seed={self.seed}"
         return s
+
+    def order(self) -> int | float:
+        """The graph's vertex count, from the parameters alone; ``math.inf``
+        from 2^64 on, so that no parameter builds a huge integer."""
+        n = FAMILIES[self.family][1](self.params)
+        return n if n < 1 << 64 else math.inf
 
 
 def _complete(n: int) -> Graph:
@@ -279,18 +285,22 @@ def _random_min_degree_2(n: int, seed: int | None, max_tries: int = 1000) -> Gra
         f"in {max_tries} tries")
 
 
-# name -> (accepts this many parameters, builds from the parameters and seed),
-# in the order that error messages list the families
+# name -> (accepts this many parameters, vertex count, builds from the
+# parameters and seed), in the order that error messages list the families
 FAMILIES = {
-    "complete": (lambda k: k == 1, lambda p, seed: _complete(p[0])),
-    "cycle": (lambda k: k == 1, lambda p, seed: _cycle(p[0])),
-    "circulant": (lambda k: k >= 2, lambda p, seed: _circulant(p[0], p[1:])),
-    "hypercube": (lambda k: k == 1, lambda p, seed: _hypercube(p[0])),
-    "windmill": (lambda k: k == 2, lambda p, seed: _windmill(p[0], p[1])),
-    "friendship": (lambda k: k == 1, lambda p, seed: _windmill(p[0], 3)),
-    "complete-with-glued-4-cycles": (lambda k: k == 1,
+    "complete": (lambda k: k == 1, lambda p: p[0], lambda p, seed: _complete(p[0])),
+    "cycle": (lambda k: k == 1, lambda p: p[0], lambda p, seed: _cycle(p[0])),
+    "circulant": (lambda k: k >= 2, lambda p: p[0],
+                  lambda p, seed: _circulant(p[0], p[1:])),
+    "hypercube": (lambda k: k == 1, lambda p: 1 << min(p[0], 64),
+                  lambda p, seed: _hypercube(p[0])),
+    "windmill": (lambda k: k == 2, lambda p: 1 + p[0] * (p[1] - 1),
+                 lambda p, seed: _windmill(p[0], p[1])),
+    "friendship": (lambda k: k == 1, lambda p: 1 + 2 * p[0],
+                   lambda p, seed: _windmill(p[0], 3)),
+    "complete-with-glued-4-cycles": (lambda k: k == 1, lambda p: 4 * p[0],
                                      lambda p, seed: _glued_4_cycles(p[0])),
-    "random-min-degree-2": (lambda k: k == 1,
+    "random-min-degree-2": (lambda k: k == 1, lambda p: p[0],
                             lambda p, seed: _random_min_degree_2(p[0], seed)),
 }
 
@@ -302,7 +312,7 @@ def generate(spec: FamilySpec, allow_pendant: bool = False) -> Graph:
     parameters that would break that are rejected unless ``allow_pendant``
     is set (used only for degree-1 convention experiments).
     """
-    _, build = FAMILIES[spec.family]
+    build = FAMILIES[spec.family][2]
     g = build(spec.params, spec.seed)
     if not allow_pendant and g.min_degree() < 2:
         raise FamilyParameterError(

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .graphs import Graph
-from .paths import Analysis
+from .paths import Analysis, exact_sum
 
 
 def is_complete_neighborhood(g: Graph, i: int) -> bool:
@@ -70,13 +70,12 @@ def profile(an: Analysis, i: int) -> NeighborhoodProfile:
     return NeighborhoodProfile(
         vertex=i,
         avg_path=Fraction(sum(x * count for x, count in hist.items()), pairs),
-        betweenness=sum((Fraction(count, paths)
-                         for paths, count in an.detours[i].items()), Fraction(0)),
+        betweenness=exact_sum((count, paths)
+                              for paths, count in an.detours[i].items()),
         diameter=diam,
         radiality=Fraction(sum(count * (diam + 1 - x)
                                for x, count in hist.items() if x), pairs),
-        closeness=sum((Fraction(d - 1, total) for total in an.pair_sums[i]),
-                      Fraction(0)) / d,
+        closeness=exact_sum((d - 1, total) for total in an.pair_sums[i]) / d,
         is_complete=complete,
     )
 
@@ -91,16 +90,15 @@ def profiles(an: Analysis) -> list[NeighborhoodProfile]:
 
 def bc_loc(an: Analysis) -> Fraction:
     """Mean of BC(i, N(i)) / (d_i (d_i - 1)) over all vertices."""
-    return sum((p.betweenness / (d * (d - 1))
-                for p, d in zip(profiles(an), an.g.degrees()) if d > 1),
-               Fraction(0)) / an.n
+    return exact_sum((p.betweenness.numerator, p.betweenness.denominator * d * (d - 1))
+                     for p, d in zip(profiles(an), an.g.degrees()) if d > 1) / an.n
 
 
 def rad_loc(an: Analysis) -> Fraction:
     """Mean neighborhood radiality over all vertices."""
-    return sum((p.radiality for p in profiles(an)), Fraction(0)) / an.n
+    return exact_sum(p.radiality.as_integer_ratio() for p in profiles(an)) / an.n
 
 
 def clo_loc(an: Analysis) -> Fraction:
     """Mean neighborhood closeness over all vertices."""
-    return sum((p.closeness for p in profiles(an)), Fraction(0)) / an.n
+    return exact_sum(p.closeness.as_integer_ratio() for p in profiles(an)) / an.n

@@ -13,6 +13,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Iterable
 
 from .graphs import Graph, PreconditionError, bfs, check_size_cap
 
@@ -149,13 +150,25 @@ def diameter(an: Analysis) -> int:
     return an.memo("diameter", lambda: max(max(hist) for hist in an.hists))
 
 
-def efficiency_sum(hist: Counter) -> Fraction:
-    """Sum of count/d over a histogram of hop distances d.
+def exact_sum(terms: Iterable[tuple[int, int]]) -> Fraction:
+    """Sum of p/q over integer pairs (p, q) with q > 0, as one ``Fraction``.
 
-    Entries with d <= 0 (a vertex to itself, or unreachable) contribute 0.
+    Like the betweenness totals of ``all_pairs``, it keeps one integer over
+    a common denominator grown by lcm only when a new q does not divide it.
     """
-    return sum((Fraction(count, d) for d, count in hist.items() if d > 0),
-               Fraction(0))
+    total, denom = 0, 1
+    for p, q in terms:
+        if denom % q:
+            grown = math.lcm(denom, q)
+            total *= grown // denom
+            denom = grown
+        total += p * (denom // q)
+    return Fraction(total, denom)
+
+
+def efficiency_sum(hist: Counter) -> Fraction:
+    """Sum of count/d over a histogram of hop distances d > 0."""
+    return exact_sum((count, d) for d, count in hist.items() if d > 0)
 
 
 def avg_path_length(an: Analysis) -> Fraction:

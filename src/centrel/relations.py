@@ -19,7 +19,7 @@ from .centralities import (average_clustering, betweenness_and_stress,
                            local_efficiency, radiality)
 from .graphs import FamilySpec, Graph, PreconditionError, generate
 from .neighborhood import bc_loc, clo_loc, profiles, rad_loc
-from .paths import Analysis, all_pairs, avg_path_length, diameter
+from .paths import Analysis, all_pairs, avg_path_length, diameter, exact_sum
 
 RELATION_ORDER = ("lemma1", "thm1", "thm2", "thm3", "cor_sandwich", "lemma2",
                   "thm4", "lemma3", "thm5", "thm6", "cor_thm6", "cor_regular")
@@ -86,7 +86,8 @@ def _eligible(g: Graph) -> tuple[list[int], list[str]]:
 
 
 def _mean(values: list[Fraction]) -> Fraction:
-    return sum(values, Fraction(0)) / len(values) if values else Fraction(0)
+    """The mean of the values, and 0 for none."""
+    return exact_sum(x.as_integer_ratio() for x in values) / max(len(values), 1)
 
 
 def check_lemma1(an: Analysis, allow_pendant: bool = False) -> RelationReport:
@@ -124,11 +125,8 @@ def check_thm2(an: Analysis, allow_pendant: bool = False) -> RelationReport:
     g = an.g
     _refuse_pendant(g, allow_pendant)
     _, stress = betweenness_and_stress(an)
-    term_total = Fraction(0)
-    for i in range(g.n):
-        d = g.degree(i)
-        if d >= 2:
-            term_total += Fraction(stress[i], d * (d - 1))
+    term_total = exact_sum((st, d * (d - 1))
+                           for st, d in zip(stress, g.degrees()) if d >= 2)
     lhs = _mean(local_clusterings(an))
     rhs = 1 - term_total / g.n
     return _report("thm2", "ge", lhs, rhs, diameter(an) <= 2)
@@ -182,7 +180,7 @@ def check_lemma2(an: Analysis, allow_pendant: bool = False) -> RelationReport:
 
     Equality is expected when all per-vertex distance sums agree.
     """
-    lhs = sum((closeness(an, v) for v in range(an.n)), Fraction(0)) / an.n
+    lhs = _mean([closeness(an, v) for v in range(an.n)])
     rhs = 1 / avg_path_length(an)
     return _report("lemma2", "ge", lhs, rhs, len(set(an.row_sums)) == 1)
 
@@ -196,7 +194,7 @@ def check_thm4(an: Analysis, allow_pendant: bool = False) -> RelationReport:
 
 def check_lemma3(an: Analysis, allow_pendant: bool = False) -> RelationReport:
     """Identity: mean radiality = diameter + 1 - average path length."""
-    lhs = sum((radiality(an, v) for v in range(an.n)), Fraction(0)) / an.n
+    lhs = _mean([radiality(an, v) for v in range(an.n)])
     rhs = diameter(an) + 1 - avg_path_length(an)
     return _report("lemma3", "eq", lhs, rhs, True)
 

@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from centrel import (DisconnectedGraphError, FamilySpec, all_pairs,
                      average_clustering, betweenness_and_stress, bfs, closeness,
@@ -83,6 +85,25 @@ class TestClustering:
                   make("circulant", 8, 1, 2), make("complete", 6),
                   make("circulant", 10, 1, 5)):
             assert average_clustering(g) == global_clustering(g)
+
+
+@st.composite
+def connected_graphs_with_pendants(draw, max_n=25):
+    """A random spanning tree, so with degree-1 vertices, plus random chords."""
+    n = draw(st.integers(min_value=2, max_value=max_n))
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges |= set(draw(st.lists(st.sampled_from(pairs), max_size=2 * n)))
+    return from_edge_list(sorted(edges), n)
+
+
+@given(connected_graphs_with_pendants())
+@settings(max_examples=100, deadline=None)
+def test_average_clustering_is_the_mean_of_the_local_ones(g):
+    # degree <= 1 vertices contribute 0 and still count in n
+    an = all_pairs(g)
+    mean = sum(local_clusterings(an), Fraction(0)) / g.n
+    assert average_clustering(g) == mean == compute_report(an).avg_clustering
 
 
 class TestBetweennessStress:

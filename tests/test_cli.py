@@ -8,6 +8,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from centrel import FamilySpec, from_edge_list, generate, oracle, to_edge_list_text
+from centrel import cli
 from centrel.cli import main
 
 
@@ -92,6 +93,16 @@ class TestCompute:
         code, _, err = run(capsys, "compute", "--input", str(path))
         assert code == 3
         assert "error" in err
+
+    @pytest.mark.parametrize("command", ["compute", "check", "oracle-diff"])
+    @pytest.mark.parametrize("family,params", [("hypercube", "40"),
+                                               ("complete", "20001")])
+    def test_oversized_family_refused_before_it_is_built(
+            self, capsys, monkeypatch, command, family, params):
+        monkeypatch.setattr(cli, "generate", lambda *a, **k: pytest.fail("built"))
+        code, out, err = run(capsys, command, "--family", family, "--params", params)
+        assert code == 3 and out == ""
+        assert "too large for the exact all-pairs analysis" in err
 
     def test_missing_file_exit_2(self, capsys):
         code, _, err = run(capsys, "compute", "--input", "/no/such/file")

@@ -177,6 +177,17 @@ class TestFamilyTable:
         assert str(exc.value).endswith("known: " + ", ".join(FAMILY_INSTANCES))
 
     @pytest.mark.parametrize("family", FAMILY_INSTANCES)
+    def test_order_is_the_generated_vertex_count(self, family):
+        params, seed, _ = FAMILY_INSTANCES[family]
+        spec = FamilySpec(family, params, seed=seed)
+        assert spec.order() == generate(spec).n
+
+    def test_order_past_64_bits_builds_no_huge_integer(self):
+        assert FamilySpec("hypercube", (63,)).order() == 1 << 63
+        assert FamilySpec("hypercube", (10 ** 30,)).order() == float("inf")
+        assert FamilySpec("windmill", (10 ** 3000, 10 ** 3000)).order() == float("inf")
+
+    @pytest.mark.parametrize("family", FAMILY_INSTANCES)
     def test_edge_list_text_pinned(self, family):
         params, seed, digest = FAMILY_INSTANCES[family]
         text = to_edge_list_text(generate(FamilySpec(family, params, seed=seed)))

@@ -1,9 +1,12 @@
 """Brute-force oracle: path enumeration and field-level agreement."""
 
+import ast
+from pathlib import Path
+
 import pytest
 
 from centrel import (FamilySpec, all_pairs, bfs, compute_report, generate,
-                     enumerate_shortest_paths, oracle_measures,
+                     enumerate_shortest_paths, oracle, oracle_measures,
                      oracle_neighborhood_profiles)
 from centrel.centralities import CentralityReport
 from centrel.neighborhood import profiles
@@ -11,6 +14,21 @@ from centrel.neighborhood import profiles
 
 def make(family, *params, seed=None):
     return generate(FamilySpec(family, params, seed=seed))
+
+
+def test_oracle_shares_only_types_with_the_fast_path():
+    # the oracle's sums must stay independent of the fast path's arithmetic
+    tree = ast.parse(Path(oracle.__file__).read_text(encoding="utf-8"))
+    from_centrel = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            assert not any(a.name.split(".")[0] == "centrel" for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "centrel"):
+            from_centrel |= {alias.name for alias in node.names}
+    assert "exact_sum" not in from_centrel
+    assert from_centrel == {"CentralityReport", "NeighborhoodProfile", "Graph",
+                            "PreconditionError"}
 
 
 class TestEnumeration:

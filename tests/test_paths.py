@@ -1,5 +1,6 @@
 """Distance/path-count correctness and the global distance metrics."""
 
+import math
 import tracemalloc
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from centrel import (DisconnectedGraphError, FamilySpec, all_pairs,
                      global_efficiency)
 from centrel.graphs import PreconditionError, from_edge_list, is_connected
 from centrel.oracle import enumerate_shortest_paths
+from centrel.paths import exact_sum
 
 
 def cycle(n):
@@ -174,3 +176,42 @@ def test_triangle_inequality(g):
         for t in range(g.n):
             for u in range(g.n):
                 assert dist[s][t] <= dist[s][u] + dist[u][t]
+
+
+def fraction_sum(terms):
+    return sum((Fraction(p, q) for p, q in terms), Fraction(0))
+
+
+NUMERATORS = st.integers(min_value=-10 ** 9, max_value=10 ** 9)
+PRIMES = [p for p in range(2, 1000) if all(p % d for d in range(2, int(p ** 0.5) + 1))]
+
+
+class TestExactSum:
+    def test_empty(self):
+        total = exact_sum([])
+        assert isinstance(total, Fraction) and total == 0
+
+    @given(st.lists(st.tuples(NUMERATORS, st.integers(1, 10 ** 6)), max_size=60))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_fraction_sum(self, terms):
+        assert exact_sum(terms) == fraction_sum(terms)
+
+    @given(st.lists(st.integers(1, 10 ** 6), max_size=40))
+    @settings(max_examples=50, deadline=None)
+    def test_zero_numerators(self, denominators):
+        assert exact_sum((0, q) for q in denominators) == 0
+
+    @given(st.integers(1, 10 ** 6), st.lists(NUMERATORS, max_size=60),
+           st.lists(st.tuples(NUMERATORS, st.integers(1, 50)), max_size=10))
+    @settings(max_examples=100, deadline=None)
+    def test_repeated_denominators(self, q, numerators, others):
+        terms = [(p, q) for p in numerators] + others + [(p, q) for p in numerators]
+        assert exact_sum(terms) == fraction_sum(terms)
+
+    @given(st.lists(st.sampled_from(PRIMES), min_size=1, max_size=len(PRIMES),
+                    unique=True), st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_many_pairwise_coprime_denominators(self, primes, data):
+        terms = [(data.draw(NUMERATORS), p) for p in primes]
+        assert exact_sum(terms) == fraction_sum(terms)
+        assert exact_sum((1, p) for p in primes).denominator == math.prod(primes)
