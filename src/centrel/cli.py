@@ -15,7 +15,7 @@ import sys
 
 from . import oracle
 from .centralities import CentralityReport, compute_report
-from .graphs import (FamilyParameterError, Graph, GraphFormatError,
+from .graphs import (FamilyParameterError, FamilySpec, Graph, GraphFormatError,
                      PreconditionError, check_size_cap, generate, load_graph,
                      parse_family, to_edge_list_text, to_json_graph)
 from .neighborhood import profiles
@@ -132,6 +132,7 @@ def cmd_generate(args) -> int:
     if not args.family:
         raise GraphFormatError("generate requires --family")
     spec = parse_family(args.family, args.params or "", seed=args.seed)
+    check_size_cap(spec.order())
     g = generate(spec, allow_pendant=args.allow_pendant)
     text = to_json_graph(g) + "\n" if args.format == "json" else to_edge_list_text(g)
     if args.output:
@@ -172,6 +173,7 @@ def _parse_sweep_params(args) -> tuple[int, int, int]:
 
 def cmd_sweep(args) -> int:
     k, lo, hi = _parse_sweep_params(args)
+    check_size_cap(FamilySpec("windmill", (hi, k)).order())  # the largest one
     if lo < 2:
         print(f"warning: windmill(1,{k}) is a single clique; the eta=1 row "
               "is excluded from the trend summary", file=sys.stderr)

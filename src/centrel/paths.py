@@ -1,10 +1,10 @@
-"""One BFS per source, folded into per-graph distance and path summaries.
+"""One BFS per twin class, folded into per-graph distance and path summaries.
 
 Distances are exact hop counts; shortest-path counts come from the standard
 BFS dynamic program.  ``all_pairs`` runs one counting BFS and one Brandes
-dependency sweep per source and keeps only the per-graph summaries in
-``Analysis``: no row outlives its source.  Derived means are exact
-rationals.
+dependency sweep per twin class of sources (``twin_classes``) and keeps
+only the per-graph summaries in ``Analysis``: no row outlives its source.
+Derived means are exact rationals.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ class DisconnectedGraphError(PreconditionError):
 
 @dataclass(eq=False)
 class Analysis:
-    """Per-graph summaries of one BFS per source, none of them n×n.
+    """Per-graph summaries of one BFS per twin class, none of them n×n.
 
     ``g`` is the graph the pass ran on.  ``all_pairs`` builds an Analysis
     only for a graph that is under the size cap, has at least 2 vertices and
@@ -37,15 +37,16 @@ class Analysis:
       (v itself at 0), so its largest key is v's eccentricity
     - ``pair_hists[v]``: hop distance -> number of ordered pairs (s, t) of
       neighbors of v that far apart (the pairs s == t at 0 included)
-    - ``pair_sums[v][k]``: the sum of the distances from the k-th neighbor
-      of v to the neighbors of v
+    - ``pair_sums[v]``: one entry per neighbor s of v, in no fixed order:
+      the sum of the distances from s to the neighbors of v
     - ``detours[v]``: path count sigma(s, t) -> number of ordered pairs of
       neighbors s, t of v at distance 2
 
     ``betweenness`` and ``stress`` are the Brandes results of the same pass.
     The per-graph results built from these (the diameter, the neighborhood
     profiles) and the local clusterings of the same graph are kept by
-    ``memo``, so the summaries must not be mutated afterwards.
+    ``memo``, so the summaries must not be mutated afterwards (twins share
+    one ``hists`` entry).
     """
 
     g: Graph
@@ -70,13 +71,41 @@ class Analysis:
         return self._memo[key]
 
 
+def twin_classes(g: Graph) -> list[list[int]]:
+    """The vertices of ``g`` in twin classes, found in O(n + m).
+
+    True twins share a closed neighborhood N[v], false twins an open one
+    N(v); no vertex has both (a false twin w of v would be adjacent to v's
+    true twin, hence to v, so w would be in N(v) = N(w)).  Each class ascends
+    from its representative, and the classes are ordered by it."""
+    closed: dict[frozenset, list[int]] = {}
+    for v in range(g.n):
+        closed.setdefault(g.neighbor_set(v) | {v}, []).append(v)
+    open_: dict[frozenset, list[int]] = {}
+    for members in closed.values():
+        if len(members) == 1:
+            open_.setdefault(g.neighbor_set(members[0]), []).append(members[0])
+    return sorted([c for c in closed.values() if len(c) > 1]
+                  + list(open_.values()))
+
+
+def _times(counts: Counter, k: int) -> dict:
+    return {key: count * k for key, count in counts.items()}
+
+
 def all_pairs(g: Graph) -> Analysis:
-    """One BFS per source, folded into an ``Analysis``.
+    """One BFS per twin class, folded into an ``Analysis``.
+
+    Only the representative r of each class (``twin_classes``) is a source.
+    Swapping r and a twin is an automorphism, so every member gets r's row
+    sum and histogram, and r's betweenness, stress and neighbor-pair fold
+    count once per member.  r adds nothing to its own class: the vertex
+    after a twin on a path from r would be a neighbor of r.
 
     Raises ``PreconditionError`` for a graph past the size cap or with fewer
     than 2 vertices, and ``DisconnectedGraphError`` for a disconnected one.
 
-    The same loop runs the Brandes (2001) dependency sweep from each source:
+    The same loop runs the Brandes (2001) dependency sweep from each source s:
     the vertices are visited in reverse BFS order, and each v sums over its
     successors w, the neighbors one hop farther from s.  Stress sums the
     tail counts T(v) = sum of 1 + T(w) (targets below v, path multiplicity
@@ -97,27 +126,43 @@ def all_pairs(g: Graph) -> Analysis:
         raise PreconditionError(
             f"the all-pairs analysis needs at least 2 vertices (n={n})")
     nbrs = [g.neighbors(v) for v in range(n)]
-    row_sums = []
-    hists = []
+    row_sums = [0] * n
+    hists: list = [None] * n  # every slot is set by its class
     pair_hists = [Counter() for _ in range(n)]
     pair_sums: list[list[int]] = [[] for _ in range(n)]
     detours = [Counter() for _ in range(n)]
     stress = [0] * n
     totals = [0] * n
     denom = 1
-    for s in range(n):
+    for members in twin_classes(g):
+        s, size = members[0], len(members)
         order, dist, sigma = bfs(g, s)
         if len(order) < n:
             raise DisconnectedGraphError(
                 f"vertex {s} cannot reach every vertex; distance sums undefined")
-        row_sums.append(sum(dist))
-        hists.append(Counter(dist))
-        # s is a neighbor of each i in N(s): fold in its distances to N(i)
-        for i in nbrs[s]:
-            row = [dist[t] for t in nbrs[i]]
-            pair_hists[i].update(row)
-            pair_sums[i].append(sum(row))
-            detours[i].update([sigma[t] for t in nbrs[i] if dist[t] == 2])
+        row_sum, hist = sum(dist), Counter(dist)
+        for v in members:
+            row_sums[v], hists[v] = row_sum, hist
+        if size == 1:
+            # s is a neighbor of each i in N(s): fold in its distances to N(i)
+            for i in nbrs[s]:
+                row = [dist[t] for t in nbrs[i]]
+                pair_hists[i].update(row)
+                pair_sums[i].append(sum(row))
+                detours[i].update([sigma[t] for t in nbrs[i] if dist[t] == 2])
+        else:
+            # Each twin u of s folds in the row of s at each i in N(u) outside
+            # the class (swapping u and s fixes i).  True twins are adjacent:
+            # each member also gets, from its size - 1 twins, s's row at one.
+            folds = [(i, i, size) for i in nbrs[s] if i not in members]
+            if g.adjacent(s, members[1]):
+                folds += [(v, members[1], size - 1) for v in members]
+            for i, j, times in folds:
+                row = [dist[t] for t in nbrs[j]]
+                pair_hists[i].update(_times(Counter(row), times))
+                pair_sums[i] += [sum(row)] * times
+                detours[i].update(_times(
+                    Counter(sigma[t] for t in nbrs[j] if dist[t] == 2), times))
 
         lcm_s = math.lcm(*set(sigma))
         if denom % lcm_s:
@@ -125,20 +170,20 @@ def all_pairs(g: Graph) -> Analysis:
             factor = grown // denom
             totals = [t * factor for t in totals]
             denom = grown
-        factor = denom // lcm_s
+        factor = denom // lcm_s * size  # all sources of the class at once
         steps = [0] * n  # L_s // sigma(w) + A(w)
-        paths_below = [0] * n  # 1 + T(w)
+        paths_below = [0] * n  # size * (1 + T(w))
         for k in range(n - 1, 0, -1):  # order[0] is s, which is skipped
             v = order[k]
             farther = dist[v] + 1
-            scaled = tail = 0  # A(v) and T(v)
+            scaled = tail = 0  # A(v) and size * T(v)
             for w in nbrs[v]:
                 if dist[w] == farther:
                     scaled += steps[w]
                     tail += paths_below[w]
             sv = sigma[v]
             steps[v] = lcm_s // sv + scaled
-            paths_below[v] = 1 + tail
+            paths_below[v] = size + tail
             stress[v] += sv * tail
             totals[v] += sv * scaled * factor
     return Analysis(g, row_sums, hists, pair_hists, pair_sums, detours,

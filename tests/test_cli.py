@@ -7,9 +7,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from centrel import FamilySpec, from_edge_list, generate, oracle, to_edge_list_text
+from centrel import (FamilySpec, Graph, from_edge_list, generate, oracle,
+                     read_edge_list_text, read_json_graph, to_edge_list_text)
 from centrel import cli
 from centrel.cli import main
+from centrel.graphs import GraphFormatError, PreconditionError
 
 
 def run(capsys, *argv):
@@ -275,6 +277,17 @@ class TestGenerate:
         code, _, _ = run(capsys, "generate", "--params", "4")
         assert code == 2
 
+    @pytest.mark.parametrize("family,params", [("hypercube", "40"),
+                                               ("complete", "20001")])
+    def test_oversized_family_refused_before_it_is_built(
+            self, capsys, monkeypatch, tmp_path, family, params):
+        monkeypatch.setattr(cli, "generate", lambda *a, **k: pytest.fail("built"))
+        path = tmp_path / "g.edges"
+        code, out, err = run(capsys, "generate", "--family", family,
+                             "--params", params, "--output", str(path))
+        assert code == 3 and out == "" and not path.exists()
+        assert "too large for the exact all-pairs analysis" in err
+
 
 class TestSweep:
     def test_csv_table(self, capsys):
@@ -312,6 +325,16 @@ class TestSweep:
             code, _, _ = run(capsys, "sweep", "--family", "windmill",
                              "--params", params)
             assert code == 2, params
+
+    @pytest.mark.parametrize("params, n", [("3,2,100000000", 200000001),
+                                           ("5,2,5000", 20001)])
+    def test_oversized_sweep_refused_before_any_graph_is_built(
+            self, capsys, monkeypatch, params, n):
+        import centrel.relations as relations
+        monkeypatch.setattr(relations, "generate", lambda *a, **k: pytest.fail("built"))
+        code, out, err = run(capsys, "sweep", "--params", params)
+        assert code == 3 and out == ""
+        assert f"too large for the exact all-pairs analysis (n={n} > 20000)" in err
 
 
 class TestUnreadFlags:
@@ -472,3 +495,25 @@ class TestInputFuzz:
             json.loads(text)
         except ValueError:
             assert code == 2
+
+
+class TestReaderFuzz:
+    """Each reader returns a Graph or raises GraphFormatError or
+    PreconditionError, whatever the text."""
+
+    def read(self, reader, text):
+        try:
+            assert isinstance(reader(text), Graph)
+        except (GraphFormatError, PreconditionError):
+            pass
+
+    @settings(max_examples=200, deadline=None)
+    @given(text=EDGE_TEXT | st.text(max_size=48))
+    def test_edge_list_text(self, text):
+        self.read(read_edge_list_text, text)
+
+    @settings(max_examples=200, deadline=None)
+    @given(text=JSONISH.map(json.dumps) | GRAPHISH.map(json.dumps)
+           | st.text(max_size=24))
+    def test_json_text(self, text):
+        self.read(read_json_graph, text)
