@@ -15,10 +15,9 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Sequence
 
-# The exact all-pairs analysis runs one BFS and one Brandes sweep per twin
-# class, so one per vertex on a graph without twins: its time grows as n*m
-# while it keeps no n*n data; past this many vertices a sparse graph would
-# take tens of minutes (measured in the README), so refuse early.
+# The exact all-pairs analysis runs one BFS and one Brandes sweep per orbit, so
+# n*m time and no n*n data on a graph without symmetry; past this many vertices
+# a sparse graph would take tens of minutes (see the README), so refuse early.
 MAX_DENSE_VERTICES = 20_000
 
 

@@ -1,10 +1,8 @@
-"""One BFS per twin class, folded into per-graph distance and path summaries.
+"""One BFS per orbit, folded into per-graph distance and path summaries.
 
-Distances are exact hop counts; shortest-path counts come from the standard
-BFS dynamic program.  ``all_pairs`` runs one counting BFS and one Brandes
-dependency sweep per twin class of sources (``twin_classes``) and keeps
-only the per-graph summaries in ``Analysis``: no row outlives its source.
-Derived means are exact rationals.
+Exact hop distances and shortest-path counts come from BFS.  ``all_pairs``
+runs one counting BFS and one Brandes dependency sweep per orbit of verified
+automorphisms (``orbits``), keeping only per-graph summaries in ``Analysis``.
 """
 
 from __future__ import annotations
@@ -24,7 +22,7 @@ class DisconnectedGraphError(PreconditionError):
 
 @dataclass(eq=False)
 class Analysis:
-    """Per-graph summaries of one BFS per twin class, none of them n×n.
+    """Per-graph summaries of one BFS per orbit, none of them n×n.
 
     ``g`` is the graph the pass ran on.  ``all_pairs`` builds an Analysis
     only for a graph that is under the size cap, has at least 2 vertices and
@@ -45,8 +43,8 @@ class Analysis:
     ``betweenness`` and ``stress`` are the Brandes results of the same pass.
     The per-graph results built from these (the diameter, the neighborhood
     profiles) and the local clusterings of the same graph are kept by
-    ``memo``, so the summaries must not be mutated afterwards (twins share
-    one ``hists`` entry).
+    ``memo``, so the summaries must not be mutated afterwards (the members
+    of an orbit share their entries).
     """
 
     g: Graph
@@ -71,36 +69,147 @@ class Analysis:
         return self._memo[key]
 
 
-def twin_classes(g: Graph) -> list[list[int]]:
-    """The vertices of ``g`` in twin classes, found in O(n + m).
+def _twin_quotient(g: Graph) -> tuple[list[int], list[frozenset], list]:
+    """The iterated twin quotient of ``g``: each vertex's node, and the
+    nodes' adjacency sets and colours.  Each O(n + m) round merges the true
+    twins (equal N[v]) and false twins (equal N(v)) of one colour into a node
+    coloured (kind, size, their colour).  A node's vertices share an orbit, and
+    a colour-keeping automorphism of the quotient lifts to ``g``."""
+    node_of, colour = list(range(g.n)), [0] * g.n
+    adj = [g.neighbor_set(v) for v in range(g.n)]
+    while True:
+        # no key (c, N[v]) is a (c, N(w)): v in N(w) puts w in N[v] = N(w)
+        twins: dict[tuple, list[int]] = {}
+        for v, nbrs in enumerate(adj):
+            twins.setdefault((colour[v], nbrs | {v}), []).append(v)
+        for key in [key for key, vs in twins.items() if len(vs) == 1]:
+            v = twins.pop(key)[0]
+            twins.setdefault((colour[v], adj[v]), []).append(v)
+        if len(twins) == len(adj):
+            return node_of, adj, colour
+        classes = sorted(twins.values())
+        node = {v: k for k, vs in enumerate(classes) for v in vs}
+        node_of = [node[x] for x in node_of]
+        colour = [colour[vs[0]] if len(vs) == 1 else
+                  (vs[1] in adj[vs[0]], len(vs), colour[vs[0]]) for vs in classes]
+        adj = [frozenset(node[u] for u in adj[vs[0]]) - {k}
+               for k, vs in enumerate(classes)]
 
-    True twins share a closed neighborhood N[v], false twins an open one
-    N(v); no vertex has both (a false twin w of v would be adjacent to v's
-    true twin, hence to v, so w would be in N(v) = N(w)).  Each class ascends
-    from its representative, and the classes are ordered by it."""
-    closed: dict[frozenset, list[int]] = {}
-    for v in range(g.n):
-        closed.setdefault(g.neighbor_set(v) | {v}, []).append(v)
-    open_: dict[frozenset, list[int]] = {}
-    for members in closed.values():
-        if len(members) == 1:
-            open_.setdefault(g.neighbor_set(members[0]), []).append(members[0])
-    return sorted([c for c in closed.values() if len(c) > 1]
-                  + list(open_.values()))
+
+def _refine(adj, cells: list[set], cell_of: list[int], queue: set[int]) -> None:
+    """1-WL: split the ordered partition ``cells`` from the splitters in
+    ``queue`` until it is equitable.  Steps read only cell positions and counts,
+    so an isomorphism that maps the cells in order still does so after it."""
+    while queue:
+        touched: dict[int, dict[int, list[int]]] = {}
+        for u, count in Counter(u for v in cells[queue.pop()] for u in adj[v]).items():
+            if len(cells[cell_of[u]]) > 1:
+                touched.setdefault(cell_of[u], {}).setdefault(count, []).append(u)
+        for c, groups in sorted(touched.items()):
+            # the lowest count's piece stays in place when no vertex is missed
+            counts = sorted(groups)[sum(map(len, groups.values())) == len(cells[c]):]
+            if counts:
+                pieces = [c, *range(len(cells), len(cells) + len(counts))]
+                for count in counts:
+                    cells[c].difference_update(groups[count])
+                    for v in groups[count]:
+                        cell_of[v] = len(cells)
+                    cells.append(set(groups[count]))
+                drop = c if c in queue else max(pieces, key=lambda p: len(cells[p]))
+                queue.update(p for p in pieces if p != drop)
 
 
-def _times(counts: Counter, k: int) -> dict:
-    return {key: count * k for key, count in counts.items()}
+def _leaf(adj, cells: list[set], cell_of: list[int], v: int, deep: bool) -> list[set]:
+    """Individualise v in a copy of the equitable partition and refine; if
+    ``deep``, then a vertex of the first non-singleton cell, until none is."""
+    cells, cell_of = [set(cell) for cell in cells], list(cell_of)
+    first = 0  # the cells before it are singletons, and stay so
+    while True:
+        cells[cell_of[v]].discard(v)
+        cell_of[v] = len(cells)
+        cells.append({v})
+        _refine(adj, cells, cell_of, {len(cells) - 1})
+        first = next((k for k in range(first, len(cells)) if len(cells[k]) > 1), -1)
+        if first < 0 or not deep:
+            return cells
+        v = cells[first].pop()
+
+
+def _pairing(left: list[set], right: list[set]) -> dict[int, int]:
+    """An unverified map: fix what two partitions share at a position, pair the rest."""
+    return {v: w for a, b in zip(left, right) for v, w in
+            [*zip(sorted(a - b), sorted(b - a)), *((x, x) for x in a & b)]}
+
+
+def _is_automorphism(adj: list[frozenset], colour: list, phi: dict) -> bool:
+    """True iff phi permutes the nodes, keeps colours and maps edges to edges."""
+    return (set(phi) == set(phi.values()) == set(range(len(adj)))
+            and all(colour[w] == colour[v] and all(phi[u] in adj[w] for u in adj[v])
+                    for v, w in phi.items()))
+
+
+def orbits(g: Graph) -> list[list[int]]:
+    """The orbits of a group of verified automorphisms, ascending and sorted.
+
+    1-WL splits the twin quotient into cells that are unions of orbits.  In
+    each, the smallest node r is mapped to the others, neighbors of r first,
+    by individualisation-refinement (McKay and Piperno, 2014): one step on
+    each side, else their discrete leaves.  A cell is left at its first
+    refusal.  A union-find over the used maps gives their group's orbits."""
+    node_of, adj, colour = _twin_quotient(g)
+    q, ids = len(adj), {}
+    cell_of = [ids.setdefault(key, len(ids)) for key in zip(colour, map(len, adj))]
+    for _ in range(8):  # plain 1-WL rounds settle most graphs, and cheaply
+        count, ids = len(ids), {}
+        cell_of = [ids.setdefault((c, *sorted(map(cell_of.__getitem__, nbrs))), len(ids))
+                   for c, nbrs in zip(cell_of, adj)]
+        if len(ids) in (count, q):  # stable, or discrete
+            break
+    cells: list[set] = [set() for _ in ids]
+    for v, k in enumerate(cell_of):
+        cells[k].add(v)
+    if len(ids) not in (count, q):  # the splitters finish the rounds
+        _refine(adj, cells, cell_of, set(range(len(cells))))
+    root = list(range(q))
+    def find(v: int) -> int:
+        while root[v] != v:
+            root[v] = v = root[root[v]]
+        return v
+    for cell in [cell for cell in cells if len(cell) > 1]:
+        r, near, leaf = min(cell), None, None
+        for s in [u for u in adj[r] if u in cell] + sorted(cell):
+            if find(s) != find(r):
+                near = near or _leaf(adj, cells, cell_of, r, False)
+                phi = _pairing(near, _leaf(adj, cells, cell_of, s, False))
+                # deeper only if s's first step is shaped like r's (phi is total)
+                if len(near) < q == len(phi) and not _is_automorphism(adj, colour, phi):
+                    leaf = leaf or _leaf(adj, cells, cell_of, r, True)
+                    phi = _pairing(leaf, _leaf(adj, cells, cell_of, s, True))
+                if not _is_automorphism(adj, colour, phi):
+                    break
+                for v, w in phi.items():
+                    root[find(v)] = find(w)
+    lifted: dict[int, list[int]] = {}
+    for v, x in enumerate(node_of):
+        lifted.setdefault(find(x), []).append(v)
+    return sorted(lifted.values())
+
+
+def _share(total, k: int):
+    """An orbit's sum of k equal ints, or Counters of them, over k; exact."""
+    if isinstance(total, Counter):
+        return Counter({key: _share(count, k) for key, count in total.items()})
+    if total % k:
+        raise ArithmeticError(f"orbit sum {total} is not {k} equal values")
+    return total // k
 
 
 def all_pairs(g: Graph) -> Analysis:
-    """One BFS per twin class, folded into an ``Analysis``.
+    """One BFS per orbit (``orbits``), folded into an ``Analysis``.
 
-    Only the representative r of each class (``twin_classes``) is a source.
-    Swapping r and a twin is an automorphism, so every member gets r's row
-    sum and histogram, and r's betweenness, stress and neighbor-pair fold
-    count once per member.  r adds nothing to its own class: the vertex
-    after a twin on a path from r would be a neighbor of r.
+    Only the smallest vertex of each orbit O is a source, with weight |O|, so
+    the summaries summed over each orbit P are true; as they are equal on P,
+    each member gets that sum over |P| (row sums and histograms are copied).
 
     Raises ``PreconditionError`` for a graph past the size cap or with fewer
     than 2 vertices, and ``DisconnectedGraphError`` for a disconnected one.
@@ -127,14 +236,12 @@ def all_pairs(g: Graph) -> Analysis:
             f"the all-pairs analysis needs at least 2 vertices (n={n})")
     nbrs = [g.neighbors(v) for v in range(n)]
     row_sums = [0] * n
-    hists: list = [None] * n  # every slot is set by its class
-    pair_hists = [Counter() for _ in range(n)]
+    hists: list = [None] * n  # every slot is set by its orbit
+    pair_hists, detours = [Counter() for _ in range(n)], [Counter() for _ in range(n)]
     pair_sums: list[list[int]] = [[] for _ in range(n)]
-    detours = [Counter() for _ in range(n)]
-    stress = [0] * n
-    totals = [0] * n
+    stress, totals = [0] * n, [0] * n
     denom = 1
-    for members in twin_classes(g):
+    for members in (classes := orbits(g)):
         s, size = members[0], len(members)
         order, dist, sigma = bfs(g, s)
         if len(order) < n:
@@ -143,34 +250,21 @@ def all_pairs(g: Graph) -> Analysis:
         row_sum, hist = sum(dist), Counter(dist)
         for v in members:
             row_sums[v], hists[v] = row_sum, hist
-        if size == 1:
-            # s is a neighbor of each i in N(s): fold in its distances to N(i)
-            for i in nbrs[s]:
-                row = [dist[t] for t in nbrs[i]]
-                pair_hists[i].update(row)
-                pair_sums[i].append(sum(row))
-                detours[i].update([sigma[t] for t in nbrs[i] if dist[t] == 2])
-        else:
-            # Each twin u of s folds in the row of s at each i in N(u) outside
-            # the class (swapping u and s fixes i).  True twins are adjacent:
-            # each member also gets, from its size - 1 twins, s's row at one.
-            folds = [(i, i, size) for i in nbrs[s] if i not in members]
-            if g.adjacent(s, members[1]):
-                folds += [(v, members[1], size - 1) for v in members]
-            for i, j, times in folds:
-                row = [dist[t] for t in nbrs[j]]
-                pair_hists[i].update(_times(Counter(row), times))
-                pair_sums[i] += [sum(row)] * times
-                detours[i].update(_times(
-                    Counter(sigma[t] for t in nbrs[j] if dist[t] == 2), times))
-
+        # s is a neighbor of each i in N(s): fold in its distances to N(i)
+        for i in nbrs[s]:
+            row = [dist[t] for t in nbrs[i]]
+            detour = [sigma[t] for t in nbrs[i] if dist[t] == 2]
+            pair_sums[i] += [sum(row)] * size
+            if size > 1:  # the passes of the whole orbit at once
+                row, detour = ({key: c * size for key, c in Counter(items).items()}
+                               for items in (row, detour))
+            pair_hists[i].update(row)
+            detours[i].update(detour)
         lcm_s = math.lcm(*set(sigma))
         if denom % lcm_s:
             grown = math.lcm(denom, lcm_s)
-            factor = grown // denom
-            totals = [t * factor for t in totals]
-            denom = grown
-        factor = denom // lcm_s * size  # all sources of the class at once
+            totals, denom = [t * (grown // denom) for t in totals], grown
+        factor = denom // lcm_s * size  # all sources of the orbit at once
         steps = [0] * n  # L_s // sigma(w) + A(w)
         paths_below = [0] * n  # size * (1 + T(w))
         for k in range(n - 1, 0, -1):  # order[0] is s, which is skipped
@@ -186,6 +280,13 @@ def all_pairs(g: Graph) -> Analysis:
             paths_below[v] = size + tail
             stress[v] += sv * tail
             totals[v] += sv * scaled * factor
+    for members in (members for members in classes if len(members) > 1):
+        for field in (pair_hists, pair_sums, detours, totals, stress):
+            values = [Counter(field[v]) if field is pair_sums else field[v]
+                      for v in members]
+            mean = _share(sum(values[1:], values[0]), len(members))
+            for v in members:
+                field[v] = list(mean.elements()) if field is pair_sums else mean
     return Analysis(g, row_sums, hists, pair_hists, pair_sums, detours,
                     [Fraction(t, denom) for t in totals], stress)
 

@@ -255,8 +255,8 @@ class TestPreconditionsAndPendants:
                 if r.equality_expected:
                     assert r.equality_observed, f"{name}: {r.relation}"
 
-    def test_check_and_compute_run_one_bfs_per_twin_class(self, monkeypatch,
-                                                           family_suite):
+    def test_check_and_compute_run_one_bfs_per_orbit(self, monkeypatch,
+                                                     family_suite):
         import centrel.paths as paths
         calls = []
         kernel = paths.bfs
@@ -264,9 +264,8 @@ class TestPreconditionsAndPendants:
         for _, g in family_suite[:10]:
             calls.clear()
             check_all(g)
-            # one call per class, on its representative: K_n and C_4 share
-            # passes, C_n for n >= 5 has no twins
-            assert calls == [members[0] for members in paths.twin_classes(g)]
+            # one call per orbit, on its smallest vertex: K_n and C_n run one
+            assert calls == [members[0] for members in paths.orbits(g)] == [0]
             # the report and the profiles of one analysis read its pass
             an = all_pairs(g)
             calls.clear()
