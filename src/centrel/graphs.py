@@ -147,11 +147,11 @@ def bfs(g: Graph, source: int) -> tuple[list[int], list[int], list[int]]:
     sigma = [0] * g.n
     dist[source] = 0
     sigma[source] = 1
-    order = [source]
+    order, nbrs = [source], g._neighbors
     for v in order:  # the list grows behind the loop: it is the queue
         below = dist[v] + 1
         sv = sigma[v]
-        for w in g.neighbors(v):
+        for w in nbrs[v]:
             dw = dist[w]
             if dw < 0:
                 dist[w] = below

@@ -92,17 +92,20 @@ def _twin_quotient(g: Graph) -> tuple[list[int], list[frozenset], list]:
         node_of = [node[x] for x in node_of]
         colour = [colour[vs[0]] if len(vs) == 1 else
                   (vs[1] in adj[vs[0]], len(vs), colour[vs[0]]) for vs in classes]
-        adj = [frozenset(node[u] for u in adj[vs[0]]) - {k}
-               for k, vs in enumerate(classes)]
+        adj = [frozenset(node[u] for u in adj[vs[0]]) - {k} for k, vs in enumerate(classes)]
 
 
 def _refine(adj, cells: list[set], cell_of: list[int], queue: set[int]) -> None:
     """1-WL: split the ordered partition ``cells`` from the splitters in
     ``queue`` until it is equitable.  Steps read only cell positions and counts,
     so an isomorphism that maps the cells in order still does so after it."""
-    while queue:
+    while queue and len(cells) < len(adj):  # a discrete partition is equitable
+        hits: dict[int, int] = {}
+        for v in cells[queue.pop()]:
+            for u in adj[v]:
+                hits[u] = hits.get(u, 0) + 1
         touched: dict[int, dict[int, list[int]]] = {}
-        for u, count in Counter(u for v in cells[queue.pop()] for u in adj[v]).items():
+        for u, count in hits.items():
             if len(cells[cell_of[u]]) > 1:
                 touched.setdefault(cell_of[u], {}).setdefault(count, []).append(u)
         for c, groups in sorted(touched.items()):
@@ -115,24 +118,25 @@ def _refine(adj, cells: list[set], cell_of: list[int], queue: set[int]) -> None:
                     for v in groups[count]:
                         cell_of[v] = len(cells)
                     cells.append(set(groups[count]))
-                drop = c if c in queue else max(pieces, key=lambda p: len(cells[p]))
-                queue.update(p for p in pieces if p != drop)
+                if c not in queue:  # any one piece's counts follow from the rest
+                    pieces.remove(max(pieces, key=lambda p: len(cells[p])))
+                queue.update(pieces)
 
 
-def _leaf(adj, cells: list[set], cell_of: list[int], v: int, deep: bool) -> list[set]:
-    """Individualise v in a copy of the equitable partition and refine; if
-    ``deep``, then a vertex of the first non-singleton cell, until none is."""
-    cells, cell_of = [set(cell) for cell in cells], list(cell_of)
-    first = 0  # the cells before it are singletons, and stay so
-    while True:
-        cells[cell_of[v]].discard(v)
-        cell_of[v] = len(cells)
-        cells.append({v})
-        _refine(adj, cells, cell_of, {len(cells) - 1})
+def _leaf(adj, cells: list[set], cell_of: list[int], v: int, deep: bool) -> tuple:
+    """A copy of an equitable partition, v individualised (unless alone) and refined;
+    if ``deep``, then a vertex of the first non-singleton cell, until none is."""
+    cells, cell_of, first = [set(cell) for cell in cells], list(cell_of), 0
+    while True:  # the cells before first are singletons, and stay so
+        if len(cells[cell_of[v]]) > 1:
+            cells[cell_of[v]].discard(v)
+            cell_of[v] = len(cells)
+            cells.append({v})
+            _refine(adj, cells, cell_of, {len(cells) - 1})
         first = next((k for k in range(first, len(cells)) if len(cells[k]) > 1), -1)
         if first < 0 or not deep:
-            return cells
-        v = cells[first].pop()
+            return cells, cell_of
+        v = next(iter(cells[first]))
 
 
 def _pairing(left: list[set], right: list[set]) -> dict[int, int]:
@@ -151,25 +155,21 @@ def _is_automorphism(adj: list[frozenset], colour: list, phi: dict) -> bool:
 def orbits(g: Graph) -> list[list[int]]:
     """The orbits of a group of verified automorphisms, ascending and sorted.
 
-    1-WL splits the twin quotient into cells that are unions of orbits.  In
-    each, the smallest node r is mapped to the others, neighbors of r first,
-    by individualisation-refinement (McKay and Piperno, 2014): one step on
-    each side, else their discrete leaves.  A cell is left at its first
-    refusal.  A union-find over the used maps gives their group's orbits."""
+    1-WL splits the twin quotient into cells that are unions of orbits.  Each
+    cell's smallest node r is mapped to the others, its neighbors first, by
+    individualisation-refinement (McKay and Piperno, 2014): one step on each
+    side, else discrete leaves grown from those steps.  A cell is left at its
+    first refusal; a union-find over the used maps gives their group's orbits."""
     node_of, adj, colour = _twin_quotient(g)
-    q, ids = len(adj), {}
-    cell_of = [ids.setdefault(key, len(ids)) for key in zip(colour, map(len, adj))]
-    for _ in range(8):  # plain 1-WL rounds settle most graphs, and cheaply
-        count, ids = len(ids), {}
-        cell_of = [ids.setdefault((c, *sorted(map(cell_of.__getitem__, nbrs))), len(ids))
-                   for c, nbrs in zip(cell_of, adj)]
-        if len(ids) in (count, q):  # stable, or discrete
-            break
+    q, ids, degree = len(adj), {}, list(map(len, adj))
+    cell_of = [ids.setdefault((c, degree[v], sum(map(degree.__getitem__, adj[v]))),
+                              len(ids)) for v, c in enumerate(colour)]
     cells: list[set] = [set() for _ in ids]
     for v, k in enumerate(cell_of):
         cells[k].add(v)
-    if len(ids) not in (count, q):  # the splitters finish the rounds
-        _refine(adj, cells, cell_of, set(range(len(cells))))
+    _refine(adj, cells, cell_of, set(range(len(cells))))
+    if len(cells) == q == g.n:  # discrete, and no twins: only the trivial group
+        return [[v] for v in range(q)]
     root = list(range(q))
     def find(v: int) -> int:
         while root[v] != v:
@@ -180,12 +180,14 @@ def orbits(g: Graph) -> list[list[int]]:
         for s in [u for u in adj[r] if u in cell] + sorted(cell):
             if find(s) != find(r):
                 near = near or _leaf(adj, cells, cell_of, r, False)
-                phi = _pairing(near, _leaf(adj, cells, cell_of, s, False))
-                # deeper only if s's first step is shaped like r's (phi is total)
-                if len(near) < q == len(phi) and not _is_automorphism(adj, colour, phi):
-                    leaf = leaf or _leaf(adj, cells, cell_of, r, True)
-                    phi = _pairing(leaf, _leaf(adj, cells, cell_of, s, True))
-                if not _is_automorphism(adj, colour, phi):
+                step = _leaf(adj, cells, cell_of, s, False)
+                phi = _pairing(near[0], step[0])
+                found = _is_automorphism(adj, colour, phi)
+                if not found and len(near[0]) < q == len(phi):  # one shape: go deeper
+                    leaf = leaf or _leaf(adj, *near, r, True)[0]
+                    phi = _pairing(leaf, _leaf(adj, *step, s, True)[0])
+                    found = _is_automorphism(adj, colour, phi)
+                if not found:
                     break
                 for v, w in phi.items():
                     root[find(v)] = find(w)
@@ -234,32 +236,30 @@ def all_pairs(g: Graph) -> Analysis:
     if n < 2:
         raise PreconditionError(
             f"the all-pairs analysis needs at least 2 vertices (n={n})")
-    nbrs = [g.neighbors(v) for v in range(n)]
-    row_sums = [0] * n
-    hists: list = [None] * n  # every slot is set by its orbit
-    pair_hists, detours = [Counter() for _ in range(n)], [Counter() for _ in range(n)]
-    pair_sums: list[list[int]] = [[] for _ in range(n)]
-    stress, totals = [0] * n, [0] * n
-    denom = 1
-    for members in (classes := orbits(g)):
+    nbrs, classes = [g.neighbors(v) for v in range(n)], orbits(g)
+    orbit = [k for _, k in sorted((v, k) for k, vs in enumerate(classes) for v in vs)]
+    # per orbit: the summaries of its members, the folds summed over them
+    row_sums, hists, pair_sums = [], [], [[] for _ in classes]
+    pair_hists, detours = [Counter() for _ in classes], [Counter() for _ in classes]
+    stress, totals, denom = [0] * n, [0] * n, 1  # per vertex until the end
+    for members in classes:
         s, size = members[0], len(members)
         order, dist, sigma = bfs(g, s)
         if len(order) < n:
             raise DisconnectedGraphError(
                 f"vertex {s} cannot reach every vertex; distance sums undefined")
-        row_sum, hist = sum(dist), Counter(dist)
-        for v in members:
-            row_sums[v], hists[v] = row_sum, hist
-        # s is a neighbor of each i in N(s): fold in its distances to N(i)
+        row_sums.append(sum(dist))
+        hists.append(Counter(dist))
+        # s is a neighbor of each i in N(s): fold in its distances to N(i), size times
         for i in nbrs[s]:
-            row = [dist[t] for t in nbrs[i]]
-            detour = [sigma[t] for t in nbrs[i] if dist[t] == 2]
-            pair_sums[i] += [sum(row)] * size
-            if size > 1:  # the passes of the whole orbit at once
-                row, detour = ({key: c * size for key, c in Counter(items).items()}
-                               for items in (row, detour))
-            pair_hists[i].update(row)
-            detours[i].update(detour)
+            near_hist, near_detours, near_sum = pair_hists[orbit[i]], detours[orbit[i]], 0
+            for t in nbrs[i]:
+                d = dist[t]
+                near_sum += d
+                near_hist[d] += size
+                if d == 2:
+                    near_detours[sigma[t]] += size
+            pair_sums[orbit[i]] += [near_sum] * size
         lcm_s = math.lcm(*set(sigma))
         if denom % lcm_s:
             grown = math.lcm(denom, lcm_s)
@@ -267,8 +267,7 @@ def all_pairs(g: Graph) -> Analysis:
         factor = denom // lcm_s * size  # all sources of the orbit at once
         steps = [0] * n  # L_s // sigma(w) + A(w)
         paths_below = [0] * n  # size * (1 + T(w))
-        for k in range(n - 1, 0, -1):  # order[0] is s, which is skipped
-            v = order[k]
+        for v in order[:0:-1]:  # order[0] is s, which is skipped
             farther = dist[v] + 1
             scaled = tail = 0  # A(v) and size * T(v)
             for w in nbrs[v]:
@@ -280,15 +279,16 @@ def all_pairs(g: Graph) -> Analysis:
             paths_below[v] = size + tail
             stress[v] += sv * tail
             totals[v] += sv * scaled * factor
-    for members in (members for members in classes if len(members) > 1):
-        for field in (pair_hists, pair_sums, detours, totals, stress):
-            values = [Counter(field[v]) if field is pair_sums else field[v]
-                      for v in members]
-            mean = _share(sum(values[1:], values[0]), len(members))
-            for v in members:
-                field[v] = list(mean.elements()) if field is pair_sums else mean
-    return Analysis(g, row_sums, hists, pair_hists, pair_sums, detours,
-                    [Fraction(t, denom) for t in totals], stress)
+    for k, members in enumerate(classes):
+        if (size := len(members)) > 1:
+            pair_hists[k], detours[k] = (_share(f[k], size) for f in (pair_hists, detours))
+            pair_sums[k] = list(_share(Counter(pair_sums[k]), size).elements())
+            for f in (totals, stress):
+                f[members[0]] = _share(sum(f[v] for v in members), size)
+    fields = (row_sums, hists, pair_hists, pair_sums, detours,
+              [Fraction(totals[vs[0]], denom) for vs in classes],
+              [stress[vs[0]] for vs in classes])
+    return Analysis(g, *([f[k] for k in orbit] for f in fields))
 
 
 def diameter(an: Analysis) -> int:

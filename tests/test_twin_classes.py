@@ -222,8 +222,8 @@ def test_a_map_that_is_not_an_automorphism_is_refused(monkeypatch, bfs_calls):
 
 
 def test_a_long_path_settles_through_the_splitters(monkeypatch):
-    # 1-WL needs about n/2 rounds on a path, more than the plain rounds run,
-    # so the splitter queue finishes the refinement from every cell
+    # 1-WL by whole rounds needs about n/2 of them on a path; the splitter
+    # queue refines from every initial cell at once
     import centrel.paths as paths
     queues = []
     refine = paths._refine
@@ -233,6 +233,19 @@ def test_a_long_path_settles_through_the_splitters(monkeypatch):
     assert orbits(g) == [[v, 39 - v] for v in range(20)]
     assert queues[0] > 1
     assert_fields_exact(g)
+
+
+def test_each_map_is_checked_once(monkeypatch):
+    # a spider with 4 legs of length 2: one step from a leg's first vertex
+    # already swaps two legs, so each of the 3 maps is checked only once
+    import centrel.paths as paths
+    verdicts = []
+    check = paths._is_automorphism
+    monkeypatch.setattr(paths, "_is_automorphism",
+                        lambda *args: verdicts.append(check(*args)) or verdicts[-1])
+    g = from_edge_list([(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6), (0, 7), (7, 8)], 9)
+    assert orbits(g) == [[0], [1, 3, 5, 7], [2, 4, 6, 8]]
+    assert verdicts == [True, True, True]
 
 
 def test_an_orbit_sum_that_does_not_divide_is_an_error():
