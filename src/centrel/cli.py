@@ -15,9 +15,9 @@ import sys
 
 from . import oracle
 from .centralities import CentralityReport, compute_report
-from .graphs import (FamilyParameterError, FamilySpec, Graph, GraphFormatError,
-                     PreconditionError, check_size_cap, generate, load_graph,
-                     parse_family, to_edge_list_text, to_json_graph)
+from .graphs import (FamilyParameterError, Graph, GraphFormatError,
+                     PreconditionError, generate, load_graph, parse_family,
+                     to_edge_list_text, to_json_graph)
 from .neighborhood import profiles
 from .paths import all_pairs
 from .relations import RelationReport, SweepRow, check_all, sweep_windmill
@@ -30,12 +30,15 @@ EXIT_VIOLATION = 4
 
 
 def _graph_from_args(args) -> tuple[Graph, str]:
-    if bool(args.input) == bool(args.family):
-        raise GraphFormatError("exactly one of --input and --family is required")
-    if args.input:
-        return load_graph(args.input), args.input
+    path = getattr(args, "input", None)  # generate takes no --input
+    if bool(path) == bool(args.family):
+        raise GraphFormatError("exactly one of --input and --family is required"
+                               if hasattr(args, "input") else "generate requires --family")
+    if path:
+        if args.params is not None or args.seed is not None:
+            raise GraphFormatError("--params and --seed apply to --family, not --input")
+        return load_graph(path), path
     spec = parse_family(args.family, args.params or "", seed=args.seed)
-    check_size_cap(spec.order())  # before a graph past the cap is built
     return generate(spec, allow_pendant=args.allow_pendant), spec.name()
 
 
@@ -129,16 +132,12 @@ def cmd_check(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_generate(args) -> int:
-    if not args.family:
-        raise GraphFormatError("generate requires --family")
-    spec = parse_family(args.family, args.params or "", seed=args.seed)
-    check_size_cap(spec.order())
-    g = generate(spec, allow_pendant=args.allow_pendant)
+    g, source = _graph_from_args(args)
     text = to_json_graph(g) + "\n" if args.format == "json" else to_edge_list_text(g)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
-        print(f"wrote {spec.name()}: n={g.n} m={g.m} -> {args.output}")
+        print(f"wrote {source}: n={g.n} m={g.m} -> {args.output}")
     else:
         sys.stdout.write(text)
     return EXIT_OK
@@ -148,36 +147,26 @@ def cmd_generate(args) -> int:
 # sweep
 # ---------------------------------------------------------------------------
 
-def _parse_sweep_params(args) -> tuple[int, int, int]:
-    if args.family not in (None, "windmill"):
-        raise FamilyParameterError("sweep supports only the windmill family")
+def _parse_sweep_params(params: str | None) -> tuple[int, int, int]:
     try:
-        toks = [int(t) for t in (args.params or "").split(",") if t.strip() != ""]
+        toks = [int(t) for t in (params or "").split(",") if t.strip() != ""]
     except ValueError as exc:
         raise FamilyParameterError(f"bad sweep parameters: {exc}") from exc
-    if len(toks) == 1:
-        k, lo, hi = toks[0], 2, 50
-    elif len(toks) == 2:
-        k, lo, hi = toks[0], 2, toks[1]
-    elif len(toks) == 3:
-        k, lo, hi = toks
-    else:
-        raise FamilyParameterError(
-            "sweep --params takes k[,eta_max] or k,eta_min,eta_max")
-    if k < 3 or lo < 1 or hi < lo:
-        raise FamilyParameterError(
-            f"sweep needs k >= 3 and a valid eta range, got k={k}, "
-            f"eta={lo}..{hi}")
+    if not 1 <= len(toks) <= 3:
+        raise FamilyParameterError("sweep --params takes k[,eta_max] or k,eta_min,eta_max")
+    k, *eta = toks  # sweep_windmill checks the values
+    lo, hi = {0: (2, 50), 1: (2, *eta), 2: eta}[len(eta)]
     return k, lo, hi
 
 
 def cmd_sweep(args) -> int:
-    k, lo, hi = _parse_sweep_params(args)
-    check_size_cap(FamilySpec("windmill", (hi, k)).order())  # the largest one
+    if args.family not in (None, "windmill"):
+        raise FamilyParameterError("sweep supports only the windmill family")
+    k, lo, hi = _parse_sweep_params(args.params)
+    result = sweep_windmill(hi, k, eta_min=lo)
     if lo < 2:
         print(f"warning: windmill(1,{k}) is a single clique; the eta=1 row "
               "is excluded from the trend summary", file=sys.stderr)
-    result = sweep_windmill(hi, k, eta_min=lo)
     if args.format == "json":
         _print_json(json_value(result, not args.float_values))
     else:

@@ -120,10 +120,11 @@ def from_edge_list(edges: Iterable[tuple[int, int]], n: int,
 
     Duplicate edges (in either orientation) are collapsed; the returned
     graph's ``duplicates_collapsed`` flag records whether any were seen.
-    Self-loops and out-of-range indices are errors.
+    Self-loops, out-of-range indices and n past the size cap are errors.
     """
     if n < 1:
         raise GraphFormatError("vertex count must be at least 1")
+    check_size_cap(n)
     adjacency: list[set[int]] = [set() for _ in range(n)]
     duplicates = False
     for i, j in edges:
@@ -268,20 +269,23 @@ def _glued_4_cycles(n: int) -> Graph:
     return from_edge_list(edges, total)
 
 
-def _random_min_degree_2(n: int, seed: int | None, max_tries: int = 1000) -> Graph:
+_MAX_TRIES = 1000  # random-min-degree-2 draws before it gives up
+
+
+def _random_min_degree_2(n: int, seed: int | None) -> Graph:
     # G(n, p) resampled until connected with min degree >= 2.
     if n < 3:
         raise FamilyParameterError("random-min-degree-2(n) needs n >= 3")
     rng = random.Random(seed)
     p = min(1.0, (math.log(n) + 2.0) / n)
-    for _ in range(max_tries):
+    for _ in range(_MAX_TRIES):
         edges = [(i, j) for i, j in combinations(range(n), 2) if rng.random() < p]
         g = from_edge_list(edges, n)
         if g.min_degree() >= 2 and is_connected(g):
             return g
     raise FamilyParameterError(
         f"could not sample a connected min-degree-2 graph on {n} vertices "
-        f"in {max_tries} tries")
+        f"in {_MAX_TRIES} tries")
 
 
 # name -> (accepts this many parameters, vertex count, builds from the
@@ -309,8 +313,10 @@ def generate(spec: FamilySpec, allow_pendant: bool = False) -> Graph:
 
     Every family produced here is connected with minimum degree >= 2;
     parameters that would break that are rejected unless ``allow_pendant``
-    is set (used only for degree-1 convention experiments).
+    is set (used only for degree-1 convention experiments).  A size past the
+    cap is refused before the family's builder runs.
     """
+    check_size_cap(spec.order())
     build = FAMILIES[spec.family][2]
     g = build(spec.params, spec.seed)
     if not allow_pendant and g.min_degree() < 2:
@@ -376,7 +382,6 @@ def read_edge_list_text(text: str) -> Graph:
                 raise GraphFormatError(
                     "labels must be integers in [0, n) when n= is declared") from exc
             edges.append((i, j))
-        check_size_cap(n_declared)
         return from_edge_list(edges, n_declared)
 
     index: dict[str, int] = {}
@@ -388,7 +393,6 @@ def read_edge_list_text(text: str) -> Graph:
         edges.append((index[a], index[b]))
     if not index:
         raise GraphFormatError("empty edge list and no n= header")
-    check_size_cap(len(index))
     labels = sorted(index, key=index.get)
     return from_edge_list(edges, len(index), labels=labels)
 
@@ -426,7 +430,6 @@ def read_json_graph(text: str) -> Graph:
                 and all(_is_json_int(x) for x in e)):
             raise GraphFormatError(f"bad edge entry {e!r}")
         edges.append((e[0], e[1]))
-    check_size_cap(n)
     return from_edge_list(edges, n)
 
 

@@ -75,7 +75,8 @@ def profile(an: Analysis, i: int) -> NeighborhoodProfile:
         diameter=diam,
         radiality=Fraction(sum(count * (diam + 1 - x)
                                for x, count in hist.items() if x), pairs),
-        closeness=exact_sum((d - 1, total) for total in an.pair_sums[i]) / d,
+        closeness=exact_sum((count * (d - 1), total)
+                            for total, count in an.pair_sums[i].items()) / d,
         is_complete=complete,
     )
 

@@ -35,8 +35,8 @@ class Analysis:
       (v itself at 0), so its largest key is v's eccentricity
     - ``pair_hists[v]``: hop distance -> number of ordered pairs (s, t) of
       neighbors of v that far apart (the pairs s == t at 0 included)
-    - ``pair_sums[v]``: one entry per neighbor s of v, in no fixed order:
-      the sum of the distances from s to the neighbors of v
+    - ``pair_sums[v]``: sum -> number of neighbors s of v whose distances
+      to the neighbors of v add up to that sum
     - ``detours[v]``: path count sigma(s, t) -> number of ordered pairs of
       neighbors s, t of v at distance 2
 
@@ -51,7 +51,7 @@ class Analysis:
     row_sums: list[int]
     hists: list[Counter]
     pair_hists: list[Counter]
-    pair_sums: list[list[int]]
+    pair_sums: list[Counter]
     detours: list[Counter]
     betweenness: list[Fraction]
     stress: list[int]
@@ -239,8 +239,8 @@ def all_pairs(g: Graph) -> Analysis:
     nbrs, classes = [g.neighbors(v) for v in range(n)], orbits(g)
     orbit = [k for _, k in sorted((v, k) for k, vs in enumerate(classes) for v in vs)]
     # per orbit: the summaries of its members, the folds summed over them
-    row_sums, hists, pair_sums = [], [], [[] for _ in classes]
-    pair_hists, detours = [Counter() for _ in classes], [Counter() for _ in classes]
+    row_sums, hists = [], []
+    pair_hists, pair_sums, detours = ([Counter() for _ in classes] for _ in range(3))
     stress, totals, denom = [0] * n, [0] * n, 1  # per vertex until the end
     for members in classes:
         s, size = members[0], len(members)
@@ -259,7 +259,7 @@ def all_pairs(g: Graph) -> Analysis:
                 near_hist[d] += size
                 if d == 2:
                     near_detours[sigma[t]] += size
-            pair_sums[orbit[i]] += [near_sum] * size
+            pair_sums[orbit[i]][near_sum] += size
         lcm_s = math.lcm(*set(sigma))
         if denom % lcm_s:
             grown = math.lcm(denom, lcm_s)
@@ -281,8 +281,8 @@ def all_pairs(g: Graph) -> Analysis:
             totals[v] += sv * scaled * factor
     for k, members in enumerate(classes):
         if (size := len(members)) > 1:
-            pair_hists[k], detours[k] = (_share(f[k], size) for f in (pair_hists, detours))
-            pair_sums[k] = list(_share(Counter(pair_sums[k]), size).elements())
+            for f in (pair_hists, pair_sums, detours):
+                f[k] = _share(f[k], size)
             for f in (totals, stress):
                 f[members[0]] = _share(sum(f[v] for v in members), size)
     fields = (row_sums, hists, pair_hists, pair_sums, detours,

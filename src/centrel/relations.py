@@ -17,12 +17,10 @@ from typing import NamedTuple
 from .centralities import (average_clustering, betweenness_and_stress,
                            closeness, global_clustering, local_clusterings,
                            local_efficiency, radiality)
-from .graphs import FamilySpec, Graph, PreconditionError, generate
+from .graphs import (FamilyParameterError, FamilySpec, Graph, PreconditionError,
+                     check_size_cap, generate)
 from .neighborhood import bc_loc, clo_loc, profiles, rad_loc
 from .paths import Analysis, all_pairs, avg_path_length, diameter, exact_sum
-
-RELATION_ORDER = ("lemma1", "thm1", "thm2", "thm3", "cor_sandwich", "lemma2",
-                  "thm4", "lemma3", "thm5", "thm6", "cor_thm6", "cor_regular")
 
 
 @dataclass
@@ -316,11 +314,15 @@ SweepResult.FIELDS = tuple(f.name for f in fields(SweepResult))
 
 
 def sweep_windmill(eta_max: int, k: int, eta_min: int = 2) -> SweepResult:
-    """Tabulate average vs global clustering for windmill(eta, k)."""
-    if k < 3:
-        raise ValueError("windmill sweep needs k >= 3")
-    if eta_min < 1 or eta_max < eta_min:
-        raise ValueError("bad eta range")
+    """Tabulate average vs global clustering for windmill(eta, k).
+
+    Before the first windmill is built, raises ``FamilyParameterError`` for
+    k < 3 or a bad eta range and ``PreconditionError`` for a largest windmill
+    past the size cap."""
+    if k < 3 or eta_min < 1 or eta_max < eta_min:
+        raise FamilyParameterError(f"sweep needs k >= 3 and a valid eta range, "
+                                   f"got k={k}, eta={eta_min}..{eta_max}")
+    check_size_cap(FamilySpec("windmill", (eta_max, k)).order())
     rows = []
     for eta in range(eta_min, eta_max + 1):
         g = generate(FamilySpec("windmill", (eta, k)))

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from centrel import FamilySpec, all_pairs, generate
-from centrel.graphs import from_edge_list
+from centrel.graphs import FAMILIES, from_edge_list
 
 
 def family_suite_specs() -> list[FamilySpec]:
@@ -46,6 +46,17 @@ def full_suite(family_suite, random_suite):
 def full_suite_dd(full_suite):
     """The full suite with shared all-pairs data."""
     return [(name, g, all_pairs(g)) for name, g in full_suite]
+
+
+@pytest.fixture
+def unbuildable(monkeypatch):
+    """``unbuildable(family)`` makes the family's builder fail the test if it
+    runs, so a size refusal is seen to come before the graph is built."""
+    def patch(family):
+        accepts, order, _ = FAMILIES[family]
+        monkeypatch.setitem(FAMILIES, family,
+                            (accepts, order, lambda *a: pytest.fail("built")))
+    return patch
 
 
 def graph_from_edges(edges, n):

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from centrel import (FamilySpec, Graph, from_edge_list, generate, oracle,
                      read_edge_list_text, read_json_graph, to_edge_list_text)
-from centrel import cli
 from centrel.cli import main
 from centrel.graphs import GraphFormatError, PreconditionError
 
@@ -100,8 +99,8 @@ class TestCompute:
     @pytest.mark.parametrize("family,params", [("hypercube", "40"),
                                                ("complete", "20001")])
     def test_oversized_family_refused_before_it_is_built(
-            self, capsys, monkeypatch, command, family, params):
-        monkeypatch.setattr(cli, "generate", lambda *a, **k: pytest.fail("built"))
+            self, capsys, unbuildable, command, family, params):
+        unbuildable(family)
         code, out, err = run(capsys, command, "--family", family, "--params", params)
         assert code == 3 and out == ""
         assert "too large for the exact all-pairs analysis" in err
@@ -280,8 +279,8 @@ class TestGenerate:
     @pytest.mark.parametrize("family,params", [("hypercube", "40"),
                                                ("complete", "20001")])
     def test_oversized_family_refused_before_it_is_built(
-            self, capsys, monkeypatch, tmp_path, family, params):
-        monkeypatch.setattr(cli, "generate", lambda *a, **k: pytest.fail("built"))
+            self, capsys, unbuildable, tmp_path, family, params):
+        unbuildable(family)
         path = tmp_path / "g.edges"
         code, out, err = run(capsys, "generate", "--family", family,
                              "--params", params, "--output", str(path))
@@ -352,6 +351,16 @@ class TestUnreadFlags:
         err = capsys.readouterr().err
         assert "unrecognized arguments" in err or "invalid choice" in err
 
+    @pytest.mark.parametrize("command", ["compute", "check", "oracle-diff"])
+    @pytest.mark.parametrize("flags", [("--params", "3"), ("--seed", "2"),
+                                       ("--params", "3", "--seed", "2")])
+    def test_family_flags_refused_with_input(self, capsys, tmp_path, command, flags):
+        path = tmp_path / "g.edges"
+        path.write_text("0 1\n1 2\n2 0\n")
+        assert run(capsys, command, "--input", str(path))[0] == 0
+        code, out, err = run(capsys, command, "--input", str(path), *flags)
+        assert (code, out) == (2, "")
+        assert "apply to --family, not --input" in err
 
     @pytest.mark.parametrize("flag", ["--exact", "--float"])
     @pytest.mark.parametrize("argv", [

@@ -11,7 +11,8 @@ from centrel import (FamilySpec, from_edge_list, generate, is_connected,
                      load_graph, read_edge_list_text, read_json_graph,
                      to_edge_list_text, to_json_graph)
 from centrel.centralities import triangle_count
-from centrel.graphs import FamilyParameterError, GraphFormatError, parse_family
+from centrel.graphs import (FamilyParameterError, GraphFormatError,
+                            PreconditionError, parse_family)
 
 
 class TestFromEdgeList:
@@ -36,6 +37,11 @@ class TestFromEdgeList:
     def test_out_of_range_rejected(self):
         with pytest.raises(GraphFormatError):
             from_edge_list([(0, 3)], 3)
+
+    def test_size_cap_refused(self):
+        with pytest.raises(PreconditionError, match="too large"):
+            from_edge_list([], 20_001)
+        assert from_edge_list([], 20_000).n == 20_000
 
     def test_neighbors_sorted(self):
         g = from_edge_list([(2, 0), (0, 1), (0, 3)], 4)
@@ -181,6 +187,14 @@ class TestFamilyTable:
         params, seed, _ = FAMILY_INSTANCES[family]
         spec = FamilySpec(family, params, seed=seed)
         assert spec.order() == generate(spec).n
+
+    @pytest.mark.parametrize("family, params", [("hypercube", (40,)),
+                                                ("complete", (20_001,))])
+    def test_oversized_family_refused_before_it_is_built(self, unbuildable,
+                                                        family, params):
+        unbuildable(family)
+        with pytest.raises(PreconditionError, match="too large"):
+            generate(FamilySpec(family, params))
 
     def test_order_past_64_bits_builds_no_huge_integer(self):
         assert FamilySpec("hypercube", (63,)).order() == 1 << 63

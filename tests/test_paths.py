@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from centrel import (DisconnectedGraphError, FamilySpec, all_pairs,
                      avg_path_length, bfs, density, diameter, generate,
                      global_efficiency)
-from centrel.graphs import PreconditionError, from_edge_list, is_connected
+from centrel.graphs import Graph, PreconditionError, from_edge_list, is_connected
 from centrel.oracle import enumerate_shortest_paths
 from centrel.paths import exact_sum
 
@@ -67,8 +67,9 @@ class TestAllPairs:
             all_pairs(from_edge_list([], 1))
 
     def test_dense_size_guard(self):
-        g = generate(FamilySpec("cycle", (20_001,)))
-        with pytest.raises(ValueError, match="too large"):
+        n = 20_001  # built directly: generate and from_edge_list refuse it
+        g = Graph([((v - 1) % n, (v + 1) % n) for v in range(n)])
+        with pytest.raises(PreconditionError, match="too large"):
             all_pairs(g)
 
     def test_matrices_symmetric_zero_diagonal(self, family_suite):

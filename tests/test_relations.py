@@ -11,7 +11,8 @@ from centrel import (FamilySpec, PreconditionError, all_pairs, check_all,
                      check_lemma3, check_thm1, check_thm2, check_thm3,
                      check_thm4, check_thm5, check_thm6, compute_report,
                      generate, profiles, sweep_windmill)
-from centrel.graphs import from_edge_list
+from centrel import relations
+from centrel.graphs import FamilyParameterError, from_edge_list
 from centrel.relations import neighborhoods_unique_two_paths
 from centrel.serialize import csv_value, human_value, json_value
 
@@ -378,7 +379,11 @@ class TestSweep:
         assert result.avg_strictly_increasing
 
     def test_bad_parameters(self):
-        with pytest.raises(ValueError):
-            sweep_windmill(10, 2)
-        with pytest.raises(ValueError):
-            sweep_windmill(1, 3, eta_min=5)
+        for eta_max, k, eta_min in ((10, 2, 2), (3, 2, 2), (1, 3, 5), (5, 3, 0)):
+            with pytest.raises(FamilyParameterError, match="sweep needs k >= 3"):
+                sweep_windmill(eta_max, k, eta_min=eta_min)
+
+    def test_oversized_sweep_refused_before_any_graph_is_built(self, monkeypatch):
+        monkeypatch.setattr(relations, "generate", lambda *a, **k: pytest.fail("built"))
+        with pytest.raises(PreconditionError, match=r"\(n=200000001 > 20000\)"):
+            sweep_windmill(10 ** 8, 3)
