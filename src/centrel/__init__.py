@@ -3,7 +3,7 @@ checks for simple undirected graphs.
 
 The fast implementations live in :mod:`centrel.paths`,
 :mod:`centrel.centralities`, and :mod:`centrel.neighborhood`;
-:mod:`centrel.oracle` recomputes everything by brute force for small graphs,
+:mod:`centrel.oracle` recomputes everything from the definitions (n <= 300),
 and :mod:`centrel.relations` verifies the identities and bounds that tie the
 measures together.
 """

@@ -20,7 +20,6 @@ from centrel import (all_pairs, average_clustering, check_lemma1,
 from centrel.centralities import CentralityReport, betweenness_and_stress
 from centrel.graphs import FamilySpec
 from centrel.neighborhood import profiles
-from centrel.oracle import betweenness_definitional, stress_definitional
 
 from conftest import family_suite_specs, random_suite_specs
 
@@ -183,9 +182,10 @@ def test_c10_brandes_definitional_cross_check(full_suite_dd):
     bad = []
     for name, g, dd in full_suite_dd:
         bc, st = betweenness_and_stress(dd)
-        if bc != betweenness_definitional(g):
+        slow = oracle_measures(g)
+        if bc != slow.betweenness:
             bad.append(f"{name}.betweenness")
-        if st != stress_definitional(g):
+        if st != slow.stress:
             bad.append(f"{name}.stress")
     ok = not bad
     report_line(10, ok, f"dependency accumulation equals definition-level "

@@ -13,7 +13,7 @@ from centrel import (DisconnectedGraphError, FamilySpec, all_pairs,
                      radiality)
 from centrel.centralities import triangle_count
 from centrel.graphs import from_edge_list
-from centrel.oracle import betweenness_definitional, stress_definitional
+from centrel.oracle import oracle_measures
 
 
 def make(family, *params, seed=None):
@@ -146,8 +146,9 @@ class TestBetweennessStress:
     def test_brandes_equals_definitional(self, family_suite):
         for name, g in family_suite:
             bc, st = betweenness_and_stress(all_pairs(g))
-            assert bc == betweenness_definitional(g), name
-            assert st == stress_definitional(g), name
+            slow = oracle_measures(g)
+            assert bc == slow.betweenness, name
+            assert st == slow.stress, name
 
     def test_stress_dominates_betweenness(self, full_suite):
         for name, g in full_suite[:30]:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from centrel import (FamilySpec, Graph, from_edge_list, generate, oracle,
+from centrel import (FamilySpec, Graph, from_edge_list, generate,
                      read_edge_list_text, read_json_graph, to_edge_list_text)
 from centrel.cli import main
 from centrel.graphs import GraphFormatError, PreconditionError
@@ -87,6 +87,22 @@ class TestCompute:
         assert lines[0] == "scope,metric,value"
         assert "graph,avg_path_length,1.5" in lines
         assert "vertex:0,betweenness,2" in lines
+
+    @pytest.mark.parametrize("name, clean, duplicated", [
+        ("g.edges", "0 1\n1 2\n2 0\n", "0 1\n1 0\n1 2\n2 0\n2 0\n"),
+        ("g.json", '{"n": 3, "edges": [[0, 1], [1, 2], [2, 0]]}',
+         '{"n": 3, "edges": [[0, 1], [1, 2], [2, 0], [2, 1]]}'),
+    ])
+    def test_duplicate_edges_warned_on_stderr(self, capsys, tmp_path, name, clean,
+                                             duplicated):
+        path = tmp_path / name
+        path.write_text(clean)
+        code, expected, err = run(capsys, "compute", "--input", str(path))
+        assert (code, err) == (0, "")
+        path.write_text(duplicated)
+        code, out, err = run(capsys, "compute", "--input", str(path))
+        assert (code, out) == (0, expected)
+        assert err == f"warning: {path}: duplicate edges collapsed\n"
 
     def test_disconnected_exit_3(self, capsys, tmp_path):
         path = tmp_path / "two.edges"
@@ -343,6 +359,7 @@ class TestUnreadFlags:
         ("sweep", "--params", "3,2,5", "--allow-pendant"),
         ("sweep", "--params", "3,2,5", "--format", "human"),
         ("generate", "--family", "cycle", "--params", "4", "--input", "g.edges"),
+        ("oracle-diff", "--family", "cycle", "--params", "5", "--cap", "6"),
     ])
     def test_rejected_by_the_parser(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
@@ -361,6 +378,15 @@ class TestUnreadFlags:
         code, out, err = run(capsys, command, "--input", str(path), *flags)
         assert (code, out) == (2, "")
         assert "apply to --family, not --input" in err
+
+    @pytest.mark.parametrize("command", ["compute", "oracle-diff"])
+    def test_allow_pendant_refused_with_input(self, capsys, tmp_path, command):
+        path = tmp_path / "g.edges"
+        path.write_text("0 1\n1 2\n2 0\n2 3\n")
+        assert run(capsys, command, "--input", str(path))[0] == 0
+        code, out, err = run(capsys, command, "--input", str(path), "--allow-pendant")
+        assert (code, out) == (2, "")
+        assert "--allow-pendant with --input applies to check only" in err
 
     @pytest.mark.parametrize("flag", ["--exact", "--float"])
     @pytest.mark.parametrize("argv", [
@@ -383,24 +409,29 @@ class TestOracleDiff:
         assert code == 0
         assert "identical" in out
 
-    def test_cap_exceeded(self, capsys):
-        code, _, err = run(capsys, "oracle-diff", "--family", "complete",
-                           "--params", "8", "--cap", "6")
-        assert code == 3
-        assert "cap=6" in err
+    def test_oracle_limit_exceeded(self, capsys):
+        code, out, err = run(capsys, "oracle-diff", "--family", "cycle",
+                             "--params", "301")
+        assert (code, out) == (3, "")
+        assert "n=301 > 300" in err
 
-    def test_paths_enumerated_once(self, capsys, monkeypatch):
-        calls = []
-        enumerate_paths = oracle.enumerate_shortest_paths
+    def test_past_the_enumeration_cap(self, capsys):
+        code, out, _ = run(capsys, "oracle-diff", "--family", "hypercube",
+                           "--params", "5")
+        assert code == 0
+        assert "identical (32 vertices)" in out
 
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return enumerate_paths(*args, **kwargs)
-
-        monkeypatch.setattr(oracle, "enumerate_shortest_paths", counted)
-        code, _, _ = run(capsys, "oracle-diff", "--family", "windmill",
-                         "--params", "2,3")
-        assert code == 0 and len(calls) == 1
+    @pytest.mark.parametrize("text, message", [
+        ("n=1\n", "the all-pairs analysis needs at least 2 vertices (n=1)"),
+        ("0 1\n1 2\n2 0\n3 4\n4 5\n5 3\n",
+         "vertex 0 cannot reach every vertex; distance sums undefined"),
+    ])
+    def test_refused_by_the_analysis_first(self, capsys, tmp_path, text, message):
+        path = tmp_path / "g.edges"
+        path.write_text(text)
+        code, out, err = run(capsys, "oracle-diff", "--input", str(path))
+        assert (code, out) == (3, "")
+        assert err == f"error: {message}\n"
 
 
 class TestDeterminism:

@@ -1,14 +1,21 @@
-"""Brute-force oracle: path enumeration and field-level agreement."""
+"""The counting oracle: path enumeration and field-level agreement.
+
+The ``slow`` tests (deselected by default, run with ``-m slow``) compare the
+fast path with the oracle on every field up to its 300-vertex limit.
+"""
 
 import ast
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from centrel import (FamilySpec, all_pairs, bfs, compute_report, generate,
                      enumerate_shortest_paths, oracle, oracle_measures,
                      oracle_neighborhood_profiles)
 from centrel.centralities import CentralityReport
+from centrel.graphs import PreconditionError, from_edge_list
 from centrel.neighborhood import profiles
 
 
@@ -102,9 +109,56 @@ class TestOracleAgreement:
                         (make("cycle", 6), "C6"),
                         (make("hypercube", 3), "Q3"),
                         (make("random-min-degree-2", 9, seed=13), "rand9")]:
-            fast = profiles(all_pairs(g))
-            slow = oracle_neighborhood_profiles(g)
-            for fp, sp in zip(fast, slow):
-                for field in fp.FIELDS:
-                    assert getattr(fp, field) == getattr(sp, field), \
-                        f"{name}: {field}[{fp.vertex}]"
+            assert_profiles_equal(profiles(all_pairs(g)),
+                                  oracle_neighborhood_profiles(g), name)
+
+
+def test_limit_refused_before_any_bfs(monkeypatch):
+    monkeypatch.setattr(oracle, "_bfs_levels", lambda *a: pytest.fail("BFS ran"))
+    g = make("cycle", oracle.ORACLE_MAX_VERTICES + 1)
+    for entry in (oracle_measures, oracle_neighborhood_profiles):
+        with pytest.raises(PreconditionError, match="n=301 > 300"):
+            entry(g)
+
+
+def assert_profiles_equal(fast, slow, name):
+    for fp, sp in zip(fast, slow, strict=True):
+        for field in fp.FIELDS:
+            assert getattr(fp, field) == getattr(sp, field), \
+                f"{name}: {field}[{fp.vertex}]"
+
+
+def assert_oracle_agrees(g, name):
+    an = all_pairs(g)
+    assert_reports_equal(compute_report(an), oracle_measures(g), name)
+    assert_profiles_equal(profiles(an), oracle_neighborhood_profiles(g), name)
+
+
+@st.composite
+def connected_graphs(draw, max_n=60):
+    """A random spanning tree plus a random subset of the remaining pairs."""
+    n = draw(st.integers(min_value=2, max_value=max_n))
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    others = [(i, j) for i in range(n) for j in range(i + 1, n)
+              if (i, j) not in edges]
+    edges |= set(draw(st.lists(st.sampled_from(others), max_size=3 * n))
+                 if others else [])
+    return from_edge_list(sorted(edges), n)
+
+
+@pytest.mark.slow
+class TestReach:
+    """The fast path equals the oracle far past the enumeration cap."""
+
+    @pytest.mark.parametrize("spec", [
+        FamilySpec("hypercube", (8,)),
+        FamilySpec("circulant", (300, 1, 2, 3, 5, 8, 13)),
+        *(FamilySpec("random-min-degree-2", (200,), seed=seed) for seed in (1, 2, 3)),
+    ], ids=FamilySpec.name)
+    def test_named_graphs(self, spec):
+        assert_oracle_agrees(generate(spec), spec.name())
+
+    @given(connected_graphs())
+    @settings(max_examples=50, deadline=None)
+    def test_connected_graphs_to_60(self, g):
+        assert_oracle_agrees(g, repr(g))

@@ -6,14 +6,15 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from centrel import (DisconnectedGraphError, FamilySpec, all_pairs,
                      avg_path_length, bfs, density, diameter, generate,
                      global_efficiency)
 from centrel.graphs import Graph, PreconditionError, from_edge_list, is_connected
-from centrel.oracle import enumerate_shortest_paths
+from centrel.oracle import (enumerate_shortest_paths, oracle_measures,
+                            oracle_neighborhood_profiles)
 from centrel.paths import exact_sum
 
 
@@ -173,6 +174,33 @@ def test_bfs_matches_enumeration(g):
                 continue
             assert dist[t] == pe.dist[s][t]
             assert sigma[t] == pe.count(s, t)
+
+
+@given(connected_graphs(max_n=10))
+# two diamonds in a row: sigma(0, 3) = sigma(3, 6) = 2, and 4 paths through 3
+@example(from_edge_list([(0, 1), (0, 2), (1, 3), (2, 3),
+                         (3, 4), (3, 5), (4, 6), (5, 6)], 7))
+@settings(max_examples=60, deadline=None)
+def test_oracle_counts_match_enumeration(g):
+    """Betweenness, stress and BC(i, N(i)) counted on the enumerated paths
+    equal the oracle's sigma(s, i) * sigma(i, t) / sigma(s, t) sums."""
+    pe = enumerate_shortest_paths(g, cap=10)
+    slow = oracle_measures(g)
+    slow_profiles = oracle_neighborhood_profiles(g)
+
+    def through(s, t, i):
+        return sum(1 for p in pe.paths[(s, t)] if i in p[1:-1])
+
+    def bc(i, ends):
+        return sum((Fraction(through(s, t, i), pe.count(s, t))
+                    for s in ends for t in ends if i != s != t != i), Fraction(0))
+
+    everyone = range(g.n)
+    for i in everyone:
+        assert slow.stress[i] == sum(through(s, t, i) for s in everyone
+                                     for t in everyone if i != s != t != i)
+        assert slow.betweenness[i] == bc(i, everyone)
+        assert slow_profiles[i].betweenness == bc(i, g.neighbors(i))
 
 
 @given(connected_graphs())
