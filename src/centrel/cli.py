@@ -2,8 +2,9 @@
 
 Commands: compute, check, generate, sweep, oracle-diff.  Exit codes:
 0 success (and every relation holds), 2 unreadable/invalid input or bad
-parameters, 3 precondition failure (disconnected graph, degree-1 vertex
-without the override, size caps), 4 relation violation or oracle mismatch.
+parameters, 3 precondition failure (disconnected graph, degree-1 vertex in
+``check`` without ``--allow-pendant``, size caps), 4 relation violation or
+oracle mismatch.
 Output is deterministic for a fixed command line and seed.
 """
 
@@ -37,14 +38,15 @@ def _graph_from_args(args) -> tuple[Graph, str]:
     if path:
         if args.params is not None or args.seed is not None:
             raise GraphFormatError("--params and --seed apply to --family, not --input")
-        if args.allow_pendant and args.command != "check":
-            raise GraphFormatError("--allow-pendant with --input applies to check only")
         g = load_graph(path)
         if g.duplicates_collapsed:
             print(f"warning: {path}: duplicate edges collapsed", file=sys.stderr)
         return g, path
+    if args.seed is not None and args.family != "random-min-degree-2":
+        raise FamilyParameterError(f"--seed applies to random-min-degree-2 only, "
+                                   f"not {args.family}")
     spec = parse_family(args.family, args.params or "", seed=args.seed)
-    return generate(spec, allow_pendant=args.allow_pendant), spec.name()
+    return generate(spec), spec.name()
 
 
 def _graph_header(g: Graph, source: str) -> dict:
@@ -190,7 +192,8 @@ def cmd_sweep(args) -> int:
 
 def cmd_oracle_diff(args) -> int:
     g, source = _graph_from_args(args)
-    an = all_pairs(g)  # first: it refuses n < 2 and disconnected graphs
+    oracle.check_oracle_limit(g.n)  # before the fast pass is spent on it
+    an = all_pairs(g)  # then n < 2 and disconnected graphs get its messages
     fast = compute_report(an)
     slow = oracle.oracle_measures(g)
     compared = [(f"{name}[{i}]", x, y)
@@ -233,9 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--input", help="edge-list or .json graph file")
         add_family(p)
         p.add_argument("--seed", type=int, default=None,
-                       help="seed for the random family")
-        p.add_argument("--allow-pendant", action="store_true",
-                       help="permit degree-1 vertices (degree-1 conventions apply)")
+                       help="seed for random-min-degree-2 (refused with other families)")
 
     def add_format(p, choices=("json", "csv", "human"), default="human"):
         p.add_argument("--format", choices=choices, default=default)
@@ -255,6 +256,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_check = sub.add_parser("check", help="verify every relation")
     add_source(p_check)
     add_format(p_check)
+    p_check.add_argument("--allow-pendant", action="store_true",
+                         help="permit degree-1 vertices (degree-1 conventions apply)")
     p_check.set_defaults(func=cmd_check)
 
     p_gen = sub.add_parser("generate", help="emit a family graph")

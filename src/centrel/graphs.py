@@ -178,7 +178,9 @@ class FamilySpec:
     """A named generator family plus its integer parameters.
 
     ``FAMILIES`` gives the number of parameters each family takes and the
-    vertex count they give.  ``seed`` only applies to random-min-degree-2.
+    vertex count they give.  Only random-min-degree-2 reads ``seed``; the
+    other families build the same graph for any seed, and the command line
+    refuses ``--seed`` with them.
     """
 
     family: str
@@ -211,7 +213,7 @@ class FamilySpec:
 
 
 def _complete(n: int) -> Graph:
-    # K_2 has minimum degree 1: generate accepts it only with allow_pendant
+    # K_2 (n = 2) is the one family graph with minimum degree 1
     if n < 2:
         raise FamilyParameterError("complete(n) needs n >= 2")
     return from_edge_list(combinations(range(n), 2), n)
@@ -308,21 +310,17 @@ FAMILIES = {
 }
 
 
-def generate(spec: FamilySpec, allow_pendant: bool = False) -> Graph:
+def generate(spec: FamilySpec) -> Graph:
     """Generate the named family graph.
 
-    Every family produced here is connected with minimum degree >= 2;
-    parameters that would break that are rejected unless ``allow_pendant``
-    is set (used only for degree-1 convention experiments).  A size past the
-    cap is refused before the family's builder runs.
+    Every family produced here is connected, and has minimum degree >= 2
+    except complete(2) = K_2; the relation check, not the generator, refuses
+    a degree-1 vertex.  A size past the cap is refused before the family's
+    builder runs.
     """
     check_size_cap(spec.order())
     build = FAMILIES[spec.family][2]
     g = build(spec.params, spec.seed)
-    if not allow_pendant and g.min_degree() < 2:
-        raise FamilyParameterError(
-            f"{spec.name()} has a vertex of degree < 2; "
-            "pass allow_pendant to permit it")
     if not is_connected(g):
         raise FamilyParameterError(f"{spec.name()} is disconnected")
     return g

@@ -74,11 +74,16 @@ def _path_counts(g: Graph, dist: list[int]) -> list[int]:
     return sigma
 
 
+def check_oracle_limit(n: int) -> None:
+    """Refuse a vertex count past ``ORACLE_MAX_VERTICES`` before any BFS."""
+    if n > ORACLE_MAX_VERTICES:
+        raise PreconditionError(f"graph too large for the oracle "
+                                f"(n={n} > {ORACLE_MAX_VERTICES})")
+
+
 def _rows(g: Graph) -> tuple[list[list[int]], list[list[int]]]:
     """The oracle's own distance and path-count rows from every source."""
-    if g.n > ORACLE_MAX_VERTICES:
-        raise PreconditionError(f"graph too large for the oracle "
-                                f"(n={g.n} > {ORACLE_MAX_VERTICES})")
+    check_oracle_limit(g.n)
     dist = _distance_rows(g)
     return dist, [_path_counts(g, row) for row in dist]
 

@@ -2,10 +2,11 @@
 
 Each checker computes both sides of one relation in exact arithmetic,
 decides whether it holds (zero tolerance), measures the slack, and detects
-the structural equality condition where one exists.  Checkers refuse graphs
-with degree-1 vertices unless explicitly overridden, in which case the
-degree-1 conventions apply and the outcome is reported honestly (several
-relations do not survive the conventions).
+the structural equality condition where one exists.  The relations are
+stated for minimum degree 2, and ``check_all`` alone refuses a degree-1
+vertex unless overridden; a checker applies the degree-1 conventions to any
+analysis and reports the outcome honestly (several relations do not survive
+the conventions).
 """
 
 from __future__ import annotations
@@ -67,13 +68,6 @@ def _report(relation: str, direction: str, lhs: Fraction, rhs: Fraction,
                           equality_observed=slack == 0, notes=notes or [])
 
 
-def _refuse_pendant(g: Graph, allow_pendant: bool) -> None:
-    if not allow_pendant and g.min_degree() < 2:
-        raise PreconditionError(
-            "graph has a vertex of degree < 2; rerun with the pendant override "
-            "to apply the degree-1 conventions")
-
-
 def _eligible(g: Graph) -> tuple[list[int], list[str]]:
     """Vertices with the degree-normalized quantities defined, and a note
     on the vertices skipped, if any."""
@@ -88,9 +82,8 @@ def _mean(values: list[Fraction]) -> Fraction:
     return exact_sum(x.as_integer_ratio() for x in values) / max(len(values), 1)
 
 
-def check_lemma1(an: Analysis, allow_pendant: bool = False) -> RelationReport:
+def check_lemma1(an: Analysis) -> RelationReport:
     """Per-vertex identity: neighborhood average path length = 2 - c_i."""
-    _refuse_pendant(an.g, allow_pendant)
     eligible, notes = _eligible(an.g)
     profs = profiles(an)
     clustering = local_clusterings(an)
@@ -106,22 +99,20 @@ def check_lemma1(an: Analysis, allow_pendant: bool = False) -> RelationReport:
                    slack=worst, notes=notes)
 
 
-def check_thm1(an: Analysis, allow_pendant: bool = False) -> RelationReport:
+def check_thm1(an: Analysis) -> RelationReport:
     """Identity: local efficiency = (1 + average clustering) / 2."""
-    _refuse_pendant(an.g, allow_pendant)
     lhs = local_efficiency(an)
     rhs = (1 + _mean(local_clusterings(an))) / 2
     return _report("thm1", "eq", lhs, rhs, True)
 
 
-def check_thm2(an: Analysis, allow_pendant: bool = False) -> RelationReport:
+def check_thm2(an: Analysis) -> RelationReport:
     """Bound: average clustering >= 1 - mean of Str(i)/(d_i(d_i-1)).
 
     Equality is expected whenever the diameter is at most 2 (every
     through-path then has length exactly 2).
     """
     g = an.g
-    _refuse_pendant(g, allow_pendant)
     _, stress = betweenness_and_stress(an)
     term_total = exact_sum((st, d * (d - 1))
                            for st, d in zip(stress, g.degrees()) if d >= 2)
@@ -137,24 +128,22 @@ def neighborhoods_unique_two_paths(an: Analysis) -> bool:
     return all(paths == 1 for detours in an.detours for paths in detours)
 
 
-def check_thm3(an: Analysis, allow_pendant: bool = False) -> RelationReport:
+def check_thm3(an: Analysis) -> RelationReport:
     """Bound: average clustering <= 1 - local betweenness.
 
     Equality is expected exactly when every non-adjacent neighbor pair has a
     unique shortest (2-hop) path; that implies, and is stronger than, every
     neighborhood splitting into disjoint cliques.
     """
-    _refuse_pendant(an.g, allow_pendant)
     lhs = _mean(local_clusterings(an))
     rhs = 1 - bc_loc(an)
     return _report("thm3", "le", lhs, rhs, neighborhoods_unique_two_paths(an))
 
 
-def check_cor_sandwich(an: Analysis, allow_pendant: bool = False) -> RelationReport:
+def check_cor_sandwich(an: Analysis) -> RelationReport:
     """Per-vertex sandwich:
     BC(i,N(i))/(d(d-1)) <= L(N(i)) - 1 <= Str(i)/(d(d-1))."""
     g = an.g
-    _refuse_pendant(g, allow_pendant)
     _, stress = betweenness_and_stress(an)
     eligible, notes = _eligible(g)
     profs = profiles(an)
@@ -173,7 +162,7 @@ def check_cor_sandwich(an: Analysis, allow_pendant: bool = False) -> RelationRep
                    slack=Fraction(0) if worst is None else worst, notes=notes)
 
 
-def check_lemma2(an: Analysis, allow_pendant: bool = False) -> RelationReport:
+def check_lemma2(an: Analysis) -> RelationReport:
     """Bound: mean closeness >= 1 / average path length.
 
     Equality is expected when all per-vertex distance sums agree.
@@ -183,24 +172,22 @@ def check_lemma2(an: Analysis, allow_pendant: bool = False) -> RelationReport:
     return _report("lemma2", "ge", lhs, rhs, len(set(an.row_sums)) == 1)
 
 
-def check_thm4(an: Analysis, allow_pendant: bool = False) -> RelationReport:
+def check_thm4(an: Analysis) -> RelationReport:
     """Bound: 1/(2 - average clustering) <= mean neighborhood closeness."""
-    _refuse_pendant(an.g, allow_pendant)
     lhs = 1 / (2 - _mean(local_clusterings(an)))
     return _report("thm4", "le", lhs, clo_loc(an), False)
 
 
-def check_lemma3(an: Analysis, allow_pendant: bool = False) -> RelationReport:
+def check_lemma3(an: Analysis) -> RelationReport:
     """Identity: mean radiality = diameter + 1 - average path length."""
     lhs = _mean([radiality(an, v) for v in range(an.n)])
     rhs = diameter(an) + 1 - avg_path_length(an)
     return _report("lemma3", "eq", lhs, rhs, True)
 
 
-def check_thm5(an: Analysis, allow_pendant: bool = False) -> RelationReport:
+def check_thm5(an: Analysis) -> RelationReport:
     """Identity: average clustering = local radiality - 1 + (complete
     neighborhoods) / n."""
-    _refuse_pendant(an.g, allow_pendant)
     lhs = _mean(local_clusterings(an))
     complete = sum(1 for p in profiles(an) if p.is_complete)
     rhs = rad_loc(an) - 1 + Fraction(complete, an.n)
@@ -242,7 +229,7 @@ _THM6_CASES = {
 }
 
 
-def check_thm6(an: Analysis, allow_pendant: bool = False) -> RelationReport:
+def check_thm6(an: Analysis) -> RelationReport:
     """Chebyshev ordering between average and global clustering.
 
     Co-monotone degree/clustering sequences give C_WS <= C, anti-monotone
@@ -271,11 +258,15 @@ CHECKERS = (check_lemma1, check_thm1, check_thm2, check_thm3,
 def check_all(g: Graph, allow_pendant: bool = False) -> list[RelationReport]:
     """Run every checker on one analysis of ``g``.
 
-    A degree-1 vertex is refused before the analysis is built.
+    A degree-1 vertex is refused before the analysis is built, unless
+    ``allow_pendant`` is set and the degree-1 conventions apply.
     """
-    _refuse_pendant(g, allow_pendant)
+    if not allow_pendant and g.min_degree() < 2:
+        raise PreconditionError(
+            "graph has a vertex of degree < 2; rerun with the pendant override "
+            "to apply the degree-1 conventions")
     an = all_pairs(g)
-    return [chk(an, allow_pendant=allow_pendant) for chk in CHECKERS]
+    return [chk(an) for chk in CHECKERS]
 
 
 # ---------------------------------------------------------------------------

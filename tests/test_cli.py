@@ -104,6 +104,19 @@ class TestCompute:
         assert (code, out) == (0, expected)
         assert err == f"warning: {path}: duplicate edges collapsed\n"
 
+    def test_complete_2_reports_like_a_k2_file(self, capsys, tmp_path):
+        code, out, _ = run(capsys, "compute", "--family", "complete", "--params",
+                           "2", "--format", "json")
+        assert code == 0
+        family = json.loads(out)
+        path = tmp_path / "k2.edges"
+        path.write_text("0 1\n")
+        code, out, _ = run(capsys, "compute", "--input", str(path), "--format", "json")
+        assert code == 0
+        file = json.loads(out)
+        for key in ("vertices", "graph_level"):
+            assert family[key] == file[key]
+
     def test_disconnected_exit_3(self, capsys, tmp_path):
         path = tmp_path / "two.edges"
         path.write_text("0 1\n1 2\n2 0\n3 4\n4 5\n5 3\n")
@@ -241,6 +254,18 @@ class TestCheck:
         assert code == 4  # conventions break some bounds; reported honestly
         assert "VIOLATED" in out
 
+    def test_complete_2_refused_then_ends_like_a_k2_file(self, capsys, tmp_path):
+        argv = ("check", "--family", "complete", "--params", "2")
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert "degree < 2" in err
+        path = tmp_path / "k2.edges"
+        path.write_text("0 1\n")
+        for source in (argv[1:], ("--input", str(path))):
+            code, out, err = run(capsys, "check", *source, "--allow-pendant")
+            assert (code, out) == (3, "")
+            assert err == "error: global clustering undefined: no vertex of degree >= 2\n"
+
     def test_single_vertex_with_pendant_override_exit_3(self, capsys, tmp_path):
         path = tmp_path / "one.edges"
         path.write_text("n=1\n")
@@ -360,6 +385,9 @@ class TestUnreadFlags:
         ("sweep", "--params", "3,2,5", "--format", "human"),
         ("generate", "--family", "cycle", "--params", "4", "--input", "g.edges"),
         ("oracle-diff", "--family", "cycle", "--params", "5", "--cap", "6"),
+        ("compute", "--family", "cycle", "--params", "4", "--allow-pendant"),
+        ("generate", "--family", "cycle", "--params", "4", "--allow-pendant"),
+        ("oracle-diff", "--family", "cycle", "--params", "4", "--allow-pendant"),
     ])
     def test_rejected_by_the_parser(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
@@ -379,14 +407,15 @@ class TestUnreadFlags:
         assert (code, out) == (2, "")
         assert "apply to --family, not --input" in err
 
-    @pytest.mark.parametrize("command", ["compute", "oracle-diff"])
-    def test_allow_pendant_refused_with_input(self, capsys, tmp_path, command):
-        path = tmp_path / "g.edges"
-        path.write_text("0 1\n1 2\n2 0\n2 3\n")
-        assert run(capsys, command, "--input", str(path))[0] == 0
-        code, out, err = run(capsys, command, "--input", str(path), "--allow-pendant")
+    @pytest.mark.parametrize("command", ["compute", "check", "generate", "oracle-diff"])
+    @pytest.mark.parametrize("family, params", [("cycle", "4"), ("hypercube", "3")])
+    def test_seed_refused_with_a_deterministic_family(self, capsys, command,
+                                                      family, params):
+        argv = (command, "--family", family, "--params", params)
+        assert run(capsys, *argv)[0] == 0
+        code, out, err = run(capsys, *argv, "--seed", "2")
         assert (code, out) == (2, "")
-        assert "--allow-pendant with --input applies to check only" in err
+        assert err == f"error: --seed applies to random-min-degree-2 only, not {family}\n"
 
     @pytest.mark.parametrize("flag", ["--exact", "--float"])
     @pytest.mark.parametrize("argv", [
@@ -409,7 +438,10 @@ class TestOracleDiff:
         assert code == 0
         assert "identical" in out
 
-    def test_oracle_limit_exceeded(self, capsys):
+    def test_oracle_limit_exceeded(self, capsys, monkeypatch):
+        # refused before the fast pass, which would be wasted
+        import centrel.cli as cli
+        monkeypatch.setattr(cli, "all_pairs", lambda g: pytest.fail("fast pass ran"))
         code, out, err = run(capsys, "oracle-diff", "--family", "cycle",
                              "--params", "301")
         assert (code, out) == (3, "")
@@ -478,8 +510,9 @@ class TestMetamorphic:
     def test_edge_list_json_round_trip(self, capsys, tmp_path, family, params):
         payloads = []
         for fmt, name in (("human", "g.edges"), ("json", "g.json")):
+            seed = ("--seed", "4") if family == "random-min-degree-2" else ()
             code, _, _ = run(capsys, "generate", "--family", family, "--params",
-                             params, "--seed", "4", "--format", fmt,
+                             params, *seed, "--format", fmt,
                              "--output", str(tmp_path / name))
             assert code == 0
             payload = compute_json(capsys, tmp_path / name)

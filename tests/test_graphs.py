@@ -11,7 +11,7 @@ from centrel import (FamilySpec, from_edge_list, generate, is_connected,
                      load_graph, read_edge_list_text, read_json_graph,
                      to_edge_list_text, to_json_graph)
 from centrel.centralities import triangle_count
-from centrel.graphs import (FamilyParameterError, GraphFormatError,
+from centrel.graphs import (FAMILIES, FamilyParameterError, GraphFormatError,
                             PreconditionError, parse_family)
 
 
@@ -52,6 +52,21 @@ class TestFromEdgeList:
         for i in range(3):
             for j in g.neighbors(i):
                 assert g.adjacent(j, i)
+
+
+# A few legal parameter sets per family, the smallest first; the random
+# family is drawn at each of RANDOM_SEEDS.
+FAMILY_CONTRACT = {
+    "complete": [(2,), (3,), (5,)],
+    "cycle": [(3,), (7,)],
+    "circulant": [(3, 1), (4, 1, 2), (9, 2), (9, 1, 3), (10, 1, 5)],
+    "hypercube": [(2,), (4,)],
+    "windmill": [(1, 3), (2, 3), (3, 4)],
+    "friendship": [(1,), (4,)],
+    "complete-with-glued-4-cycles": [(1,), (2,), (4,)],
+    "random-min-degree-2": [(3,), (12,), (15,)],
+}
+RANDOM_SEEDS = (0, 1, 3)
 
 
 class TestGenerators:
@@ -100,15 +115,17 @@ class TestGenerators:
         assert all(d == 4 for d in g.degrees())
 
     def test_all_families_connected_min_degree_2(self):
-        specs = [FamilySpec("complete", (5,)), FamilySpec("cycle", (7,)),
-                 FamilySpec("circulant", (9, 1, 3)), FamilySpec("hypercube", (4,)),
-                 FamilySpec("windmill", (3, 4)), FamilySpec("friendship", (4,)),
-                 FamilySpec("complete-with-glued-4-cycles", (4,)),
-                 FamilySpec("random-min-degree-2", (15,), seed=3)]
-        for spec in specs:
-            g = generate(spec)
-            assert is_connected(g), spec.name()
-            assert g.min_degree() >= 2, spec.name()
+        # generate checks connectivity but not the degree: this contract keeps
+        # every family but K_2 inside the relations' hypothesis
+        for family in FAMILIES:
+            seeds = RANDOM_SEEDS if family == "random-min-degree-2" else (None,)
+            for params in FAMILY_CONTRACT[family]:
+                for seed in seeds:
+                    spec = FamilySpec(family, params, seed=seed)
+                    g = generate(spec)
+                    assert is_connected(g), spec.name()
+                    if (family, params) != ("complete", (2,)):
+                        assert g.min_degree() >= 2, spec.name()
 
     def test_random_family_deterministic(self):
         a = generate(FamilySpec("random-min-degree-2", (20,), seed=11))
@@ -131,11 +148,11 @@ class TestGenerators:
         with pytest.raises(FamilyParameterError):
             generate(FamilySpec("circulant", (6, 2)))
 
-    def test_complete_2_needs_pendant_override(self):
-        with pytest.raises(FamilyParameterError):
-            generate(FamilySpec("complete", (2,)))
-        g = generate(FamilySpec("complete", (2,)), allow_pendant=True)
-        assert g.n == 2 and g.m == 1
+    def test_complete_2_is_k2(self):
+        # the one family graph of minimum degree 1: the relation check, not
+        # the generator, refuses it
+        g = generate(FamilySpec("complete", (2,)))
+        assert (g.n, g.m, g.degrees()) == (2, 1, [1, 1])
 
     def test_parse_family(self):
         spec = parse_family("windmill", "2,3")

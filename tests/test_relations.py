@@ -208,21 +208,15 @@ class TestThm6:
 
 
 class TestPreconditionsAndPendants:
-    def test_min_degree_required(self, path3):
-        with pytest.raises(PreconditionError):
-            check_lemma1(all_pairs(path3))
-        with pytest.raises(PreconditionError):
-            check_thm1(all_pairs(path3))
-
     def test_lemma1_pendant_override_skips_degree_one(self, path3):
-        r = check_lemma1(all_pairs(path3), allow_pendant=True)
+        r = check_lemma1(all_pairs(path3))
         assert r.holds
         assert any("skipped 2" in note for note in r.notes)
 
     def test_thm2_fails_under_conventions(self, path3):
         # degree-1 terms drop to 0, which breaks the stress bound: an honest
         # violation report rather than an error
-        r = check_thm2(all_pairs(path3), allow_pendant=True)
+        r = check_thm2(all_pairs(path3))
         assert not r.holds and r.lhs == 0 and r.rhs == Fraction(2, 3)
 
     def test_lemma3_fine_with_pendants(self, path3):
@@ -232,9 +226,9 @@ class TestPreconditionsAndPendants:
         # the radiality identity survives the degree-1 conventions (the two
         # singleton neighborhoods count as complete), the closeness bound
         # does not; both are reported, not masked
-        r5 = check_thm5(all_pairs(path3), allow_pendant=True)
+        r5 = check_thm5(all_pairs(path3))
         assert r5.holds and r5.notes[0] == "complete neighborhoods: 2 of 3"
-        r4 = check_thm4(all_pairs(path3), allow_pendant=True)
+        r4 = check_thm4(all_pairs(path3))
         assert not r4.holds
         assert r4.lhs == Fraction(1, 2) and r4.rhs == Fraction(1, 6)
 
