@@ -7,6 +7,7 @@ vertices still count in 1/n averages.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -15,15 +16,16 @@ from .paths import (Analysis, avg_path_length, density, diameter,
                     efficiency_sum, exact_sum, global_efficiency)
 
 
+def _ratio(links: int, d: int) -> tuple[int, int]:
+    """Local clustering as (2 * links among d neighbors, d(d-1)), or (0, 1) for d <= 1."""
+    return (links, d * (d - 1)) if d > 1 else (0, 1)
+
+
 def _clustering_ratio(g: Graph, i: int) -> tuple[int, int]:
-    """Local clustering of i as (twice the links among its neighbors,
-    d(d-1)), or (0, 1) for degree <= 1.  Each link a-b is counted from a and
-    from b, as a common neighbor of i and the other end."""
-    d = g.degree(i)
-    if d <= 1:
-        return 0, 1
+    """Local clustering of i as a ``_ratio``.  Each link a-b is counted from
+    a and from b, as a common neighbor of i and the other end."""
     nbrs = g.neighbor_set(i)
-    return sum(len(nbrs & g.neighbor_set(a)) for a in nbrs), d * (d - 1)
+    return _ratio(sum(len(nbrs & g.neighbor_set(a)) for a in nbrs), len(nbrs))
 
 
 def local_clustering(g: Graph, i: int) -> Fraction:
@@ -50,13 +52,46 @@ def triangle_count(g: Graph) -> int:
     return total // 3
 
 
+def _global_ratio(triangles: int, triples: int) -> Fraction:
+    """6T over the sum of d(d-1), refused when no vertex has degree >= 2."""
+    if triples == 0:
+        raise PreconditionError("global clustering undefined: no vertex of degree >= 2")
+    return Fraction(6 * triangles, triples)
+
+
 def global_clustering(g: Graph) -> Fraction:
     """Closed triplets over all connected ordered triples: 6T / sum d(d-1)."""
-    denom = sum(d * (d - 1) for d in g.degrees())
-    if denom == 0:
-        raise PreconditionError(
-            "global clustering undefined: no vertex of degree >= 2")
-    return Fraction(6 * triangle_count(g), denom)
+    return _global_ratio(triangle_count(g), sum(d * (d - 1) for d in g.degrees()))
+
+
+def prefix_clusterings(g: Graph, sizes: Sequence[int]) -> list[tuple[Fraction, Fraction]]:
+    """(average_clustering, global_clustering) of the subgraph induced on
+    vertices 0..s-1 for each s in the strictly ascending ``sizes``, in one pass.
+
+    Vertices join in index order.  A new vertex u with earlier neighbours P
+    changes only the terms of u and P: each p in P gains |N(p) & P| links
+    among its neighbours, and u's links and the new triangles are half their
+    sum.  Raises ``PreconditionError`` as ``global_clustering`` does."""
+    links, degree, terms = [0] * g.n, [0] * g.n, [0] * g.n  # links counted twice
+    total, triangles, triples = 0, 0, 0  # sum of terms, T, sum d(d-1)
+    rows = []
+    for u in range(max(sizes, default=0)):
+        prior = [p for p in g.neighbors(u) if p < u]
+        shared = [len(g.neighbor_set(p).intersection(prior)) for p in prior]
+        for p, c in zip(prior, shared):
+            links[p] += 2 * c
+            triples += 2 * degree[p]
+            degree[p] += 1
+        links[u], degree[u] = sum(shared), len(prior)
+        triples += degree[u] * (degree[u] - 1)
+        triangles += links[u] // 2
+        for v in prior + [u]:
+            total -= terms[v]
+            terms[v] = Fraction(*_ratio(links[v], degree[v]))
+            total += terms[v]
+        if u + 1 == sizes[len(rows)]:
+            rows.append((total / (u + 1), _global_ratio(triangles, triples)))
+    return rows
 
 
 # ---------------------------------------------------------------------------

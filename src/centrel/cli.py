@@ -17,7 +17,7 @@ import sys
 from . import oracle
 from .centralities import CentralityReport, compute_report
 from .graphs import (FamilyParameterError, Graph, GraphFormatError,
-                     PreconditionError, generate, load_graph, parse_family,
+                     PreconditionError, check_size_cap, generate, load_graph, parse_family,
                      to_edge_list_text, to_json_graph)
 from .neighborhood import profiles
 from .paths import all_pairs
@@ -30,7 +30,7 @@ EXIT_PRECONDITION = 3
 EXIT_VIOLATION = 4
 
 
-def _graph_from_args(args) -> tuple[Graph, str]:
+def _graph_from_args(args, limit=None) -> tuple[Graph, str]:
     path = getattr(args, "input", None)  # generate takes no --input
     if bool(path) == bool(args.family):
         raise GraphFormatError("exactly one of --input and --family is required"
@@ -46,6 +46,9 @@ def _graph_from_args(args) -> tuple[Graph, str]:
         raise FamilyParameterError(f"--seed applies to random-min-degree-2 only, "
                                    f"not {args.family}")
     spec = parse_family(args.family, args.params or "", seed=args.seed)
+    if limit is not None:  # before the build; the cap, as in generate, speaks first
+        check_size_cap(spec.order())
+        limit(spec.order())
     return generate(spec), spec.name()
 
 
@@ -191,8 +194,9 @@ def cmd_sweep(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_oracle_diff(args) -> int:
-    g, source = _graph_from_args(args)
-    oracle.check_oracle_limit(g.n)  # before the fast pass is spent on it
+    # a family is refused before it is built, a file before the fast pass
+    g, source = _graph_from_args(args, oracle.check_oracle_limit)
+    oracle.check_oracle_limit(g.n)
     an = all_pairs(g)  # then n < 2 and disconnected graphs get its messages
     fast = compute_report(an)
     slow = oracle.oracle_measures(g)

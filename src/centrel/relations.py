@@ -15,9 +15,9 @@ from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import NamedTuple
 
-from .centralities import (average_clustering, betweenness_and_stress,
-                           closeness, global_clustering, local_clusterings,
-                           local_efficiency, radiality)
+from .centralities import (betweenness_and_stress, closeness,
+                           global_clustering, local_clusterings,
+                           local_efficiency, prefix_clusterings, radiality)
 from .graphs import (FamilyParameterError, FamilySpec, Graph, PreconditionError,
                      check_size_cap, generate)
 from .neighborhood import bc_loc, clo_loc, profiles, rad_loc
@@ -307,17 +307,18 @@ SweepResult.FIELDS = tuple(f.name for f in fields(SweepResult))
 def sweep_windmill(eta_max: int, k: int, eta_min: int = 2) -> SweepResult:
     """Tabulate average vs global clustering for windmill(eta, k).
 
-    Before the first windmill is built, raises ``FamilyParameterError`` for
-    k < 3 or a bad eta range and ``PreconditionError`` for a largest windmill
-    past the size cap."""
+    Builds windmill(eta_max, k) once and reads each windmill(eta, k) as its
+    first 1 + eta(k - 1) vertices.  Before that graph is built, raises
+    ``FamilyParameterError`` for k < 3 or a bad eta range and
+    ``PreconditionError`` for a largest windmill past the size cap."""
     if k < 3 or eta_min < 1 or eta_max < eta_min:
         raise FamilyParameterError(f"sweep needs k >= 3 and a valid eta range, "
                                    f"got k={k}, eta={eta_min}..{eta_max}")
     check_size_cap(FamilySpec("windmill", (eta_max, k)).order())
-    rows = []
-    for eta in range(eta_min, eta_max + 1):
-        g = generate(FamilySpec("windmill", (eta, k)))
-        rows.append(SweepRow(eta, average_clustering(g), global_clustering(g)))
+    g = generate(FamilySpec("windmill", (eta_max, k)))
+    etas = range(eta_min, eta_max + 1)
+    rows = [SweepRow(eta, *c) for eta, c in
+            zip(etas, prefix_clusterings(g, [1 + eta * (k - 1) for eta in etas]))]
     trend_rows = [r for r in rows if r.eta >= 2]
     pairs = list(zip(trend_rows, trend_rows[1:]))
     inc = all(a.avg_clustering < b.avg_clustering for a, b in pairs)

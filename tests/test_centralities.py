@@ -11,8 +11,8 @@ from centrel import (DisconnectedGraphError, FamilySpec, all_pairs,
                      compute_report, generate, global_clustering,
                      local_clustering, local_clusterings, local_efficiency,
                      radiality)
-from centrel.centralities import triangle_count
-from centrel.graphs import from_edge_list
+from centrel.centralities import prefix_clusterings, triangle_count
+from centrel.graphs import PreconditionError, from_edge_list
 from centrel.oracle import oracle_measures
 
 
@@ -104,6 +104,43 @@ def test_average_clustering_is_the_mean_of_the_local_ones(g):
     an = all_pairs(g)
     mean = sum(local_clusterings(an), Fraction(0)) / g.n
     assert average_clustering(g) == mean == compute_report(an).avg_clustering
+
+
+@st.composite
+def graphs_up_to_30(draw):
+    """Any simple graph on 1..30 vertices: pendants, isolated vertices and
+    disconnected pieces included."""
+    n = draw(st.integers(min_value=1, max_value=30))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    return from_edge_list(draw(st.lists(st.sampled_from(pairs), max_size=3 * n))
+                          if pairs else [], n)
+
+
+@given(graphs_up_to_30())
+@settings(max_examples=150, deadline=None)
+def test_prefix_clusterings_equal_those_of_the_induced_subgraphs(g):
+    expected = {}
+    for s in range(1, g.n + 1):
+        h = from_edge_list([(i, j) for i, j in g.edges() if j < s], s)
+        try:
+            expected[s] = (average_clustering(h), global_clustering(h))
+        except PreconditionError as exc:
+            with pytest.raises(PreconditionError) as got:
+                prefix_clusterings(g, [s])
+            assert str(got.value) == str(exc)
+    sizes = sorted(expected)  # one pass
+    assert prefix_clusterings(g, sizes) == [expected[s] for s in sizes]
+
+
+class TestPrefixClusterings:
+    @pytest.mark.parametrize("sizes", [[1], [2], [2, 3]])
+    def test_prefix_without_a_degree_2_vertex_raises_the_documented_error(
+            self, sizes):
+        path = from_edge_list([(0, 1), (1, 2), (2, 3)], 4)
+        with pytest.raises(PreconditionError,
+                           match="^global clustering undefined: no vertex of "
+                                 "degree >= 2$"):
+            prefix_clusterings(path, sizes)
 
 
 class TestBetweennessStress:

@@ -447,6 +447,14 @@ class TestOracleDiff:
         assert (code, out) == (3, "")
         assert "n=301 > 300" in err
 
+    def test_family_past_the_oracle_limit_refused_before_it_is_built(
+            self, capsys, unbuildable):
+        unbuildable("random-min-degree-2")
+        code, out, err = run(capsys, "oracle-diff", "--family", "random-min-degree-2",
+                             "--params", "2000", "--seed", "1")
+        assert code == 3 and out == ""
+        assert "graph too large for the oracle (n=2000 > 300)" in err
+
     def test_past_the_enumeration_cap(self, capsys):
         code, out, _ = run(capsys, "oracle-diff", "--family", "hypercube",
                            "--params", "5")

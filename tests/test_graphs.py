@@ -100,6 +100,17 @@ class TestGenerators:
                 assert g.n == 1 + eta * (k - 1)
                 assert g.m == eta * k * (k - 1) // 2
 
+    @pytest.mark.parametrize("eta, eta_max, k", [(1, 1, 3), (1, 4, 3), (2, 5, 3),
+                                                 (3, 3, 4), (2, 7, 5), (6, 9, 6)])
+    def test_smaller_windmill_is_a_vertex_prefix_of_a_larger_one(self, eta, eta_max, k):
+        # the sweep reads windmill(eta, k) off windmill(eta_max, k) this way
+        small = generate(FamilySpec("windmill", (eta, k)))
+        large = generate(FamilySpec("windmill", (eta_max, k)))
+        s = 1 + eta * (k - 1)
+        assert small.n == s
+        assert [small.neighbors(v) for v in range(s)] == [
+            tuple(u for u in large.neighbors(v) if u < s) for v in range(s)]
+
     def test_complete_and_cycle_counts(self):
         for n in range(3, 9):
             assert generate(FamilySpec("complete", (n,))).m == n * (n - 1) // 2

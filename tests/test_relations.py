@@ -6,11 +6,12 @@ from fractions import Fraction
 
 import pytest
 
-from centrel import (FamilySpec, PreconditionError, all_pairs, check_all,
-                     check_cor_sandwich, check_lemma1, check_lemma2,
-                     check_lemma3, check_thm1, check_thm2, check_thm3,
-                     check_thm4, check_thm5, check_thm6, compute_report,
-                     generate, profiles, sweep_windmill)
+from centrel import (FamilySpec, PreconditionError, all_pairs,
+                     average_clustering, check_all, check_cor_sandwich,
+                     check_lemma1, check_lemma2, check_lemma3, check_thm1,
+                     check_thm2, check_thm3, check_thm4, check_thm5,
+                     check_thm6, compute_report, generate, global_clustering,
+                     profiles, sweep_windmill)
 from centrel import relations
 from centrel.graphs import FamilyParameterError, from_edge_list
 from centrel.relations import neighborhoods_unique_two_paths
@@ -376,6 +377,23 @@ class TestSweep:
         for eta_max, k, eta_min in ((10, 2, 2), (3, 2, 2), (1, 3, 5), (5, 3, 0)):
             with pytest.raises(FamilyParameterError, match="sweep needs k >= 3"):
                 sweep_windmill(eta_max, k, eta_min=eta_min)
+
+    @pytest.mark.parametrize("k", range(3, 7))
+    def test_rows_equal_the_coefficients_of_each_windmill(self, k):
+        result = sweep_windmill(25, k, eta_min=1)
+        assert [r.eta for r in result.rows] == list(range(1, 26))
+        for eta, avg, glob in result.rows:
+            g = make("windmill", eta, k)
+            assert (avg, glob) == (average_clustering(g), global_clustering(g))
+
+    def test_builds_one_windmill(self, monkeypatch):
+        built = []
+        def counting(spec):
+            built.append(spec)
+            return generate(spec)
+        monkeypatch.setattr(relations, "generate", counting)
+        sweep_windmill(30, 4)
+        assert built == [FamilySpec("windmill", (30, 4))]
 
     def test_oversized_sweep_refused_before_any_graph_is_built(self, monkeypatch):
         monkeypatch.setattr(relations, "generate", lambda *a, **k: pytest.fail("built"))
