@@ -19,8 +19,7 @@ from .graphs import (FamilySpec, Graph, bfs, from_edge_list, generate,
 from .neighborhood import (NeighborhoodProfile, bc_loc, clo_loc,
                            is_complete_neighborhood, profile, profiles,
                            rad_loc)
-from .oracle import (PathEnumeration, enumerate_shortest_paths,
-                     oracle_measures, oracle_neighborhood_profiles)
+from .oracle import oracle_measures, oracle_neighborhood_profiles
 from .paths import (Analysis, DisconnectedGraphError, all_pairs,
                     avg_path_length, density, diameter, global_efficiency)
 from .relations import (PreconditionError, RelationReport, SweepResult,

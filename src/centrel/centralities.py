@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .graphs import Graph, PreconditionError
 from .paths import (Analysis, avg_path_length, density, diameter,
-                    efficiency_sum, exact_sum, global_efficiency)
+                    efficiency_sum, exact_sum, global_efficiency, mean)
 
 
 def _ratio(links: int, d: int) -> tuple[int, int]:
@@ -41,7 +41,8 @@ def local_clusterings(an: Analysis) -> list[Fraction]:
 
 
 def average_clustering(g: Graph) -> Fraction:
-    """Mean of the local clustering coefficients over all n vertices."""
+    """Mean of the local clustering coefficients over all n vertices.  Nothing
+    in the package calls it; perfbench checks the windmill closed forms on it."""
     return exact_sum(_clustering_ratio(g, i) for i in range(g.n)) / g.n
 
 
@@ -102,7 +103,8 @@ def betweenness_and_stress(an: Analysis) -> tuple[list[Fraction], list[int]]:
     """Exact Brandes betweenness and stress, from the pass of ``all_pairs``.
 
     Both sums run over ordered pairs (s, t), s != t != i.  Every call returns
-    fresh copies of the values in ``an``.
+    fresh copies of the values in ``an``.  It stays a function of its own while
+    perfbench counts its calls (``centralities.brandes_calls``).
     """
     return list(an.betweenness), list(an.stress)
 
@@ -134,8 +136,7 @@ def neighborhood_efficiency(an: Analysis, v: int) -> Fraction:
 
 def local_efficiency(an: Analysis) -> Fraction:
     """Mean neighborhood efficiency over all vertices (degree-1 terms are 0)."""
-    return exact_sum(neighborhood_efficiency(an, v).as_integer_ratio()
-                     for v in range(an.n)) / an.n
+    return mean([neighborhood_efficiency(an, v) for v in range(an.n)])
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +195,7 @@ def compute_report(an: Analysis) -> CentralityReport:
         diameter=diameter(an),
         avg_path_length=avg_path_length(an),
         global_efficiency=global_efficiency(an),
-        avg_clustering=exact_sum(c.as_integer_ratio() for c in clustering) / g.n,
+        avg_clustering=mean(clustering),
         global_clustering=glob_c,
         local_efficiency=local_efficiency(an),
     )

@@ -180,7 +180,8 @@ class FamilySpec:
     ``FAMILIES`` gives the number of parameters each family takes and the
     vertex count they give.  Only random-min-degree-2 reads ``seed``; the
     other families build the same graph for any seed, and the command line
-    refuses ``--seed`` with them.
+    refuses ``--seed`` with them.  The library accepts it while perfbench
+    builds every family with ``seed=0``.
     """
 
     family: str

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .graphs import Graph
-from .paths import Analysis, exact_sum
+from .paths import Analysis, exact_sum, mean
 
 
 def is_complete_neighborhood(g: Graph, i: int) -> bool:
@@ -97,9 +97,9 @@ def bc_loc(an: Analysis) -> Fraction:
 
 def rad_loc(an: Analysis) -> Fraction:
     """Mean neighborhood radiality over all vertices."""
-    return exact_sum(p.radiality.as_integer_ratio() for p in profiles(an)) / an.n
+    return mean([p.radiality for p in profiles(an)])
 
 
 def clo_loc(an: Analysis) -> Fraction:
     """Mean neighborhood closeness over all vertices."""
-    return exact_sum(p.closeness.as_integer_ratio() for p in profiles(an)) / an.n
+    return mean([p.closeness for p in profiles(an)])

@@ -5,8 +5,9 @@ path counts from their literal recurrence, and definition-literal formulas;
 sigma(s, i) * sigma(i, t) shortest s-t paths pass through i when
 dist(s, i) + dist(i, t) = dist(s, t) (Brandes 2001, Lemma 3).  No computation
 is shared with the fast modules (only the report containers are reused), so
-field-by-field agreement is a meaningful check.  Path enumeration is the
-small-graph reference that the tests check these counts against.
+field-by-field agreement is a meaningful check.  The library lists no paths:
+the tests check these counts against every shortest path of small graphs,
+enumerated one by one in the test suite.
 """
 
 from __future__ import annotations
@@ -17,27 +18,9 @@ from .centralities import CentralityReport
 from .graphs import Graph, PreconditionError
 from .neighborhood import NeighborhoodProfile
 
-DEFAULT_ENUMERATION_CAP = 12
 # Time grows as n^3: both entry points took 9.2 s on circulant(300,1,2,3,5,8,13)
 # and 6.5 s on hypercube(8) (2 vCPUs, CPython 3.11, 18 MB peak RSS).
 ORACLE_MAX_VERTICES = 300
-
-
-class PathEnumeration:
-    """Every shortest path, as a vertex sequence, for every ordered pair."""
-
-    __slots__ = ("n", "dist", "paths")
-
-    def __init__(self, n: int, dist: list[list[int]],
-                 paths: dict[tuple[int, int], list[tuple[int, ...]]]):
-        self.n = n
-        self.dist = dist
-        self.paths = paths
-
-    def count(self, s: int, t: int) -> int:
-        if s == t:
-            return 1
-        return len(self.paths[(s, t)])
 
 
 def _bfs_levels(g: Graph, source: int) -> list[int]:
@@ -53,14 +36,6 @@ def _bfs_levels(g: Graph, source: int) -> list[int]:
                     nxt.append(w)
         frontier = nxt
     return dist
-
-
-def _distance_rows(g: Graph) -> list[list[int]]:
-    """Hop distances from every source; the graph must be connected."""
-    dist_rows = [_bfs_levels(g, s) for s in range(g.n)]
-    if any(d < 0 for row in dist_rows for d in row):
-        raise PreconditionError("the oracle needs a connected graph")
-    return dist_rows
 
 
 def _path_counts(g: Graph, dist: list[int]) -> list[int]:
@@ -84,7 +59,9 @@ def check_oracle_limit(n: int) -> None:
 def _rows(g: Graph) -> tuple[list[list[int]], list[list[int]]]:
     """The oracle's own distance and path-count rows from every source."""
     check_oracle_limit(g.n)
-    dist = _distance_rows(g)
+    dist = [_bfs_levels(g, s) for s in range(g.n)]
+    if any(d < 0 for row in dist for d in row):
+        raise PreconditionError("the oracle needs a connected graph")
     return dist, [_path_counts(g, row) for row in dist]
 
 
@@ -97,36 +74,6 @@ def _through(dist: list[list[int]], sigma: list[list[int]], i: int, ends):
         for t in ends:
             if t != i and dist[s][i] + dist[i][t] == dist[s][t]:
                 yield sigma[s][i] * sigma[i][t], sigma[s][t]
-
-
-def enumerate_shortest_paths(g: Graph, cap: int = DEFAULT_ENUMERATION_CAP
-                             ) -> PathEnumeration:
-    """DFS over the BFS-layered DAG, listing every shortest path."""
-    if g.n > cap:
-        raise PreconditionError(
-            f"graph too large for path enumeration (n={g.n} > cap={cap})")
-    dist_rows = _distance_rows(g)
-
-    paths: dict[tuple[int, int], list[tuple[int, ...]]] = {}
-    for s in range(g.n):
-        dist = dist_rows[s]
-        for t in range(g.n):
-            if t == s:
-                continue
-            found: list[tuple[int, ...]] = []
-            stack = [(s,)]
-            while stack:
-                partial = stack.pop()
-                u = partial[-1]
-                if u == t:
-                    found.append(partial)
-                    continue
-                for w in g.neighbors(u):
-                    if dist[w] == dist[u] + 1 and dist_rows[w][t] == dist[t] - dist[w]:
-                        stack.append(partial + (w,))
-            found.sort()
-            paths[(s, t)] = found
-    return PathEnumeration(g.n, dist_rows, paths)
 
 
 def _triple_products(g: Graph, i: int) -> int:

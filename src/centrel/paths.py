@@ -11,7 +11,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .graphs import Graph, PreconditionError, bfs, check_size_cap
 
@@ -310,6 +310,11 @@ def exact_sum(terms: Iterable[tuple[int, int]]) -> Fraction:
             denom = grown
         total += p * (denom // q)
     return Fraction(total, denom)
+
+
+def mean(values: Sequence[Fraction]) -> Fraction:
+    """The exact mean of the values through one ``exact_sum``, and 0 for none."""
+    return exact_sum(x.as_integer_ratio() for x in values) / max(len(values), 1)
 
 
 def efficiency_sum(hist: Counter) -> Fraction:

@@ -19,9 +19,9 @@ from .centralities import (betweenness_and_stress, closeness,
                            global_clustering, local_clusterings,
                            local_efficiency, prefix_clusterings, radiality)
 from .graphs import (FamilyParameterError, FamilySpec, Graph, PreconditionError,
-                     check_size_cap, generate)
+                     generate)
 from .neighborhood import bc_loc, clo_loc, profiles, rad_loc
-from .paths import Analysis, all_pairs, avg_path_length, diameter, exact_sum
+from .paths import Analysis, all_pairs, avg_path_length, diameter, exact_sum, mean
 
 
 @dataclass
@@ -77,11 +77,6 @@ def _eligible(g: Graph) -> tuple[list[int], list[str]]:
     return eligible, notes
 
 
-def _mean(values: list[Fraction]) -> Fraction:
-    """The mean of the values, and 0 for none."""
-    return exact_sum(x.as_integer_ratio() for x in values) / max(len(values), 1)
-
-
 def check_lemma1(an: Analysis) -> RelationReport:
     """Per-vertex identity: neighborhood average path length = 2 - c_i."""
     eligible, notes = _eligible(an.g)
@@ -95,14 +90,14 @@ def check_lemma1(an: Analysis) -> RelationReport:
         if dev > worst:
             worst = dev
             notes.append(f"vertex {i}: L(N)={lhs_i} vs 2-c={rhs_i}")
-    return _report("lemma1", "eq", _mean(lhs_v), _mean(rhs_v), True,
+    return _report("lemma1", "eq", mean(lhs_v), mean(rhs_v), True,
                    slack=worst, notes=notes)
 
 
 def check_thm1(an: Analysis) -> RelationReport:
     """Identity: local efficiency = (1 + average clustering) / 2."""
     lhs = local_efficiency(an)
-    rhs = (1 + _mean(local_clusterings(an))) / 2
+    rhs = (1 + mean(local_clusterings(an))) / 2
     return _report("thm1", "eq", lhs, rhs, True)
 
 
@@ -116,7 +111,7 @@ def check_thm2(an: Analysis) -> RelationReport:
     _, stress = betweenness_and_stress(an)
     term_total = exact_sum((st, d * (d - 1))
                            for st, d in zip(stress, g.degrees()) if d >= 2)
-    lhs = _mean(local_clusterings(an))
+    lhs = mean(local_clusterings(an))
     rhs = 1 - term_total / g.n
     return _report("thm2", "ge", lhs, rhs, diameter(an) <= 2)
 
@@ -135,7 +130,7 @@ def check_thm3(an: Analysis) -> RelationReport:
     unique shortest (2-hop) path; that implies, and is stronger than, every
     neighborhood splitting into disjoint cliques.
     """
-    lhs = _mean(local_clusterings(an))
+    lhs = mean(local_clusterings(an))
     rhs = 1 - bc_loc(an)
     return _report("thm3", "le", lhs, rhs, neighborhoods_unique_two_paths(an))
 
@@ -158,7 +153,7 @@ def check_cor_sandwich(an: Analysis) -> RelationReport:
             worst = margin
             if margin < 0:
                 notes.append(f"vertex {i}: {left} <= {mid} <= {right} fails")
-    return _report("cor_sandwich", "le", _mean(lefts), _mean(rights), False,
+    return _report("cor_sandwich", "le", mean(lefts), mean(rights), False,
                    slack=Fraction(0) if worst is None else worst, notes=notes)
 
 
@@ -167,20 +162,20 @@ def check_lemma2(an: Analysis) -> RelationReport:
 
     Equality is expected when all per-vertex distance sums agree.
     """
-    lhs = _mean([closeness(an, v) for v in range(an.n)])
+    lhs = mean([closeness(an, v) for v in range(an.n)])
     rhs = 1 / avg_path_length(an)
     return _report("lemma2", "ge", lhs, rhs, len(set(an.row_sums)) == 1)
 
 
 def check_thm4(an: Analysis) -> RelationReport:
     """Bound: 1/(2 - average clustering) <= mean neighborhood closeness."""
-    lhs = 1 / (2 - _mean(local_clusterings(an)))
+    lhs = 1 / (2 - mean(local_clusterings(an)))
     return _report("thm4", "le", lhs, clo_loc(an), False)
 
 
 def check_lemma3(an: Analysis) -> RelationReport:
     """Identity: mean radiality = diameter + 1 - average path length."""
-    lhs = _mean([radiality(an, v) for v in range(an.n)])
+    lhs = mean([radiality(an, v) for v in range(an.n)])
     rhs = diameter(an) + 1 - avg_path_length(an)
     return _report("lemma3", "eq", lhs, rhs, True)
 
@@ -188,7 +183,7 @@ def check_lemma3(an: Analysis) -> RelationReport:
 def check_thm5(an: Analysis) -> RelationReport:
     """Identity: average clustering = local radiality - 1 + (complete
     neighborhoods) / n."""
-    lhs = _mean(local_clusterings(an))
+    lhs = mean(local_clusterings(an))
     complete = sum(1 for p in profiles(an) if p.is_complete)
     rhs = rad_loc(an) - 1 + Fraction(complete, an.n)
     return _report("thm5", "eq", lhs, rhs, True,
@@ -237,7 +232,7 @@ def check_thm6(an: Analysis) -> RelationReport:
     exact equality.  When neither ordering holds no direction is asserted.
     """
     clustering = local_clusterings(an)
-    lhs = _mean(clustering)
+    lhs = mean(clustering)
     rhs = global_clustering(an.g)
     ordering = _degree_class_ordering(an.g, clustering)
     if ordering == "none":
@@ -309,12 +304,11 @@ def sweep_windmill(eta_max: int, k: int, eta_min: int = 2) -> SweepResult:
 
     Builds windmill(eta_max, k) once and reads each windmill(eta, k) as its
     first 1 + eta(k - 1) vertices.  Before that graph is built, raises
-    ``FamilyParameterError`` for k < 3 or a bad eta range and
-    ``PreconditionError`` for a largest windmill past the size cap."""
+    ``FamilyParameterError`` for k < 3 or a bad eta range, and ``generate``
+    raises ``PreconditionError`` for a largest windmill past the size cap."""
     if k < 3 or eta_min < 1 or eta_max < eta_min:
         raise FamilyParameterError(f"sweep needs k >= 3 and a valid eta range, "
                                    f"got k={k}, eta={eta_min}..{eta_max}")
-    check_size_cap(FamilySpec("windmill", (eta_max, k)).order())
     g = generate(FamilySpec("windmill", (eta_max, k)))
     etas = range(eta_min, eta_max + 1)
     rows = [SweepRow(eta, *c) for eta, c in

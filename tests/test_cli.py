@@ -1,7 +1,10 @@
 """CLI behavior: output schemas, exit codes, determinism."""
 
+import dataclasses
+import importlib
 import json
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -369,9 +372,8 @@ class TestSweep:
     @pytest.mark.parametrize("params, n", [("3,2,100000000", 200000001),
                                            ("5,2,5000", 20001)])
     def test_oversized_sweep_refused_before_any_graph_is_built(
-            self, capsys, monkeypatch, params, n):
-        import centrel.relations as relations
-        monkeypatch.setattr(relations, "generate", lambda *a, **k: pytest.fail("built"))
+            self, capsys, unbuildable, params, n):
+        unbuildable("windmill")
         code, out, err = run(capsys, "sweep", "--params", params)
         assert code == 3 and out == ""
         assert f"too large for the exact all-pairs analysis (n={n} > 20000)" in err
@@ -431,6 +433,19 @@ class TestUnreadFlags:
         assert out == "" and "--format csv" in err
 
 
+def move_hub_betweenness(report):
+    """Moves vertex 0's betweenness by 1/7, the hub's in a windmill."""
+    report.betweenness[0] += Fraction(1, 7)
+    return report
+
+
+def move_hub_neighborhood_betweenness(profiles):
+    """Moves vertex 0's BC(i, N(i)) by 1/7."""
+    hub = profiles[0]
+    profiles[0] = dataclasses.replace(hub, betweenness=hub.betweenness + Fraction(1, 7))
+    return profiles
+
+
 class TestOracleDiff:
     def test_match(self, capsys):
         code, out, _ = run(capsys, "oracle-diff", "--family", "windmill",
@@ -455,7 +470,24 @@ class TestOracleDiff:
         assert code == 3 and out == ""
         assert "graph too large for the oracle (n=2000 > 300)" in err
 
-    def test_past_the_enumeration_cap(self, capsys):
+    @pytest.mark.parametrize("target, plant, line", [
+        ("centrel.cli.compute_report", move_hub_betweenness,
+         "betweenness[0]: fast=57/7 oracle=8"),
+        ("centrel.cli.profiles", move_hub_neighborhood_betweenness,
+         "neighborhood.betweenness[0]: fast=57/7 oracle=8"),
+        ("centrel.oracle.oracle_measures", move_hub_betweenness,
+         "betweenness[0]: fast=8 oracle=57/7"),
+    ], ids=["fast-vertex-field", "fast-neighborhood-field", "oracle-side"])
+    def test_planted_fault_is_a_mismatch(self, capsys, monkeypatch, target, plant, line):
+        module, name = target.rsplit(".", 1)
+        real = getattr(importlib.import_module(module), name)
+        monkeypatch.setattr(target, lambda arg: plant(real(arg)))
+        code, out, err = run(capsys, "oracle-diff", "--family", "windmill",
+                             "--params", "2,3")
+        assert (code, err) == (4, "")
+        assert out == f"graph windmill(2,3): 1 mismatches\n  {line}\n"
+
+    def test_agrees_on_hypercube_5(self, capsys):
         code, out, _ = run(capsys, "oracle-diff", "--family", "hypercube",
                            "--params", "5")
         assert code == 0

@@ -1,4 +1,5 @@
-"""The counting oracle: path enumeration and field-level agreement.
+"""The counting oracle: path enumeration (the test-side reference) and
+field-level agreement.
 
 The ``slow`` tests (deselected by default, run with ``-m slow``) compare the
 fast path with the oracle on every field up to its 300-vertex limit.
@@ -12,11 +13,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from centrel import (FamilySpec, all_pairs, bfs, compute_report, generate,
-                     enumerate_shortest_paths, oracle, oracle_measures,
-                     oracle_neighborhood_profiles)
+                     oracle, oracle_measures, oracle_neighborhood_profiles)
 from centrel.centralities import CentralityReport
 from centrel.graphs import PreconditionError, from_edge_list
 from centrel.neighborhood import profiles
+from enumeration import enumerate_shortest_paths
 
 
 def make(family, *params, seed=None):
@@ -71,11 +72,6 @@ class TestEnumeration:
                 for t in range(g.n):
                     if s != t:
                         assert pe.count(s, t) == sigma[t]
-
-    def test_cap_enforced(self):
-        g = make("complete", 8)
-        with pytest.raises(ValueError):
-            enumerate_shortest_paths(g, cap=6)
 
 
 def assert_reports_equal(fast: CentralityReport, slow: CentralityReport, name):
@@ -148,7 +144,8 @@ def connected_graphs(draw, max_n=60):
 
 @pytest.mark.slow
 class TestReach:
-    """The fast path equals the oracle far past the enumeration cap."""
+    """The fast path equals the oracle on graphs far too large to enumerate
+    their shortest paths one by one."""
 
     @pytest.mark.parametrize("spec", [
         FamilySpec("hypercube", (8,)),

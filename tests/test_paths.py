@@ -11,11 +11,11 @@ from hypothesis import strategies as st
 
 from centrel import (DisconnectedGraphError, FamilySpec, all_pairs,
                      avg_path_length, bfs, density, diameter, generate,
-                     global_efficiency)
+                     global_efficiency, paths)
 from centrel.graphs import Graph, PreconditionError, from_edge_list, is_connected
-from centrel.oracle import (enumerate_shortest_paths, oracle_measures,
-                            oracle_neighborhood_profiles)
-from centrel.paths import exact_sum
+from centrel.oracle import oracle_measures, oracle_neighborhood_profiles
+from centrel.paths import exact_sum, mean
+from enumeration import enumerate_shortest_paths
 
 
 def cycle(n):
@@ -93,21 +93,31 @@ class TestAllPairs:
                 if dist[s][t] == 1:
                     assert sigma[s][t] == 1
 
-    def test_analysis_keeps_no_dense_rows(self):
+    @pytest.mark.parametrize("keep_rows", [False, True], ids=["clean", "rows-kept"])
+    def test_analysis_keeps_no_dense_rows(self, monkeypatch, keep_rows):
         # the dense dist and sigma rows took 2 * 8 * n^2 bytes.  A sparse graph
-        # keeps the traced run short: a seeded random tree plus 50 chords,
-        # whose few symmetries (twin leaves) still leave hundreds of passes
+        # keeps the traced run short: a seeded random tree plus 20 chords,
+        # whose few symmetries (twin leaves) still leave about n passes.  The
+        # control keeps every BFS row the pass asks for and must break the bound
+        n = 200
         rng = random.Random(1)
-        edges = [(v, rng.randrange(v)) for v in range(1, 500)]
-        g = from_edge_list(edges + [tuple(rng.sample(range(500), 2))
-                                    for _ in range(50)], 500)
+        edges = [(v, rng.randrange(v)) for v in range(1, n)]
+        g = from_edge_list(edges + [tuple(rng.sample(range(n), 2))
+                                    for _ in range(20)], n)
+        if keep_rows:
+            kept = []
+
+            def keeping(*args):
+                kept.append(bfs(*args))
+                return kept[-1]
+            monkeypatch.setattr(paths, "bfs", keeping)
         tracemalloc.start()
         try:
             all_pairs(g)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 4 * g.n ** 2
+        assert (peak < 3000 * n) != keep_rows, f"{peak / n:.0f} B/vertex"
 
 
 class TestGlobalMetrics:
@@ -164,7 +174,7 @@ def connected_graphs(draw, max_n=9):
 @given(connected_graphs())
 @settings(max_examples=60, deadline=None)
 def test_bfs_matches_enumeration(g):
-    pe = enumerate_shortest_paths(g, cap=10)
+    pe = enumerate_shortest_paths(g)
     for s in range(g.n):
         order, dist, sigma = bfs(g, s)
         assert sorted(order) == list(range(g.n)) and order[0] == s
@@ -184,7 +194,7 @@ def test_bfs_matches_enumeration(g):
 def test_oracle_counts_match_enumeration(g):
     """Betweenness, stress and BC(i, N(i)) counted on the enumerated paths
     equal the oracle's sigma(s, i) * sigma(i, t) / sigma(s, t) sums."""
-    pe = enumerate_shortest_paths(g, cap=10)
+    pe = enumerate_shortest_paths(g)
     slow = oracle_measures(g)
     slow_profiles = oracle_neighborhood_profiles(g)
 
@@ -250,3 +260,14 @@ class TestExactSum:
         terms = [(data.draw(NUMERATORS), p) for p in primes]
         assert exact_sum(terms) == fraction_sum(terms)
         assert exact_sum((1, p) for p in primes).denominator == math.prod(primes)
+
+
+class TestMean:
+    def test_no_values_is_zero(self):
+        total = mean([])
+        assert isinstance(total, Fraction) and total == 0
+
+    @given(st.lists(st.fractions(max_denominator=10 ** 6), min_size=1, max_size=60))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_fraction_mean(self, values):
+        assert mean(values) == sum(values, Fraction(0)) / len(values)

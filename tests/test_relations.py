@@ -395,7 +395,7 @@ class TestSweep:
         sweep_windmill(30, 4)
         assert built == [FamilySpec("windmill", (30, 4))]
 
-    def test_oversized_sweep_refused_before_any_graph_is_built(self, monkeypatch):
-        monkeypatch.setattr(relations, "generate", lambda *a, **k: pytest.fail("built"))
+    def test_oversized_sweep_refused_before_any_graph_is_built(self, unbuildable):
+        unbuildable("windmill")
         with pytest.raises(PreconditionError, match=r"\(n=200000001 > 20000\)"):
             sweep_windmill(10 ** 8, 3)
