@@ -16,9 +16,9 @@ from itertools import combinations
 from typing import Iterable, Sequence
 
 # The exact all-pairs analysis runs one BFS and one Brandes sweep per orbit, so
-# n*m time and no n*n data on a graph without symmetry; past this many vertices
-# a sparse graph would take tens of minutes (see the README), so refuse early.
-MAX_DENSE_VERTICES = 20_000
+# n*m time and no n*n data on a graph without symmetry.  The cap is a guess, not
+# yet measured: no run has timed the analysis near this many vertices.
+MAX_VERTICES = 20_000
 
 
 class GraphFormatError(ValueError):
@@ -36,11 +36,11 @@ class PreconditionError(ValueError):
 
 
 def check_size_cap(n: int) -> None:
-    """Refuse a vertex count past ``MAX_DENSE_VERTICES``, the cap on the
+    """Refuse a vertex count past ``MAX_VERTICES``, the cap on the
     exact all-pairs analysis, before anything of that size is built."""
-    if n > MAX_DENSE_VERTICES:
+    if n > MAX_VERTICES:
         raise PreconditionError(f"graph too large for the exact all-pairs "
-                                f"analysis (n={n} > {MAX_DENSE_VERTICES})")
+                                f"analysis (n={n} > {MAX_VERTICES})")
 
 
 class Graph:

@@ -123,9 +123,10 @@ def _refine(adj, cells: list[set], cell_of: list[int], queue: set[int]) -> None:
                 queue.update(pieces)
 
 
-def _leaf(adj, cells: list[set], cell_of: list[int], v: int, deep: bool) -> tuple:
-    """A copy of an equitable partition, v individualised (unless alone) and refined;
-    if ``deep``, then a vertex of the first non-singleton cell, until none is."""
+def _leaf(adj, cells: list[set], cell_of: list[int], v: int) -> list[int]:
+    """The nodes in cell order once a copy of an equitable partition is discrete:
+    v individualised (unless alone) and refined, then a vertex of the first
+    non-singleton cell, until none is."""
     cells, cell_of, first = [set(cell) for cell in cells], list(cell_of), 0
     while True:  # the cells before first are singletons, and stay so
         if len(cells[cell_of[v]]) > 1:
@@ -134,15 +135,9 @@ def _leaf(adj, cells: list[set], cell_of: list[int], v: int, deep: bool) -> tupl
             cells.append({v})
             _refine(adj, cells, cell_of, {len(cells) - 1})
         first = next((k for k in range(first, len(cells)) if len(cells[k]) > 1), -1)
-        if first < 0 or not deep:
-            return cells, cell_of
+        if first < 0:
+            return [next(iter(cell)) for cell in cells]
         v = next(iter(cells[first]))
-
-
-def _pairing(left: list[set], right: list[set]) -> dict[int, int]:
-    """An unverified map: fix what two partitions share at a position, pair the rest."""
-    return {v: w for a, b in zip(left, right) for v, w in
-            [*zip(sorted(a - b), sorted(b - a)), *((x, x) for x in a & b)]}
 
 
 def _is_automorphism(adj: list[frozenset], colour: list, phi: dict) -> bool:
@@ -157,8 +152,8 @@ def orbits(g: Graph) -> list[list[int]]:
 
     1-WL splits the twin quotient into cells that are unions of orbits.  Each
     cell's smallest node r is mapped to the others, its neighbors first, by
-    individualisation-refinement (McKay and Piperno, 2014): one step on each
-    side, else discrete leaves grown from those steps.  A cell is left at its
+    individualisation-refinement (McKay and Piperno, 2014): the discrete leaves
+    grown from r and from s are paired in cell order.  A cell is left at its
     first refusal; a union-find over the used maps gives their group's orbits."""
     node_of, adj, colour = _twin_quotient(g)
     q, ids, degree = len(adj), {}, list(map(len, adj))
@@ -176,18 +171,12 @@ def orbits(g: Graph) -> list[list[int]]:
             root[v] = v = root[root[v]]
         return v
     for cell in [cell for cell in cells if len(cell) > 1]:
-        r, near, leaf = min(cell), None, None
+        r, leaf = min(cell), None
         for s in [u for u in adj[r] if u in cell] + sorted(cell):
             if find(s) != find(r):
-                near = near or _leaf(adj, cells, cell_of, r, False)
-                step = _leaf(adj, cells, cell_of, s, False)
-                phi = _pairing(near[0], step[0])
-                found = _is_automorphism(adj, colour, phi)
-                if not found and len(near[0]) < q == len(phi):  # one shape: go deeper
-                    leaf = leaf or _leaf(adj, *near, r, True)[0]
-                    phi = _pairing(leaf, _leaf(adj, *step, s, True)[0])
-                    found = _is_automorphism(adj, colour, phi)
-                if not found:
+                leaf = leaf or _leaf(adj, cells, cell_of, r)
+                phi = dict(zip(leaf, _leaf(adj, cells, cell_of, s)))
+                if not _is_automorphism(adj, colour, phi):
                     break
                 for v, w in phi.items():
                     root[find(v)] = find(w)

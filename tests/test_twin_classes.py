@@ -207,12 +207,17 @@ def test_a_map_that_is_not_an_automorphism_is_refused(monkeypatch, bfs_calls):
     check = paths._is_automorphism
     monkeypatch.setattr(paths, "_is_automorphism",
                         lambda *args: verdicts.append(check(*args)) or verdicts[-1])
-    # swapping 0 and 1 keeps every colour but maps the edge 0-3 to 1-3
-    swap = {0: 1, 1: 0, **{v: v for v in range(2, 12)}}
-    monkeypatch.setattr(paths, "_pairing", lambda left, right: swap)
+    # r = 0's leaf as built, every other leaf with 0 and 1 exchanged: each map
+    # is an automorphism followed by the swap of 0 and 1, which keeps every
+    # colour but maps the edge 0-3 to 1-3
+    swap = {0: 1, 1: 0}
+    leaf = paths._leaf
+    monkeypatch.setattr(paths, "_leaf", lambda adj, cells, cell_of, v: (
+        leaf(adj, cells, cell_of, v) if v == 0 else
+        [swap.get(x, x) for x in leaf(adj, cells, cell_of, v)]))
     assert orbits(g) == [[v] for v in range(12)]
-    # the one-step map and the discrete-leaf map for s = 1, then the cell is left
-    assert verdicts == [False, False]
+    # the map for the first neighbor s of 0 is refused, then the cell is left
+    assert verdicts == [False]
     bfs_calls.clear()
     assert_fields_exact(g)
     assert bfs_calls == list(range(12))
@@ -233,8 +238,8 @@ def test_a_long_path_settles_through_the_splitters(monkeypatch):
 
 
 def test_each_map_is_checked_once(monkeypatch):
-    # a spider with 4 legs of length 2: one step from a leg's first vertex
-    # already swaps two legs, so each of the 3 maps is checked only once
+    # a spider with 4 legs of length 2: the leaves grown from two legs' first
+    # vertices swap those legs, so each of the 3 maps is checked only once
     import centrel.paths as paths
     verdicts = []
     check = paths._is_automorphism
