@@ -13,9 +13,9 @@ from .centralities import (CentralityReport, average_clustering,
                            global_clustering, local_clustering,
                            local_clusterings, local_efficiency, radiality,
                            triangle_count)
-from .graphs import (FamilySpec, Graph, bfs, from_edge_list, generate,
-                     is_connected, load_graph, read_edge_list_text,
-                     read_json_graph, to_edge_list_text, to_json_graph)
+from .graphs import (FamilySpec, Graph, bfs, generate, is_connected,
+                     load_graph, read_edge_list_text, read_json_graph,
+                     to_edge_list_text, to_json_graph)
 from .neighborhood import (NeighborhoodProfile, bc_loc, clo_loc,
                            is_complete_neighborhood, profile, profiles,
                            rad_loc)

@@ -99,9 +99,8 @@ def cmd_compute(args) -> int:
                                          for name, _ in per_vertex))
         table = [labels] + [(i, *(human_value(col[i], exact) for _, col in per_vertex))
                             for i in range(g.n)]
-        if not exact:  # 12-digit floats outgrow the widths sized for p/q text
-            widths = [max(width, *(len(str(row[k])) for row in table))
-                      for k, width in enumerate(widths)]
+        widths = [max(width, *(len(str(row[k])) for row in table))
+                  for k, width in enumerate(widths)]
         lines += ["", "per-vertex:"]
         lines += ["  " + " ".join(f"{cell:>{width}}" for cell, width in zip(row, widths))
                   for row in table]

@@ -44,36 +44,41 @@ def check_size_cap(n: int) -> None:
 
 
 class Graph:
-    """Immutable simple undirected graph on vertices 0..n-1.
+    """Immutable simple undirected graph on vertices 0..n-1, built from
+    integer index pairs.
 
-    Invariants enforced at construction: no self-loops, symmetric adjacency,
-    no multi-edges, m = (1/2) * sum of degrees.
+    Each invariant is checked once, in this order: n >= 1, n within the size
+    cap (before anything is allocated), each edge's range and self-loop, and
+    the size of the label table.  Duplicate edges (in either orientation) are
+    collapsed, and ``duplicates_collapsed`` records whether any were seen.
     """
 
     __slots__ = ("_adj", "_neighbors", "_m", "labels", "duplicates_collapsed")
 
-    def __init__(self, adjacency: Sequence[Iterable[int]],
-                 labels: Sequence[str] | None = None,
-                 duplicates_collapsed: bool = False):
-        n = len(adjacency)
+    def __init__(self, edges: Iterable[tuple[int, int]], n: int,
+                 labels: Sequence[str] | None = None):
         if n < 1:
-            raise GraphFormatError("graph needs at least one vertex")
-        adj = [frozenset(nbrs) for nbrs in adjacency]
-        for i, nbrs in enumerate(adj):
-            if i in nbrs:
-                raise GraphFormatError(f"self-loop at vertex {i}")
-            for j in nbrs:
-                if not (0 <= j < n):
-                    raise GraphFormatError(f"neighbor {j} of vertex {i} out of range")
-                if i not in adj[j]:
-                    raise GraphFormatError(f"asymmetric adjacency between {i} and {j}")
-        self._adj = tuple(adj)
-        self._neighbors = tuple(tuple(sorted(nbrs)) for nbrs in adj)
-        self._m = sum(len(nbrs) for nbrs in adj) // 2
+            raise GraphFormatError("vertex count must be at least 1")
+        check_size_cap(n)
+        adj: list[set[int]] = [set() for _ in range(n)]
+        duplicates = False
+        for i, j in edges:
+            if not (0 <= i < n and 0 <= j < n):
+                raise GraphFormatError(f"edge ({i}, {j}) out of range for n={n}")
+            if i == j:
+                raise GraphFormatError(f"self-loop ({i}, {i}) not allowed in a simple graph")
+            if j in adj[i]:
+                duplicates = True
+                continue
+            adj[i].add(j)
+            adj[j].add(i)
         if labels is not None and len(labels) != n:
             raise GraphFormatError("label table size does not match vertex count")
+        self._adj = tuple(frozenset(nbrs) for nbrs in adj)
+        self._neighbors = tuple(tuple(sorted(nbrs)) for nbrs in adj)
+        self._m = sum(len(nbrs) for nbrs in adj) // 2
         self.labels = tuple(labels) if labels is not None else None
-        self.duplicates_collapsed = duplicates_collapsed
+        self.duplicates_collapsed = duplicates
 
     @property
     def n(self) -> int:
@@ -112,32 +117,6 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
-
-
-def from_edge_list(edges: Iterable[tuple[int, int]], n: int,
-                   labels: Sequence[str] | None = None) -> Graph:
-    """Build a Graph from integer index pairs.
-
-    Duplicate edges (in either orientation) are collapsed; the returned
-    graph's ``duplicates_collapsed`` flag records whether any were seen.
-    Self-loops, out-of-range indices and n past the size cap are errors.
-    """
-    if n < 1:
-        raise GraphFormatError("vertex count must be at least 1")
-    check_size_cap(n)
-    adjacency: list[set[int]] = [set() for _ in range(n)]
-    duplicates = False
-    for i, j in edges:
-        if not (0 <= i < n and 0 <= j < n):
-            raise GraphFormatError(f"edge ({i}, {j}) out of range for n={n}")
-        if i == j:
-            raise GraphFormatError(f"self-loop ({i}, {i}) not allowed in a simple graph")
-        if j in adjacency[i]:
-            duplicates = True
-            continue
-        adjacency[i].add(j)
-        adjacency[j].add(i)
-    return Graph(adjacency, labels=labels, duplicates_collapsed=duplicates)
 
 
 def bfs(g: Graph, source: int) -> tuple[list[int], list[int], list[int]]:
@@ -217,13 +196,13 @@ def _complete(n: int) -> Graph:
     # K_2 (n = 2) is the one family graph with minimum degree 1
     if n < 2:
         raise FamilyParameterError("complete(n) needs n >= 2")
-    return from_edge_list(combinations(range(n), 2), n)
+    return Graph(combinations(range(n), 2), n)
 
 
 def _cycle(n: int) -> Graph:
     if n < 3:
         raise FamilyParameterError("cycle(n) needs n >= 3")
-    return from_edge_list([(i, (i + 1) % n) for i in range(n)], n)
+    return Graph([(i, (i + 1) % n) for i in range(n)], n)
 
 
 def _circulant(n: int, offsets: tuple[int, ...]) -> Graph:
@@ -237,7 +216,7 @@ def _circulant(n: int, offsets: tuple[int, ...]) -> Graph:
             j = (i + s) % n
             if i != j:
                 edges.add((min(i, j), max(i, j)))
-    return from_edge_list(sorted(edges), n)
+    return Graph(sorted(edges), n)
 
 
 def _hypercube(d: int) -> Graph:
@@ -245,7 +224,7 @@ def _hypercube(d: int) -> Graph:
         raise FamilyParameterError("hypercube(d) needs d >= 2 for minimum degree 2")
     n = 1 << d
     edges = [(v, v ^ (1 << b)) for v in range(n) for b in range(d) if v < v ^ (1 << b)]
-    return from_edge_list(edges, n)
+    return Graph(edges, n)
 
 
 def _windmill(eta: int, k: int) -> Graph:
@@ -258,7 +237,7 @@ def _windmill(eta: int, k: int) -> Graph:
         block = range(1 + copy * (k - 1), 1 + (copy + 1) * (k - 1))
         edges.extend((0, v) for v in block)
         edges.extend(combinations(block, 2))
-    return from_edge_list(edges, n)
+    return Graph(edges, n)
 
 
 def _glued_4_cycles(n: int) -> Graph:
@@ -269,7 +248,7 @@ def _glued_4_cycles(n: int) -> Graph:
     for v in range(n):
         a, b, c = n + 3 * v, n + 3 * v + 1, n + 3 * v + 2
         edges.extend([(v, a), (a, b), (b, c), (c, v)])
-    return from_edge_list(edges, total)
+    return Graph(edges, total)
 
 
 _MAX_TRIES = 1000  # random-min-degree-2 draws before it gives up
@@ -283,7 +262,7 @@ def _random_min_degree_2(n: int, seed: int | None) -> Graph:
     p = min(1.0, (math.log(n) + 2.0) / n)
     for _ in range(_MAX_TRIES):
         edges = [(i, j) for i, j in combinations(range(n), 2) if rng.random() < p]
-        g = from_edge_list(edges, n)
+        g = Graph(edges, n)
         if g.min_degree() >= 2 and is_connected(g):
             return g
     raise FamilyParameterError(
@@ -381,7 +360,7 @@ def read_edge_list_text(text: str) -> Graph:
                 raise GraphFormatError(
                     "labels must be integers in [0, n) when n= is declared") from exc
             edges.append((i, j))
-        return from_edge_list(edges, n_declared)
+        return Graph(edges, n_declared)
 
     index: dict[str, int] = {}
     edges = []
@@ -393,7 +372,7 @@ def read_edge_list_text(text: str) -> Graph:
     if not index:
         raise GraphFormatError("empty edge list and no n= header")
     labels = sorted(index, key=index.get)
-    return from_edge_list(edges, len(index), labels=labels)
+    return Graph(edges, len(index), labels=labels)
 
 
 def to_edge_list_text(g: Graph) -> str:
@@ -429,7 +408,7 @@ def read_json_graph(text: str) -> Graph:
                 and all(_is_json_int(x) for x in e)):
             raise GraphFormatError(f"bad edge entry {e!r}")
         edges.append((e[0], e[1]))
-    return from_edge_list(edges, n)
+    return Graph(edges, n)
 
 
 def to_json_graph(g: Graph) -> str:

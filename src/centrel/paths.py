@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .graphs import Graph, PreconditionError, bfs, check_size_cap
+from .graphs import Graph, PreconditionError, bfs
 
 
 class DisconnectedGraphError(PreconditionError):
@@ -25,8 +25,8 @@ class Analysis:
     """Per-graph summaries of one BFS per orbit, none of them n×n.
 
     ``g`` is the graph the pass ran on.  ``all_pairs`` builds an Analysis
-    only for a graph that is under the size cap, has at least 2 vertices and
-    is connected, so every measure that reads one can rely on all three.
+    only for a graph that has at least 2 vertices and is connected, so every
+    measure that reads one can rely on both.
 
     For every vertex v:
 
@@ -202,8 +202,8 @@ def all_pairs(g: Graph) -> Analysis:
     the summaries summed over each orbit P are true; as they are equal on P,
     each member gets that sum over |P| (row sums and histograms are copied).
 
-    Raises ``PreconditionError`` for a graph past the size cap or with fewer
-    than 2 vertices, and ``DisconnectedGraphError`` for a disconnected one.
+    Raises ``PreconditionError`` for a graph with fewer than 2 vertices and
+    ``DisconnectedGraphError`` for a disconnected one.
 
     The same loop runs the Brandes (2001) dependency sweep from each source s:
     the vertices are visited in reverse BFS order, and each v sums over its
@@ -220,7 +220,6 @@ def all_pairs(g: Graph) -> Analysis:
     rescaled when L_s does not divide L, and each vertex's value is a single
     ``Fraction(total, L)`` at the end.
     """
-    check_size_cap(g.n)
     n = g.n
     if n < 2:
         raise PreconditionError(

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from centrel import FamilySpec, all_pairs, generate
-from centrel.graphs import FAMILIES, from_edge_list
+from centrel.graphs import FAMILIES, Graph
 
 
 def family_suite_specs() -> list[FamilySpec]:
@@ -60,16 +60,16 @@ def unbuildable(monkeypatch):
 
 
 def graph_from_edges(edges, n):
-    return from_edge_list(edges, n)
+    return Graph(edges, n)
 
 
 @pytest.fixture
 def path3():
     """Path 0-1-2: the smallest pendant graph."""
-    return from_edge_list([(0, 1), (1, 2)], 3)
+    return Graph([(0, 1), (1, 2)], 3)
 
 
 @pytest.fixture
 def two_triangles():
     """Disconnected pair of triangles."""
-    return from_edge_list([(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)], 6)
+    return Graph([(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)], 6)

@@ -15,7 +15,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations, permutations, product
 
-from centrel.graphs import Graph, from_edge_list
+from centrel.graphs import Graph
 
 Edges = tuple[tuple[int, int], ...]
 
@@ -68,7 +68,7 @@ def _edge_lists(n: int) -> tuple[Edges, ...]:
 
 def connected_graphs(n: int) -> list[Graph]:
     """One graph per isomorphism class of connected graphs on n vertices."""
-    return [from_edge_list(edges, n) for edges in _edge_lists(n)]
+    return [Graph(edges, n) for edges in _edge_lists(n)]
 
 
 def brute_force_orbits(g: Graph) -> list[list[int]]:

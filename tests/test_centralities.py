@@ -12,7 +12,7 @@ from centrel import (DisconnectedGraphError, FamilySpec, all_pairs,
                      local_clustering, local_clusterings, local_efficiency,
                      radiality)
 from centrel.centralities import prefix_clusterings, triangle_count
-from centrel.graphs import PreconditionError, from_edge_list
+from centrel.graphs import Graph, PreconditionError
 from centrel.oracle import oracle_measures
 
 
@@ -71,7 +71,7 @@ class TestClustering:
         assert global_clustering(g) == 0
 
     def test_global_undefined_on_k2(self):
-        g = from_edge_list([(0, 1)], 2)
+        g = Graph([(0, 1)], 2)
         with pytest.raises(ValueError):
             global_clustering(g)
 
@@ -94,7 +94,7 @@ def connected_graphs_with_pendants(draw, max_n=25):
     edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     edges |= set(draw(st.lists(st.sampled_from(pairs), max_size=2 * n)))
-    return from_edge_list(sorted(edges), n)
+    return Graph(sorted(edges), n)
 
 
 @given(connected_graphs_with_pendants())
@@ -112,8 +112,8 @@ def graphs_up_to_30(draw):
     disconnected pieces included."""
     n = draw(st.integers(min_value=1, max_value=30))
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    return from_edge_list(draw(st.lists(st.sampled_from(pairs), max_size=3 * n))
-                          if pairs else [], n)
+    return Graph(draw(st.lists(st.sampled_from(pairs), max_size=3 * n))
+                 if pairs else [], n)
 
 
 @given(graphs_up_to_30())
@@ -121,7 +121,7 @@ def graphs_up_to_30(draw):
 def test_prefix_clusterings_equal_those_of_the_induced_subgraphs(g):
     expected = {}
     for s in range(1, g.n + 1):
-        h = from_edge_list([(i, j) for i, j in g.edges() if j < s], s)
+        h = Graph([(i, j) for i, j in g.edges() if j < s], s)
         try:
             expected[s] = (average_clustering(h), global_clustering(h))
         except PreconditionError as exc:
@@ -136,7 +136,7 @@ class TestPrefixClusterings:
     @pytest.mark.parametrize("sizes", [[1], [2], [2, 3]])
     def test_prefix_without_a_degree_2_vertex_raises_the_documented_error(
             self, sizes):
-        path = from_edge_list([(0, 1), (1, 2), (2, 3)], 4)
+        path = Graph([(0, 1), (1, 2), (2, 3)], 4)
         with pytest.raises(PreconditionError,
                            match="^global clustering undefined: no vertex of "
                                  "degree >= 2$"):
@@ -178,7 +178,7 @@ class TestBetweennessStress:
 
     def test_needs_connected_graph(self):
         with pytest.raises(DisconnectedGraphError):
-            all_pairs(from_edge_list([(0, 1), (2, 3)], 4))
+            all_pairs(Graph([(0, 1), (2, 3)], 4))
 
     def test_brandes_equals_definitional(self, family_suite):
         for name, g in family_suite:

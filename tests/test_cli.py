@@ -4,14 +4,15 @@ import dataclasses
 import importlib
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from centrel import (FamilySpec, Graph, from_edge_list, generate,
-                     read_edge_list_text, read_json_graph, to_edge_list_text)
+from centrel import (FamilySpec, Graph, generate, read_edge_list_text,
+                     read_json_graph, to_edge_list_text)
 from centrel.cli import main
 from centrel.graphs import GraphFormatError, PreconditionError
 
@@ -199,12 +200,16 @@ class TestCompute:
         assert "/" not in out
         assert "     0    4 0.333333333333" in out
 
-    def test_float_human_table_aligned(self, capsys):
-        code, out, _ = run(capsys, "compute", "--family", "windmill",
-                           "--params", "2,3", "--float")
+    @pytest.mark.parametrize("args, n", [
+        (("windmill", "--params", "2,3", "--float"), 5),
+        # vertex 12's betweenness 3291907/90090 is wider than its column
+        (("random-min-degree-2", "--params", "16", "--seed", "4"), 16),
+    ], ids=["float", "exact"])
+    def test_human_table_aligned(self, capsys, args, n):
+        code, out, _ = run(capsys, "compute", "--family", *args)
         table = out.split("per-vertex:\n", 1)[1].splitlines()
-        assert code == 0 and len(table) == 6
-        assert [len(row) for row in table[1:]] == [len(table[0])] * 5
+        assert code == 0 and len(table) == n + 1
+        assert [len(row) for row in table[1:]] == [len(table[0])] * n
 
     @pytest.mark.parametrize("name, text", [
         ("header.edges", "n=20001\n"),
@@ -446,6 +451,29 @@ def move_hub_neighborhood_betweenness(profiles):
     return profiles
 
 
+def moved_up(counter, key):
+    """A copy of ``counter`` with one count moved from ``key`` to ``key + 1``."""
+    moved = Counter(counter)
+    moved[key] -= 1
+    moved[key + 1] += 1
+    return moved
+
+
+# Analysis field -> the smallest natural step on vertex 0's entry, and the
+# oracle-diff mismatch labels (indices dropped) that it must cause
+ANALYSIS_FAULTS = {
+    "row_sums": (lambda x: x + 1, {"avg_path_length", "closeness"}),
+    "hists": (lambda h: moved_up(h, 1), {"global_efficiency", "radiality"}),
+    "pair_hists": (lambda h: moved_up(h, max(h)),
+                   {"local_efficiency", "neighborhood.avg_path",
+                    "neighborhood.diameter", "neighborhood.radiality"}),
+    "pair_sums": (lambda h: moved_up(h, min(h)), {"neighborhood.closeness"}),
+    "detours": (lambda h: moved_up(h, min(h)), {"neighborhood.betweenness"}),
+    "betweenness": (lambda x: x + Fraction(1, 7), {"betweenness"}),
+    "stress": (lambda x: x + 1, {"stress"}),
+}
+
+
 class TestOracleDiff:
     def test_match(self, capsys):
         code, out, _ = run(capsys, "oracle-diff", "--family", "windmill",
@@ -486,6 +514,29 @@ class TestOracleDiff:
                              "--params", "2,3")
         assert (code, err) == (4, "")
         assert out == f"graph windmill(2,3): 1 mismatches\n  {line}\n"
+
+    @pytest.mark.parametrize("field", ANALYSIS_FAULTS)
+    @pytest.mark.parametrize("family", [
+        ("windmill", "--params", "2,3"),
+        ("random-min-degree-2", "--params", "10", "--seed", "3"),
+    ], ids=["windmill", "random"])
+    def test_every_analysis_field_fault_is_a_mismatch(self, capsys, monkeypatch,
+                                                      family, field):
+        import centrel.cli as cli
+        plant, labels = ANALYSIS_FAULTS[field]
+        real = cli.all_pairs
+
+        def corrupted(g):
+            an = real(g)
+            values = list(getattr(an, field))  # orbit members share entries
+            values[0] = plant(values[0])
+            return dataclasses.replace(an, **{field: values})
+
+        monkeypatch.setattr(cli, "all_pairs", corrupted)
+        code, out, err = run(capsys, "oracle-diff", "--family", *family)
+        assert (code, err) == (4, "")
+        lines = out.splitlines()[1:]
+        assert {line.split(":")[0].split("[")[0].strip() for line in lines} == labels
 
     def test_agrees_on_hypercube_5(self, capsys):
         code, out, _ = run(capsys, "oracle-diff", "--family", "hypercube",
@@ -533,7 +584,7 @@ class TestMetamorphic:
         g = generate(FamilySpec("random-min-degree-2", (11,), seed=seed))
         perm = list(range(g.n))
         random.Random(seed).shuffle(perm)
-        h = from_edge_list([(perm[i], perm[j]) for i, j in g.edges()], g.n)
+        h = Graph([(perm[i], perm[j]) for i, j in g.edges()], g.n)
         (tmp_path / "g.edges").write_text(to_edge_list_text(g))
         (tmp_path / "h.edges").write_text(to_edge_list_text(h))
         a = compute_json(capsys, tmp_path / "g.edges")

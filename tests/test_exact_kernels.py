@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from centrel import (FamilySpec, all_pairs, betweenness_and_stress, bfs,
                      generate, global_efficiency, local_efficiency, profile,
                      radiality)
-from centrel.graphs import from_edge_list
+from centrel.graphs import Graph
 from centrel.oracle import oracle_measures
 
 MANY_PATH_FAMILIES = [
@@ -38,7 +38,7 @@ def connected_graphs(draw, max_n=14):
               if (i, j) not in edges]
     edges |= set(draw(st.lists(st.sampled_from(others), max_size=3 * n))
                  if others else [])
-    return from_edge_list(sorted(edges), n)
+    return Graph(sorted(edges), n)
 
 
 @st.composite
@@ -46,7 +46,7 @@ def graphs_with_pendants(draw, max_n=40):
     """A random connected graph with a pendant vertex attached."""
     g = draw(connected_graphs(max_n=max_n - 1))
     anchor = draw(st.integers(0, g.n - 1))
-    return from_edge_list(sorted(g.edges()) + [(anchor, g.n)], g.n + 1)
+    return Graph(sorted(g.edges()) + [(anchor, g.n)], g.n + 1)
 
 
 def rows(g):
@@ -163,7 +163,7 @@ def test_many_path_families(family, params):
 
 @pytest.mark.parametrize("g", [
     # K_{2,3}: sources on the 2-side see sigma = 3, on the 3-side sigma = 2
-    from_edge_list([(a, b) for a in (0, 1) for b in (2, 3, 4)], 5),
+    Graph([(a, b) for a in (0, 1) for b in (2, 3, 4)], 5),
     generate(FamilySpec("complete-with-glued-4-cycles", (5,))),
     generate(FamilySpec("random-min-degree-2", (40,), seed=3)),
 ])

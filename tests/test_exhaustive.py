@@ -5,8 +5,13 @@ connected graphs are OEIS A001349.  On every graph ``orbits`` must equal the
 brute-force automorphism orbits, and on every graph with minimum degree 2
 every relation must hold, the fast path must equal the oracle, and the
 equality conditions of Thms 2 and 3 must be observed exactly when their
-structural conditions hold.  The 7-vertex graphs run under ``slow``.
+structural conditions hold.  On every graph with a degree-1 vertex, which
+lies outside the paper's hypothesis, ``check_all(g, allow_pendant=True)``
+must fail exactly the pinned relations.  The 7-vertex graphs run under
+``slow``.
 """
+
+from collections import Counter
 
 import pytest
 
@@ -46,3 +51,18 @@ def test_relations_and_oracle_on_every_graph_of_min_degree_2(n, count):
         assert reports["thm2"].equality_observed == (diameter(an) <= 2), g.edges()
         assert reports["thm3"].equality_observed == \
             neighborhoods_unique_two_paths(an), g.edges()
+
+
+@pytest.mark.parametrize("n, count, failures", [
+    (3, 1, {"thm1": 1, "thm4": 1, "thm2": 1}),
+    (4, 3, {"thm1": 3, "thm4": 3, "thm2": 2}),
+    (5, 10, {"thm1": 10, "thm4": 10, "thm2": 6}),
+    (6, 51, {"thm1": 51, "thm4": 51, "thm2": 20}),
+    pytest.param(7, 346, {"thm1": 346, "thm4": 342, "thm2": 91}, marks=SLOW),
+])
+def test_relations_failed_on_every_graph_with_a_degree_1_vertex(n, count, failures):
+    graphs = [g for g in connected_graphs(n) if g.min_degree() == 1]
+    assert len(graphs) == count
+    failed = Counter(r.relation for g in graphs
+                     for r in check_all(g, allow_pendant=True) if not r.holds)
+    assert failed == failures

@@ -7,48 +7,57 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from centrel import (FamilySpec, from_edge_list, generate, is_connected,
-                     load_graph, read_edge_list_text, read_json_graph,
-                     to_edge_list_text, to_json_graph)
+from centrel import (FamilySpec, Graph, generate, is_connected, load_graph,
+                     read_edge_list_text, read_json_graph, to_edge_list_text,
+                     to_json_graph)
 from centrel.centralities import triangle_count
 from centrel.graphs import (FAMILIES, FamilyParameterError, GraphFormatError,
                             PreconditionError, parse_family)
 
 
-class TestFromEdgeList:
+class TestConstructor:
     def test_triangle(self):
-        g = from_edge_list([(0, 1), (1, 2), (2, 0)], 3)
+        g = Graph([(0, 1), (1, 2), (2, 0)], 3)
         assert g.n == 3 and g.m == 3
         assert g.degrees() == [2, 2, 2]
 
     def test_duplicate_collapsed(self):
-        g = from_edge_list([(0, 1), (1, 0)], 2)
+        g = Graph([(0, 1), (1, 0)], 2)
         assert g.m == 1
         assert g.duplicates_collapsed
 
     def test_no_duplicates_flag_clear(self):
-        g = from_edge_list([(0, 1), (1, 2)], 3)
+        g = Graph([(0, 1), (1, 2)], 3)
         assert not g.duplicates_collapsed
+
+    def test_no_vertex_rejected(self):
+        with pytest.raises(GraphFormatError, match="^vertex count must be at least 1$"):
+            Graph([], 0)
 
     def test_self_loop_rejected(self):
         with pytest.raises(GraphFormatError):
-            from_edge_list([(0, 0)], 1)
+            Graph([(0, 0)], 1)
 
     def test_out_of_range_rejected(self):
         with pytest.raises(GraphFormatError):
-            from_edge_list([(0, 3)], 3)
+            Graph([(0, 3)], 3)
 
     def test_size_cap_refused(self):
         with pytest.raises(PreconditionError, match="too large"):
-            from_edge_list([], 20_001)
-        assert from_edge_list([], 20_000).n == 20_000
+            Graph([], 20_001)
+        assert Graph([], 20_000).n == 20_000
+
+    def test_label_table_size_checked(self):
+        assert Graph([(0, 1)], 2, labels=["a", "b"]).label_of(1) == "b"
+        with pytest.raises(GraphFormatError, match="label table size"):
+            Graph([(0, 1)], 2, labels=["a"])
 
     def test_neighbors_sorted(self):
-        g = from_edge_list([(2, 0), (0, 1), (0, 3)], 4)
+        g = Graph([(2, 0), (0, 1), (0, 3)], 4)
         assert g.neighbors(0) == (1, 2, 3)
 
     def test_adjacency_is_symmetric(self):
-        g = from_edge_list([(0, 1), (2, 1)], 3)
+        g = Graph([(0, 1), (2, 1)], 3)
         for i in range(3):
             for j in g.neighbors(i):
                 assert g.adjacent(j, i)
@@ -305,7 +314,7 @@ def edge_lists(draw):
 @settings(max_examples=60, deadline=None)
 def test_graph_invariants_hold(data):
     n, edges = data
-    g = from_edge_list(edges, n)
+    g = Graph(edges, n)
     assert g.n == n
     assert g.m == len(edges)
     assert 2 * g.m == sum(g.degrees())

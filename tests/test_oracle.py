@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from centrel import (FamilySpec, all_pairs, bfs, compute_report, generate,
                      oracle, oracle_measures, oracle_neighborhood_profiles)
 from centrel.centralities import CentralityReport
-from centrel.graphs import PreconditionError, from_edge_list
+from centrel.graphs import Graph, PreconditionError
 from centrel.neighborhood import profiles
 from enumeration import enumerate_shortest_paths
 
@@ -139,7 +139,7 @@ def connected_graphs(draw, max_n=60):
               if (i, j) not in edges]
     edges |= set(draw(st.lists(st.sampled_from(others), max_size=3 * n))
                  if others else [])
-    return from_edge_list(sorted(edges), n)
+    return Graph(sorted(edges), n)
 
 
 @pytest.mark.slow

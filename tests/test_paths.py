@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from centrel import (DisconnectedGraphError, FamilySpec, all_pairs,
                      avg_path_length, bfs, density, diameter, generate,
                      global_efficiency, paths)
-from centrel.graphs import Graph, PreconditionError, from_edge_list, is_connected
+from centrel.graphs import Graph, PreconditionError, is_connected
 from centrel.oracle import oracle_measures, oracle_neighborhood_profiles
 from centrel.paths import exact_sum, mean
 from enumeration import enumerate_shortest_paths
@@ -65,13 +65,7 @@ class TestAllPairs:
 
     def test_single_vertex_rejected(self):
         with pytest.raises(PreconditionError, match="at least 2 vertices"):
-            all_pairs(from_edge_list([], 1))
-
-    def test_dense_size_guard(self):
-        n = 20_001  # built directly: generate and from_edge_list refuse it
-        g = Graph([((v - 1) % n, (v + 1) % n) for v in range(n)])
-        with pytest.raises(PreconditionError, match="too large"):
-            all_pairs(g)
+            all_pairs(Graph([], 1))
 
     def test_matrices_symmetric_zero_diagonal(self, family_suite):
         for name, g in family_suite[:10]:
@@ -102,8 +96,8 @@ class TestAllPairs:
         n = 200
         rng = random.Random(1)
         edges = [(v, rng.randrange(v)) for v in range(1, n)]
-        g = from_edge_list(edges + [tuple(rng.sample(range(n), 2))
-                                    for _ in range(20)], n)
+        g = Graph(edges + [tuple(rng.sample(range(n), 2))
+                           for _ in range(20)], n)
         if keep_rows:
             kept = []
 
@@ -163,11 +157,11 @@ def connected_graphs(draw, max_n=9):
     n = draw(st.integers(min_value=3, max_value=max_n))
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     edges = [p for p in pairs if draw(st.booleans())]
-    g = from_edge_list(edges, n)
+    g = Graph(edges, n)
     if not is_connected(g):
         # connect greedily along the vertex order; keeps the sample broad
         extra = [(i, i + 1) for i in range(n - 1)]
-        g = from_edge_list(sorted(set(edges) | set(extra)), n)
+        g = Graph(sorted(set(edges) | set(extra)), n)
     return g
 
 
@@ -188,8 +182,8 @@ def test_bfs_matches_enumeration(g):
 
 @given(connected_graphs(max_n=10))
 # two diamonds in a row: sigma(0, 3) = sigma(3, 6) = 2, and 4 paths through 3
-@example(from_edge_list([(0, 1), (0, 2), (1, 3), (2, 3),
-                         (3, 4), (3, 5), (4, 6), (5, 6)], 7))
+@example(Graph([(0, 1), (0, 2), (1, 3), (2, 3),
+                (3, 4), (3, 5), (4, 6), (5, 6)], 7))
 @settings(max_examples=60, deadline=None)
 def test_oracle_counts_match_enumeration(g):
     """Betweenness, stress and BC(i, N(i)) counted on the enumerated paths

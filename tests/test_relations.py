@@ -13,7 +13,7 @@ from centrel import (FamilySpec, PreconditionError, all_pairs,
                      check_thm6, compute_report, generate, global_clustering,
                      profiles, sweep_windmill)
 from centrel import relations
-from centrel.graphs import FamilyParameterError, from_edge_list
+from centrel.graphs import FamilyParameterError, Graph
 from centrel.relations import neighborhoods_unique_two_paths
 from centrel.serialize import csv_value, human_value, json_value
 
@@ -194,14 +194,14 @@ class TestThm6:
     def test_no_ordering_asserts_nothing(self):
         # triangle and square sharing vertex 2: the degree-2 class mixes
         # clustering 1 (triangle corners) and 0 (square corners)
-        g = from_edge_list([(0, 1), (1, 2), (2, 0),
-                            (2, 3), (3, 4), (4, 5), (5, 2)], 6)
+        g = Graph([(0, 1), (1, 2), (2, 0),
+                   (2, 3), (3, 4), (4, 5), (5, 2)], 6)
         r = check_thm6(all_pairs(g))
         assert not r.hypothesis_met and r.direction == "none" and r.holds
 
     def test_all_clusterings_equal_on_k23(self):
         # two degree classes, every clustering 0: both orderings hold
-        g = from_edge_list([(a, b) for a in (0, 1) for b in (2, 3, 4)], 5)
+        g = Graph([(a, b) for a in (0, 1) for b in (2, 3, 4)], 5)
         r = check_thm6(all_pairs(g))
         assert (r.relation, r.direction, r.lhs, r.rhs) == ("thm6", "eq", 0, 0)
         assert r.holds and r.equality_expected and r.equality_observed

@@ -18,8 +18,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from centrel import (FamilySpec, all_pairs, bfs, check_all, compute_report,
-                     from_edge_list, generate)
+from centrel import (FamilySpec, Graph, all_pairs, bfs, check_all,
+                     compute_report, generate)
 from centrel.oracle import oracle_measures
 from centrel.paths import _share, orbits
 
@@ -37,7 +37,7 @@ def plant_twins(draw, n, edges, max_n, at_least=0):
             nbrs.add(v)
         edges |= {frozenset((n, u)) for u in nbrs}
         n += 1
-    return from_edge_list(sorted(tuple(sorted(e)) for e in edges), n)
+    return Graph(sorted(tuple(sorted(e)) for e in edges), n)
 
 
 def random_connected(draw, min_n, max_n, cycle=False):
@@ -108,7 +108,7 @@ def uncompressed(g):
 
 
 def relabeled(g, perm):
-    return from_edge_list([(perm[i], perm[j]) for i, j in g.edges()], g.n)
+    return Graph([(perm[i], perm[j]) for i, j in g.edges()], g.n)
 
 
 def assert_fields_exact(g):
@@ -231,7 +231,7 @@ def test_a_long_path_settles_through_the_splitters(monkeypatch):
     refine = paths._refine
     monkeypatch.setattr(paths, "_refine",
                         lambda *args: queues.append(len(args[3])) or refine(*args))
-    g = from_edge_list([(v, v + 1) for v in range(39)], 40)
+    g = Graph([(v, v + 1) for v in range(39)], 40)
     assert orbits(g) == [[v, 39 - v] for v in range(20)]
     assert queues[0] > 1
     assert_fields_exact(g)
@@ -245,7 +245,7 @@ def test_each_map_is_checked_once(monkeypatch):
     check = paths._is_automorphism
     monkeypatch.setattr(paths, "_is_automorphism",
                         lambda *args: verdicts.append(check(*args)) or verdicts[-1])
-    g = from_edge_list([(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6), (0, 7), (7, 8)], 9)
+    g = Graph([(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6), (0, 7), (7, 8)], 9)
     assert orbits(g) == [[0], [1, 3, 5, 7], [2, 4, 6, 8]]
     assert verdicts == [True, True, True]
 
