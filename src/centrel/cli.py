@@ -11,7 +11,6 @@ Output is deterministic for a fixed command line and seed.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from . import oracle
@@ -22,7 +21,7 @@ from .graphs import (FamilyParameterError, Graph, GraphFormatError,
 from .neighborhood import profiles
 from .paths import all_pairs
 from .relations import RelationReport, SweepRow, check_all, sweep_windmill
-from .serialize import csv_table, csv_value, human_value, json_value
+from .serialize import csv_table, csv_value, human_value, json_text
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -56,8 +55,8 @@ def _graph_header(g: Graph, source: str) -> dict:
     return {"source": source, "n": g.n, "m": g.m}
 
 
-def _print_json(payload) -> None:
-    print(json.dumps(payload, indent=2))
+def _print_json(payload, exact: bool) -> None:
+    print(json_text(payload, exact))
 
 
 def _print_lines(lines: list[str]) -> None:
@@ -77,11 +76,10 @@ def cmd_compute(args) -> int:
     graph_level = [(name, getattr(rep, name)) for name in CentralityReport.FIELDS_GRAPH]
     if args.format == "json":
         vertices = [{"vertex": i, "label": g.label_of(i),
-                     **{name: json_value(col[i], exact) for name, col in per_vertex}}
+                     **{name: col[i] for name, col in per_vertex}}
                     for i in range(g.n)]
         _print_json({"graph": _graph_header(g, source), "vertices": vertices,
-                     "graph_level": {name: json_value(x, exact)
-                                     for name, x in graph_level}})
+                     "graph_level": dict(graph_level)}, exact)
     elif args.format == "csv":
         lines = ["scope,metric,value"]
         lines += [f"graph,{name},{csv_value(x)}" for name, x in graph_level]
@@ -119,7 +117,7 @@ def cmd_check(args) -> int:
     exact = not args.float_values
     if args.format == "json":
         _print_json({"graph": _graph_header(g, source), "all_hold": all_hold,
-                     "relations": json_value(reports, exact)})
+                     "relations": reports}, exact)
     elif args.format == "csv":
         _print_lines(csv_table(RelationReport.CSV_FIELDS, reports))
     else:
@@ -177,7 +175,7 @@ def cmd_sweep(args) -> int:
         print(f"warning: windmill(1,{k}) is a single clique; the eta=1 row "
               "is excluded from the trend summary", file=sys.stderr)
     if args.format == "json":
-        _print_json(json_value(result, not args.float_values))
+        _print_json(result, not args.float_values)
     else:
         lines = csv_table(SweepRow.FIELDS, result.rows)
         lines.append(f"# trend: avg_clustering strictly increasing: "
@@ -223,26 +221,32 @@ def cmd_oracle_diff(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="centrel",
-        description="Exact centrality measures and clustering relation checks "
-                    "for simple undirected graphs.")
-    sub = parser.add_subparsers(dest="command", required=True)
+# name -> (help line, handler), in the order that help and errors list them
+COMMANDS = {
+    "compute": ("full centrality report", cmd_compute),
+    "check": ("verify every relation", cmd_check),
+    "generate": ("emit a family graph", cmd_generate),
+    "sweep": ("windmill clustering divergence table", cmd_sweep),
+    "oracle-diff": ("compare fast measures against the counting oracle", cmd_oracle_diff),
+}
 
-    def add_family(p):
-        p.add_argument("--family", help="generator family name")
-        p.add_argument("--params", help="comma-separated integer parameters")
 
-    def add_source(p, with_input=True):
-        if with_input:
-            p.add_argument("--input", help="edge-list or .json graph file")
-        add_family(p)
+def _add_options(p: argparse.ArgumentParser, command: str) -> None:
+    if command in ("compute", "check", "oracle-diff"):
+        p.add_argument("--input", help="edge-list or .json graph file")
+    p.add_argument("--family", help="generator family name")
+    p.add_argument("--params", help="comma-separated integer parameters")
+    if command != "sweep":
         p.add_argument("--seed", type=int, default=None,
                        help="seed for random-min-degree-2 (refused with other families)")
-
-    def add_format(p, choices=("json", "csv", "human"), default="human"):
-        p.add_argument("--format", choices=choices, default=default)
+    if command == "generate":
+        p.add_argument("--format", choices=("json", "human"), default="human",
+                       help="human = edge-list text")
+        p.add_argument("--output", help="write to a file instead of stdout")
+    elif command != "oracle-diff":
+        sweep = command == "sweep"
+        p.add_argument("--format", choices=("json", "csv") if sweep else ("json", "csv", "human"),
+                       default="csv" if sweep else "human")
         group = p.add_mutually_exclusive_group()
         group.add_argument("--exact", dest="float_values", action="store_const",
                            const=False, help="render exact p/q values (default; "
@@ -250,41 +254,33 @@ def build_parser() -> argparse.ArgumentParser:
         group.add_argument("--float", dest="float_values", action="store_const",
                            const=True, help="render floating values (not with "
                            "--format csv)")
+    if command == "check":
+        p.add_argument("--allow-pendant", action="store_true",
+                       help="permit degree-1 vertices (degree-1 conventions apply)")
 
-    p_compute = sub.add_parser("compute", help="full centrality report")
-    add_source(p_compute)
-    add_format(p_compute)
-    p_compute.set_defaults(func=cmd_compute)
 
-    p_check = sub.add_parser("check", help="verify every relation")
-    add_source(p_check)
-    add_format(p_check)
-    p_check.add_argument("--allow-pendant", action="store_true",
-                         help="permit degree-1 vertices (degree-1 conventions apply)")
-    p_check.set_defaults(func=cmd_check)
-
-    p_gen = sub.add_parser("generate", help="emit a family graph")
-    add_source(p_gen, with_input=False)
-    p_gen.add_argument("--format", choices=("json", "human"), default="human",
-                       help="human = edge-list text")
-    p_gen.add_argument("--output", help="write to a file instead of stdout")
-    p_gen.set_defaults(func=cmd_generate)
-
-    p_sweep = sub.add_parser(
-        "sweep", help="windmill clustering divergence table")
-    add_family(p_sweep)
-    add_format(p_sweep, choices=("json", "csv"), default="csv")
-    p_sweep.set_defaults(func=cmd_sweep)
-
-    p_diff = sub.add_parser("oracle-diff",
-                            help="compare fast measures against the counting oracle")
-    add_source(p_diff)
-    p_diff.set_defaults(func=cmd_oracle_diff)
+def build_parser(argv: list[str]) -> argparse.ArgumentParser:
+    """The parser for ``argv``.  Every command is listed, but only the invoked
+    one gets its options, ``-h`` included.  The invoked command is the first
+    token of ``argv`` that is not an option: the top level has only ``-h``,
+    so that is the token argparse reads as the command."""
+    command = next((arg for arg in argv if not arg.startswith("-")), None)
+    parser = argparse.ArgumentParser(
+        prog="centrel",
+        description="Exact centrality measures and clustering relation checks "
+                    "for simple undirected graphs.")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, func) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text, add_help=name == command)
+        if name == command:
+            _add_options(p, name)
+            p.set_defaults(func=func)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv)
     args = parser.parse_args(argv)
     if getattr(args, "float_values", None) is not None and args.format == "csv":
         parser.error(f"{args.command} --format csv always renders floats; "

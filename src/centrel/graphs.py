@@ -11,8 +11,9 @@ from __future__ import annotations
 import json
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterable, Sequence
 
 # The exact all-pairs analysis runs one BFS and one Brandes sweep per orbit, so
@@ -258,13 +259,15 @@ def _random_min_degree_2(n: int, seed: int | None) -> Graph:
     # G(n, p) resampled until connected with min degree >= 2.
     if n < 3:
         raise FamilyParameterError("random-min-degree-2(n) needs n >= 3")
-    rng = random.Random(seed)
+    draw = random.Random(seed).random
     p = min(1.0, (math.log(n) + 2.0) / n)
     for _ in range(_MAX_TRIES):
-        edges = [(i, j) for i, j in combinations(range(n), 2) if rng.random() < p]
-        g = Graph(edges, n)
-        if g.min_degree() >= 2 and is_connected(g):
-            return g
+        edges = [(i, j) for i, j in combinations(range(n), 2) if draw() < p]
+        degree = Counter(chain.from_iterable(edges))  # a Graph only for a passing try
+        if len(degree) == n and min(degree.values()) >= 2:
+            g = Graph(edges, n)
+            if is_connected(g):
+                return g
     raise FamilyParameterError(
         f"could not sample a connected min-degree-2 graph on {n} vertices "
         f"in {_MAX_TRIES} tries")

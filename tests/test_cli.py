@@ -1,11 +1,13 @@
 """CLI behavior: output schemas, exit codes, determinism."""
 
+import argparse
 import dataclasses
 import importlib
 import json
 import random
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -13,8 +15,10 @@ from hypothesis import strategies as st
 
 from centrel import (FamilySpec, Graph, generate, read_edge_list_text,
                      read_json_graph, to_edge_list_text)
+from centrel.centralities import CentralityReport
 from centrel.cli import main
 from centrel.graphs import GraphFormatError, PreconditionError
+from centrel.neighborhood import NeighborhoodProfile
 
 
 def run(capsys, *argv):
@@ -438,6 +442,38 @@ class TestUnreadFlags:
         assert out == "" and "--format csv" in err
 
 
+# exit code, stdout and stderr of the command lines, recorded when every
+# command's options were built on each call (80 columns)
+PARITY = json.loads((Path(__file__).parent / "cli_parity.json").read_text(encoding="utf-8"))
+
+
+class TestParser:
+    @pytest.mark.parametrize("command", list(PARITY))
+    def test_help_usage_and_errors_unchanged(self, capsys, monkeypatch, command):
+        monkeypatch.setenv("COLUMNS", "80")
+        try:
+            code = main(command.split())
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        assert {"exit": code, "stdout": out, "stderr": err} == PARITY[command]
+
+    def test_only_the_invoked_command_gets_options(self, capsys, monkeypatch):
+        built = []
+        real = argparse._ActionsContainer.add_argument
+
+        def add_argument(container, *names, **kwargs):
+            built.append(names[0])
+            return real(container, *names, **kwargs)
+
+        monkeypatch.setattr(argparse._ActionsContainer, "add_argument", add_argument)
+        assert main(["sweep", "--family", "windmill", "--params", "3,2,5",
+                     "--format", "json"]) == 0
+        json.loads(capsys.readouterr().out)
+        # the top level's -h, then sweep's own
+        assert built == ["-h", "-h", "--family", "--params", "--format", "--exact", "--float"]
+
+
 def move_hub_betweenness(report):
     """Moves vertex 0's betweenness by 1/7, the hub's in a windmill."""
     report.betweenness[0] += Fraction(1, 7)
@@ -537,6 +573,44 @@ class TestOracleDiff:
         assert (code, err) == (4, "")
         lines = out.splitlines()[1:]
         assert {line.split(":")[0].split("[")[0].strip() for line in lines} == labels
+
+    @pytest.mark.parametrize("label", [
+        *(f"{name}[0]" for name in CentralityReport.FIELDS_PER_VERTEX),
+        *CentralityReport.FIELDS_GRAPH,
+        *(f"neighborhood.{name}[0]" for name in NeighborhoodProfile.FIELDS),
+    ])
+    def test_every_oracle_field_fault_is_a_mismatch(self, capsys, monkeypatch, label):
+        # the mirror case: one field wrong on the oracle side, at vertex 0 if per vertex
+        import centrel.oracle as oracle
+        name = label.removeprefix("neighborhood.").removesuffix("[0]")
+
+        def plant(x):
+            return not x if isinstance(x, bool) else x + 1
+
+        def measures(g):
+            rep = real_measures(g)
+            if name in CentralityReport.FIELDS_GRAPH:
+                return dataclasses.replace(rep, **{name: plant(getattr(rep, name))})
+            values = list(getattr(rep, name))
+            values[0] = plant(values[0])
+            return dataclasses.replace(rep, **{name: values})
+
+        def neighborhood_profiles(g):
+            found = real_profiles(g)
+            found[0] = dataclasses.replace(found[0], **{name: plant(getattr(found[0], name))})
+            return found
+
+        real_measures, real_profiles = (oracle.oracle_measures,
+                                        oracle.oracle_neighborhood_profiles)
+        if label.startswith("neighborhood."):
+            monkeypatch.setattr(oracle, "oracle_neighborhood_profiles", neighborhood_profiles)
+        else:
+            monkeypatch.setattr(oracle, "oracle_measures", measures)
+        code, out, err = run(capsys, "oracle-diff", "--family", "windmill", "--params", "2,3")
+        assert (code, err) == (4, "")
+        head, line = out.splitlines()
+        assert head == "graph windmill(2,3): 1 mismatches"
+        assert line.split(":")[0].strip() == label
 
     def test_agrees_on_hypercube_5(self, capsys):
         code, out, _ = run(capsys, "oracle-diff", "--family", "hypercube",
