@@ -16,67 +16,23 @@ from .paths import (Analysis, avg_path_length, density, diameter,
                     efficiency_sum, exact_sum, global_efficiency, mean)
 
 
-def _ratio(links: int, d: int) -> tuple[int, int]:
-    """Local clustering as (2 * links among d neighbors, d(d-1)), or (0, 1) for d <= 1."""
-    return (links, d * (d - 1)) if d > 1 else (0, 1)
-
-
-def _clustering_ratio(g: Graph, i: int) -> tuple[int, int]:
-    """Local clustering of i as a ``_ratio``.  Each link a-b is counted from
-    a and from b, as a common neighbor of i and the other end."""
-    nbrs = g.neighbor_set(i)
-    return _ratio(sum(len(nbrs & g.neighbor_set(a)) for a in nbrs), len(nbrs))
-
-
-def local_clustering(g: Graph, i: int) -> Fraction:
-    """Edge density of the subgraph induced on the neighbors of i."""
-    return Fraction(*_clustering_ratio(g, i))
-
-
-def local_clusterings(an: Analysis) -> list[Fraction]:
-    """Every vertex's local clustering (from adjacency alone), computed once
-    per Analysis; later calls return a copy of the stored list."""
-    return list(an.memo("clustering",
-                        lambda: [local_clustering(an.g, i) for i in range(an.n)]))
-
-
-def average_clustering(g: Graph) -> Fraction:
-    """Mean of the local clustering coefficients over all n vertices.  Nothing
-    in the package calls it; perfbench checks the windmill closed forms on it."""
-    return exact_sum(_clustering_ratio(g, i) for i in range(g.n)) / g.n
-
-
-def triangle_count(g: Graph) -> int:
-    """Number of triangles, via common-neighbor counts per edge."""
-    total = sum(len(g.neighbor_set(i) & g.neighbor_set(j)) for i, j in g.edges())
-    # each triangle is counted once per edge
-    return total // 3
-
-
-def _global_ratio(triangles: int, triples: int) -> Fraction:
-    """6T over the sum of d(d-1), refused when no vertex has degree >= 2."""
-    if triples == 0:
-        raise PreconditionError("global clustering undefined: no vertex of degree >= 2")
-    return Fraction(6 * triangles, triples)
-
-
-def global_clustering(g: Graph) -> Fraction:
-    """Closed triplets over all connected ordered triples: 6T / sum d(d-1)."""
-    return _global_ratio(triangle_count(g), sum(d * (d - 1) for d in g.degrees()))
-
-
-def prefix_clusterings(g: Graph, sizes: Sequence[int]) -> list[tuple[Fraction, Fraction]]:
-    """(average_clustering, global_clustering) of the subgraph induced on
-    vertices 0..s-1 for each s in the strictly ascending ``sizes``, in one pass.
+def prefix_clusterings(g: Graph, sizes: Sequence[int]
+                       ) -> tuple[list[tuple[Fraction, Fraction | None]], list[Fraction]]:
+    """The only count of the links among neighbors.  For each s in the
+    strictly ascending ``sizes``, (average clustering, 6T / sum d(d-1) or None
+    when no vertex has degree >= 2) of the subgraph induced on vertices
+    0..s-1; and the local clusterings of the largest such subgraph.
 
     Vertices join in index order.  A new vertex u with earlier neighbours P
     changes only the terms of u and P: each p in P gains |N(p) & P| links
     among its neighbours, and u's links and the new triangles are half their
-    sum.  Raises ``PreconditionError`` as ``global_clustering`` does."""
-    links, degree, terms = [0] * g.n, [0] * g.n, [0] * g.n  # links counted twice
-    total, triangles, triples = 0, 0, 0  # sum of terms, T, sum d(d-1)
-    rows = []
-    for u in range(max(sizes, default=0)):
+    sum.  The average adds each unreduced ratio once, times its vertex count."""
+    links, degree = [0] * g.n, [0] * g.n  # links counted twice
+    ratio = [(0, 1)] * g.n  # (2 * links, d(d-1)); (0, 1) for d <= 1 or not yet added
+    count = {(0, 1): g.n}  # ratio -> number of vertices that have it, never 0
+    triangles, triples = 0, 0  # T, sum d(d-1)
+    rows, top = [], max(sizes, default=0)
+    for u in range(top):
         prior = [p for p in g.neighbors(u) if p < u]
         shared = [len(g.neighbor_set(p).intersection(prior)) for p in prior]
         for p, c in zip(prior, shared):
@@ -87,12 +43,47 @@ def prefix_clusterings(g: Graph, sizes: Sequence[int]) -> list[tuple[Fraction, F
         triples += degree[u] * (degree[u] - 1)
         triangles += links[u] // 2
         for v in prior + [u]:
-            total -= terms[v]
-            terms[v] = Fraction(*_ratio(links[v], degree[v]))
-            total += terms[v]
+            old, ratio[v] = ratio[v], (links[v], degree[v] * (degree[v] - 1) or 1)
+            count[old] -= 1
+            if not count[old]:
+                del count[old]
+            count[ratio[v]] = count.get(ratio[v], 0) + 1
         if u + 1 == sizes[len(rows)]:
-            rows.append((total / (u + 1), _global_ratio(triangles, triples)))
-    return rows
+            average = exact_sum((p * c, q) for (p, q), c in count.items()) / (u + 1)
+            rows.append((average, Fraction(6 * triangles, triples) if triples else None))
+    return rows, [Fraction(*r) for r in ratio[:top]]
+
+
+def clustering(an: Analysis) -> tuple[tuple[Fraction, ...], Fraction, Fraction | None]:
+    """(local clusterings, average, global clustering or None) of the
+    analysed graph, from one ``prefix_clusterings`` pass per Analysis."""
+    def build():
+        [(average, glob)], local = prefix_clusterings(an.g, [an.n])
+        return tuple(local), average, glob
+    return an.memo("clustering", build)
+
+
+def local_clusterings(an: Analysis) -> list[Fraction]:
+    """Every vertex's local clustering, as a fresh list."""
+    return list(clustering(an)[0])
+
+
+def average_clustering(g: Graph) -> Fraction:
+    """Mean of the n local clustering coefficients, read off one whole-graph
+    ``prefix_clusterings`` pass.  Only tests and perfbench call it."""
+    return prefix_clusterings(g, [g.n])[0][0][0]
+
+
+def require_global(glob: Fraction | None) -> Fraction:
+    """The global clustering, refused when it is None."""
+    if glob is None:
+        raise PreconditionError("global clustering undefined: no vertex of degree >= 2")
+    return glob
+
+
+def global_clustering(g: Graph) -> Fraction:
+    """Closed triplets over all connected ordered triples: 6T / sum d(d-1)."""
+    return require_global(prefix_clusterings(g, [g.n])[0][0][1])
 
 
 # ---------------------------------------------------------------------------
@@ -179,14 +170,10 @@ def compute_report(an: Analysis) -> CentralityReport:
     """Every measure of the analysed graph."""
     g = an.g
     bc, st = betweenness_and_stress(an)
-    clustering = local_clusterings(an)
-    try:
-        glob_c = global_clustering(g)
-    except PreconditionError:
-        glob_c = None
+    local, average, glob = clustering(an)
     return CentralityReport(
         degree=g.degrees(),
-        local_clustering=clustering,
+        local_clustering=list(local),
         betweenness=bc,
         stress=st,
         closeness=[closeness(an, v) for v in range(g.n)],
@@ -195,7 +182,7 @@ def compute_report(an: Analysis) -> CentralityReport:
         diameter=diameter(an),
         avg_path_length=avg_path_length(an),
         global_efficiency=global_efficiency(an),
-        avg_clustering=mean(clustering),
-        global_clustering=glob_c,
+        avg_clustering=average,
+        global_clustering=glob,
         local_efficiency=local_efficiency(an),
     )

@@ -42,7 +42,7 @@ class Analysis:
 
     ``betweenness`` and ``stress`` are the Brandes results of the same pass.
     The per-graph results built from these (the diameter, the neighborhood
-    profiles) and the local clusterings of the same graph are kept by
+    profiles) and the clustering pass over the same graph are kept by
     ``memo``, so the summaries must not be mutated afterwards (the members
     of an orbit share their entries).
     """

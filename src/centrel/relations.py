@@ -15,9 +15,9 @@ from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import NamedTuple
 
-from .centralities import (betweenness_and_stress, closeness,
-                           global_clustering, local_clusterings,
-                           local_efficiency, prefix_clusterings, radiality)
+from .centralities import (betweenness_and_stress, closeness, clustering,
+                           local_efficiency, prefix_clusterings, radiality,
+                           require_global)
 from .graphs import (FamilyParameterError, FamilySpec, Graph, PreconditionError,
                      generate)
 from .neighborhood import bc_loc, clo_loc, profiles, rad_loc
@@ -81,9 +81,9 @@ def check_lemma1(an: Analysis) -> RelationReport:
     """Per-vertex identity: neighborhood average path length = 2 - c_i."""
     eligible, notes = _eligible(an.g)
     profs = profiles(an)
-    clustering = local_clusterings(an)
+    local = clustering(an)[0]
     lhs_v = [profs[i].avg_path for i in eligible]
-    rhs_v = [2 - clustering[i] for i in eligible]
+    rhs_v = [2 - local[i] for i in eligible]
     worst = Fraction(0)
     for i, lhs_i, rhs_i in zip(eligible, lhs_v, rhs_v):
         dev = abs(lhs_i - rhs_i)
@@ -97,7 +97,7 @@ def check_lemma1(an: Analysis) -> RelationReport:
 def check_thm1(an: Analysis) -> RelationReport:
     """Identity: local efficiency = (1 + average clustering) / 2."""
     lhs = local_efficiency(an)
-    rhs = (1 + mean(local_clusterings(an))) / 2
+    rhs = (1 + clustering(an)[1]) / 2
     return _report("thm1", "eq", lhs, rhs, True)
 
 
@@ -111,7 +111,7 @@ def check_thm2(an: Analysis) -> RelationReport:
     _, stress = betweenness_and_stress(an)
     term_total = exact_sum((st, d * (d - 1))
                            for st, d in zip(stress, g.degrees()) if d >= 2)
-    lhs = mean(local_clusterings(an))
+    lhs = clustering(an)[1]
     rhs = 1 - term_total / g.n
     return _report("thm2", "ge", lhs, rhs, diameter(an) <= 2)
 
@@ -130,7 +130,7 @@ def check_thm3(an: Analysis) -> RelationReport:
     unique shortest (2-hop) path; that implies, and is stronger than, every
     neighborhood splitting into disjoint cliques.
     """
-    lhs = mean(local_clusterings(an))
+    lhs = clustering(an)[1]
     rhs = 1 - bc_loc(an)
     return _report("thm3", "le", lhs, rhs, neighborhoods_unique_two_paths(an))
 
@@ -169,7 +169,7 @@ def check_lemma2(an: Analysis) -> RelationReport:
 
 def check_thm4(an: Analysis) -> RelationReport:
     """Bound: 1/(2 - average clustering) <= mean neighborhood closeness."""
-    lhs = 1 / (2 - mean(local_clusterings(an)))
+    lhs = 1 / (2 - clustering(an)[1])
     return _report("thm4", "le", lhs, clo_loc(an), False)
 
 
@@ -183,14 +183,14 @@ def check_lemma3(an: Analysis) -> RelationReport:
 def check_thm5(an: Analysis) -> RelationReport:
     """Identity: average clustering = local radiality - 1 + (complete
     neighborhoods) / n."""
-    lhs = mean(local_clusterings(an))
+    lhs = clustering(an)[1]
     complete = sum(1 for p in profiles(an) if p.is_complete)
     rhs = rad_loc(an) - 1 + Fraction(complete, an.n)
     return _report("thm5", "eq", lhs, rhs, True,
                    notes=[f"complete neighborhoods: {complete} of {an.n}"])
 
 
-def _degree_class_ordering(g: Graph, clustering: list[Fraction]) -> str:
+def _degree_class_ordering(g: Graph, local: tuple[Fraction, ...]) -> str:
     """Classify the joint degree/clustering ordering across vertices.
 
     Returns "regular" (one degree), "both", "co", "anti", or "none".  Ties
@@ -198,7 +198,7 @@ def _degree_class_ordering(g: Graph, clustering: list[Fraction]) -> str:
     """
     by_degree: dict[int, set[Fraction]] = {}
     for i in range(g.n):
-        by_degree.setdefault(g.degree(i), set()).add(clustering[i])
+        by_degree.setdefault(g.degree(i), set()).add(local[i])
     if len(by_degree) == 1:
         return "regular"
     if any(len(vals) > 1 for vals in by_degree.values()):
@@ -231,10 +231,9 @@ def check_thm6(an: Analysis) -> RelationReport:
     ones C_WS >= C, regular graphs (and graphs with all clusterings equal)
     exact equality.  When neither ordering holds no direction is asserted.
     """
-    clustering = local_clusterings(an)
-    lhs = mean(clustering)
-    rhs = global_clustering(an.g)
-    ordering = _degree_class_ordering(an.g, clustering)
+    local, lhs, glob = clustering(an)
+    rhs = require_global(glob)
+    ordering = _degree_class_ordering(an.g, local)
     if ordering == "none":
         return RelationReport("thm6", "none", lhs, rhs, holds=True,
                               slack=Fraction(0), equality_expected=False,
@@ -312,7 +311,7 @@ def sweep_windmill(eta_max: int, k: int, eta_min: int = 2) -> SweepResult:
     g = generate(FamilySpec("windmill", (eta_max, k)))
     etas = range(eta_min, eta_max + 1)
     rows = [SweepRow(eta, *c) for eta, c in
-            zip(etas, prefix_clusterings(g, [1 + eta * (k - 1) for eta in etas]))]
+            zip(etas, prefix_clusterings(g, [1 + eta * (k - 1) for eta in etas])[0])]
     trend_rows = [r for r in rows if r.eta >= 2]
     pairs = list(zip(trend_rows, trend_rows[1:]))
     inc = all(a.avg_clustering < b.avg_clustering for a, b in pairs)

@@ -8,12 +8,12 @@ from hypothesis import strategies as st
 
 from centrel import (DisconnectedGraphError, FamilySpec, all_pairs,
                      average_clustering, betweenness_and_stress, bfs, closeness,
-                     compute_report, generate, global_clustering,
-                     local_clustering, local_clusterings, local_efficiency,
-                     radiality)
-from centrel.centralities import prefix_clusterings, triangle_count
+                     clustering, compute_report, generate, global_clustering,
+                     local_clusterings, local_efficiency, radiality)
+from centrel.centralities import prefix_clusterings
 from centrel.graphs import Graph, PreconditionError
 from centrel.oracle import oracle_measures
+from triples import reference_clustering
 
 
 def make(family, *params, seed=None):
@@ -24,35 +24,45 @@ def analysed(family, *params, seed=None):
     return all_pairs(make(family, *params, seed=seed))
 
 
+def local_of(g):
+    return prefix_clusterings(g, [g.n])[1]
+
+
+def prefix(g, s):
+    """The subgraph induced on vertices 0..s-1."""
+    return Graph([(i, j) for i, j in g.edges() if j < s], s)
+
+
 class TestClustering:
     def test_local_clusterings_memoized_per_distance_data(self, monkeypatch):
         import centrel.centralities as cents
         calls = []
-        per_vertex = cents.local_clustering
-        monkeypatch.setattr(cents, "local_clustering",
-                            lambda g, i: calls.append(i) or per_vertex(g, i))
+        kernel = cents.prefix_clusterings
+        monkeypatch.setattr(cents, "prefix_clusterings",
+                            lambda g, sizes: calls.append(sizes) or kernel(g, sizes))
         g = make("windmill", 2, 3)
         dd = all_pairs(g)
         first = local_clusterings(dd)
-        first[0] = Fraction(7)
-        assert local_clusterings(dd) == [per_vertex(g, i) for i in range(g.n)]
-        assert calls == list(range(g.n))
+        first[0] = Fraction(7)  # callers get copies
+        slow = oracle_measures(g)
+        assert local_clusterings(dd) == slow.local_clustering
+        assert clustering(dd) == (tuple(slow.local_clustering), slow.avg_clustering,
+                                  slow.global_clustering)
+        assert compute_report(dd).avg_clustering == slow.avg_clustering
+        assert calls == [[g.n]]  # one pass, whatever reads it
 
     def test_local_complete(self):
-        g = make("complete", 4)
-        assert all(local_clustering(g, i) == 1 for i in range(4))
+        assert local_of(make("complete", 4)) == [1] * 4
 
     def test_local_cycle(self):
-        g = make("cycle", 5)
-        assert all(local_clustering(g, i) == 0 for i in range(5))
+        assert local_of(make("cycle", 5)) == [0] * 5
 
     def test_local_windmill_hub(self):
-        g = make("windmill", 2, 3)
-        assert local_clustering(g, 0) == Fraction(1, 3)
+        assert local_of(make("windmill", 2, 3))[0] == Fraction(1, 3)
 
     def test_degree_one_convention(self, path3):
-        assert local_clustering(path3, 0) == 0
-        assert local_clustering(path3, 1) == 0
+        assert local_of(path3) == [0, 0, 0]
+        assert local_clusterings(all_pairs(Graph([(0, 1)], 2))) == [0, 0]
 
     def test_average_and_global_complete(self):
         for n in (3, 5, 8):
@@ -76,9 +86,11 @@ class TestClustering:
             global_clustering(g)
 
     def test_triangle_count(self):
-        assert triangle_count(make("complete", 5)) == 10
-        assert triangle_count(make("windmill", 3, 4)) == 12
-        assert triangle_count(make("cycle", 6)) == 0
+        # 6T over the sum of d(d-1), for T = 10, 12 and 0 triangles
+        assert global_clustering(make("complete", 5)) == Fraction(6 * 10, 5 * 4 * 3)
+        assert global_clustering(make("windmill", 3, 4)) == Fraction(6 * 12,
+                                                                     9 * 8 + 9 * 3 * 2)
+        assert global_clustering(make("cycle", 6)) == 0
 
     def test_regular_graphs_have_equal_coefficients(self):
         for g in (make("cycle", 5), make("hypercube", 3),
@@ -102,8 +114,11 @@ def connected_graphs_with_pendants(draw, max_n=25):
 def test_average_clustering_is_the_mean_of_the_local_ones(g):
     # degree <= 1 vertices contribute 0 and still count in n
     an = all_pairs(g)
-    mean = sum(local_clusterings(an), Fraction(0)) / g.n
+    slow = oracle_measures(g)
+    assert local_clusterings(an) == slow.local_clustering
+    mean = sum(slow.local_clustering, Fraction(0)) / g.n
     assert average_clustering(g) == mean == compute_report(an).avg_clustering
+    assert compute_report(an).global_clustering == slow.global_clustering
 
 
 @st.composite
@@ -119,17 +134,12 @@ def graphs_up_to_30(draw):
 @given(graphs_up_to_30())
 @settings(max_examples=150, deadline=None)
 def test_prefix_clusterings_equal_those_of_the_induced_subgraphs(g):
-    expected = {}
-    for s in range(1, g.n + 1):
-        h = Graph([(i, j) for i, j in g.edges() if j < s], s)
-        try:
-            expected[s] = (average_clustering(h), global_clustering(h))
-        except PreconditionError as exc:
-            with pytest.raises(PreconditionError) as got:
-                prefix_clusterings(g, [s])
-            assert str(got.value) == str(exc)
-    sizes = sorted(expected)  # one pass
-    assert prefix_clusterings(g, sizes) == [expected[s] for s in sizes]
+    expected = {s: reference_clustering(prefix(g, s)) for s in range(1, g.n + 1)}
+    every = list(expected)
+    for sizes in (every, every[::3], every[-1:]):  # one pass each
+        rows, local = prefix_clusterings(g, sizes)
+        assert rows == [expected[s][1:] for s in sizes]
+        assert local == expected[sizes[-1]][0]
 
 
 class TestPrefixClusterings:
@@ -137,10 +147,12 @@ class TestPrefixClusterings:
     def test_prefix_without_a_degree_2_vertex_raises_the_documented_error(
             self, sizes):
         path = Graph([(0, 1), (1, 2), (2, 3)], 4)
+        rows, _ = prefix_clusterings(path, sizes)
+        assert rows[0][1] is None  # its global ratio reads None in the pass
         with pytest.raises(PreconditionError,
                            match="^global clustering undefined: no vertex of "
                                  "degree >= 2$"):
-            prefix_clusterings(path, sizes)
+            global_clustering(prefix(path, sizes[0]))
 
 
 class TestBetweennessStress:

@@ -13,8 +13,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from centrel import (FamilySpec, Graph, generate, read_edge_list_text,
-                     read_json_graph, to_edge_list_text)
+from centrel import (FamilySpec, Graph, all_pairs, check_all, generate,
+                     read_edge_list_text, read_json_graph, to_edge_list_text)
 from centrel.centralities import CentralityReport
 from centrel.cli import main
 from centrel.graphs import GraphFormatError, PreconditionError
@@ -228,6 +228,29 @@ class TestCompute:
         assert (code, out) == (3, "")
         assert err == run(capsys, "compute", "--family", "cycle",
                           "--params", "20001")[2]
+
+
+@pytest.mark.parametrize("command", ["compute", "check", "oracle-diff"])
+@pytest.mark.parametrize("family, n", [
+    (("windmill", "--params", "3,4"), 10),
+    (("random-min-degree-2", "--params", "20", "--seed", "3"), 20),
+], ids=["windmill", "random"])
+def test_one_clustering_pass_per_command(capsys, monkeypatch, command, family, n):
+    # the report's and every checker's clustering values share one pass;
+    # each module that binds the kernel counts, so a second pass anywhere fails
+    import centrel.centralities as cents
+    import centrel.relations as relations
+    calls = []
+    kernel = cents.prefix_clusterings
+
+    def counted(g, sizes):
+        calls.append(list(sizes))
+        return kernel(g, sizes)
+
+    for module in (cents, relations):
+        monkeypatch.setattr(module, "prefix_clusterings", counted)
+    code, _, _ = run(capsys, command, "--family", *family)
+    assert (code, calls) == (0, [[n]])
 
 
 class TestCheck:
@@ -629,6 +652,83 @@ class TestOracleDiff:
         code, out, err = run(capsys, "oracle-diff", "--input", str(path))
         assert (code, out) == (3, "")
         assert err == f"error: {message}\n"
+
+
+def one_more_link_at_vertex_0(g, rows, local):
+    """Vertex 0's local clustering moved by 2/(d(d-1)), as one more link among
+    its neighbours would move it, and the average clustering with it."""
+    d = g.degree(0)
+    step = Fraction(2, d * (d - 1))
+    [(average, glob)] = rows
+    return [(average + step / g.n, glob)], [local[0] + step, *local[1:]]
+
+
+def one_more_triangle(g, rows, local):
+    """The global clustering raised by 6 / sum d(d-1), as one more triangle would."""
+    [(average, glob)] = rows
+    return [(average, glob + Fraction(6, sum(d * (d - 1) for d in g.degrees())))], local
+
+
+# Seeded random min-degree-2 graphs at four sizes and three seeds, and four
+# family graphs: every relation holds on each of them
+CHECK_CORPUS = [FamilySpec("random-min-degree-2", (n,), seed=seed)
+                for n in (10, 17, 24, 30) for seed in (1, 2, 3)] + [
+    FamilySpec("windmill", (3, 4)), FamilySpec("hypercube", (3,)),
+    FamilySpec("circulant", (12, 1, 3)),
+    FamilySpec("complete-with-glued-4-cycles", (4,))]
+
+# planted fault -> (graphs of the 16 on which `check` fails, relation -> the
+# graphs on which it fails).  oracle-diff catches each Analysis fault
+# (TestOracleDiff), so the zeros are faults that only the oracle sees.
+CHECK_CATCHES = {
+    "betweenness": (0, {}),
+    "stress": (0, {}),
+    "detours": (0, {}),
+    "pair_sums": (2, {"thm4": 2}),
+    "row_sums": (16, {"lemma3": 16}),
+    "hists": (16, {"lemma3": 16}),
+    "pair_hists": (16, {"lemma1": 16, "thm1": 16, "thm5": 16, "cor_sandwich": 1}),
+    "local_clustering": (16, {"lemma1": 16, "thm1": 16, "thm5": 16, "thm3": 1,
+                              "thm4": 2, "cor_regular": 2}),
+    "global_clustering": (2, {"cor_regular": 2}),
+}
+CLUSTERING_FAULTS = {"local_clustering": one_more_link_at_vertex_0,
+                     "global_clustering": one_more_triangle}
+
+
+class TestCheckCatches:
+    """What `check` catches of one planted fault, on vertex 0 or the whole
+    graph.  Global betweenness enters no relation, and stress and the
+    detours enter only bounds with slack, so `check` passes those silently."""
+
+    @pytest.fixture(scope="class")
+    def corpus(self):
+        analyses = [all_pairs(generate(spec)) for spec in CHECK_CORPUS]
+        assert all(r.holds for an in analyses for r in check_all(an.g))
+        return analyses
+
+    @pytest.mark.parametrize("fault", CHECK_CATCHES)
+    def test_planted_fault(self, monkeypatch, corpus, fault):
+        import centrel.centralities as cents
+        import centrel.relations as relations
+        kernel = cents.prefix_clusterings
+        if fault in CLUSTERING_FAULTS:
+            plant = CLUSTERING_FAULTS[fault]
+            monkeypatch.setattr(cents, "prefix_clusterings",
+                                lambda g, sizes: plant(g, *kernel(g, sizes)))
+        caught, failed = 0, Counter()
+        for an in corpus:
+            if fault in ANALYSIS_FAULTS:
+                values = list(getattr(an, fault))  # orbit members share entries
+                values[0] = ANALYSIS_FAULTS[fault][0](values[0])
+                an = dataclasses.replace(an, **{fault: values})
+            else:
+                an = dataclasses.replace(an)  # an empty memo: the planted pass runs
+            monkeypatch.setattr(relations, "all_pairs", lambda g: an)
+            relations_failed = {r.relation for r in check_all(an.g) if not r.holds}
+            caught += bool(relations_failed)
+            failed.update(relations_failed)
+        assert (caught, dict(failed)) == CHECK_CATCHES[fault]
 
 
 class TestDeterminism:

@@ -2,6 +2,7 @@
 
 import hashlib
 import re
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +11,6 @@ from hypothesis import strategies as st
 from centrel import (FamilySpec, Graph, generate, is_connected, load_graph,
                      read_edge_list_text, read_json_graph, to_edge_list_text,
                      to_json_graph)
-from centrel.centralities import triangle_count
 from centrel.graphs import (FAMILIES, FamilyParameterError, GraphFormatError,
                             PreconditionError, parse_family)
 
@@ -89,7 +89,9 @@ class TestGenerators:
         assert g.n == 5 and g.m == 6
         assert g.degree(0) == 4
         assert all(g.degree(i) == 2 for i in range(1, 5))
-        assert triangle_count(g) == 2
+        assert [t for t in combinations(range(g.n), 3)  # the two triangles
+                if all(g.adjacent(a, b) for a, b in combinations(t, 2))] == [
+            (0, 1, 2), (0, 3, 4)]
 
     def test_friendship_equals_windmill_k3(self):
         f = generate(FamilySpec("friendship", (3,)))
