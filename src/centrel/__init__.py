@@ -10,8 +10,8 @@ measures together.
 
 from .centralities import (CentralityReport, average_clustering,
                            betweenness_and_stress, closeness, clustering,
-                           compute_report, global_clustering,
-                           local_clusterings, local_efficiency, radiality)
+                           compute_report, global_clustering, local_efficiency,
+                           radiality)
 from .graphs import (FamilySpec, Graph, bfs, generate, is_connected,
                      load_graph, read_edge_list_text, read_json_graph,
                      to_edge_list_text, to_json_graph)

@@ -17,11 +17,13 @@ from .paths import (Analysis, avg_path_length, density, diameter,
 
 
 def prefix_clusterings(g: Graph, sizes: Sequence[int]
-                       ) -> tuple[list[tuple[Fraction, Fraction | None]], list[Fraction]]:
+                       ) -> tuple[list[tuple[Fraction, Fraction | None]],
+                                  list[tuple[int, int]]]:
     """The only count of the links among neighbors.  For each s in the
     strictly ascending ``sizes``, (average clustering, 6T / sum d(d-1) or None
     when no vertex has degree >= 2) of the subgraph induced on vertices
-    0..s-1; and the local clusterings of the largest such subgraph.
+    0..s-1; and each local clustering of the largest such subgraph as the
+    unreduced pair (2 * links, d(d-1)), or (0, 1) when d <= 1.
 
     Vertices join in index order.  A new vertex u with earlier neighbours P
     changes only the terms of u and P: each p in P gains |N(p) & P| links
@@ -51,7 +53,7 @@ def prefix_clusterings(g: Graph, sizes: Sequence[int]
         if u + 1 == sizes[len(rows)]:
             average = exact_sum((p * c, q) for (p, q), c in count.items()) / (u + 1)
             rows.append((average, Fraction(6 * triangles, triples) if triples else None))
-    return rows, [Fraction(*r) for r in ratio[:top]]
+    return rows, ratio[:top]
 
 
 def clustering(an: Analysis) -> tuple[tuple[Fraction, ...], Fraction, Fraction | None]:
@@ -59,13 +61,8 @@ def clustering(an: Analysis) -> tuple[tuple[Fraction, ...], Fraction, Fraction |
     analysed graph, from one ``prefix_clusterings`` pass per Analysis."""
     def build():
         [(average, glob)], local = prefix_clusterings(an.g, [an.n])
-        return tuple(local), average, glob
+        return tuple(Fraction(*r) for r in local), average, glob
     return an.memo("clustering", build)
-
-
-def local_clusterings(an: Analysis) -> list[Fraction]:
-    """Every vertex's local clustering, as a fresh list."""
-    return list(clustering(an)[0])
 
 
 def average_clustering(g: Graph) -> Fraction:
@@ -117,17 +114,11 @@ def radiality(an: Analysis, v: int) -> Fraction:
     return Fraction(total, an.n - 1)
 
 
-def neighborhood_efficiency(an: Analysis, v: int) -> Fraction:
-    """Efficiency among the neighbors of v, with whole-graph distances."""
-    d = an.g.degree(v)
-    if d <= 1:
-        return Fraction(0)
-    return efficiency_sum(an.pair_hists[v]) / (d * (d - 1))
-
-
 def local_efficiency(an: Analysis) -> Fraction:
-    """Mean neighborhood efficiency over all vertices (degree-1 terms are 0)."""
-    return mean([neighborhood_efficiency(an, v) for v in range(an.n)])
+    """Mean over all vertices of the efficiency among each one's neighbors,
+    with whole-graph distances (degree-1 terms are 0)."""
+    return mean([efficiency_sum(an.pair_hists[v]) / (d * (d - 1)) if d > 1
+                 else Fraction(0) for v, d in enumerate(an.g.degrees())])
 
 
 # ---------------------------------------------------------------------------

@@ -55,10 +55,6 @@ def _graph_header(g: Graph, source: str) -> dict:
     return {"source": source, "n": g.n, "m": g.m}
 
 
-def _print_json(payload, exact: bool) -> None:
-    print(json_text(payload, exact))
-
-
 def _print_lines(lines: list[str]) -> None:
     sys.stdout.write("\n".join(lines) + "\n")
 
@@ -78,8 +74,8 @@ def cmd_compute(args) -> int:
         vertices = [{"vertex": i, "label": g.label_of(i),
                      **{name: col[i] for name, col in per_vertex}}
                     for i in range(g.n)]
-        _print_json({"graph": _graph_header(g, source), "vertices": vertices,
-                     "graph_level": dict(graph_level)}, exact)
+        print(json_text({"graph": _graph_header(g, source), "vertices": vertices,
+                         "graph_level": dict(graph_level)}, exact))
     elif args.format == "csv":
         lines = ["scope,metric,value"]
         lines += [f"graph,{name},{csv_value(x)}" for name, x in graph_level]
@@ -116,8 +112,8 @@ def cmd_check(args) -> int:
     all_hold = all(r.holds for r in reports)
     exact = not args.float_values
     if args.format == "json":
-        _print_json({"graph": _graph_header(g, source), "all_hold": all_hold,
-                     "relations": reports}, exact)
+        print(json_text({"graph": _graph_header(g, source), "all_hold": all_hold,
+                         "relations": reports}, exact))
     elif args.format == "csv":
         _print_lines(csv_table(RelationReport.CSV_FIELDS, reports))
     else:
@@ -175,7 +171,7 @@ def cmd_sweep(args) -> int:
         print(f"warning: windmill(1,{k}) is a single clique; the eta=1 row "
               "is excluded from the trend summary", file=sys.stderr)
     if args.format == "json":
-        _print_json(result, not args.float_values)
+        print(json_text(result, not args.float_values))
     else:
         lines = csv_table(SweepRow.FIELDS, result.rows)
         lines.append(f"# trend: avg_clustering strictly increasing: "

@@ -211,13 +211,8 @@ def _circulant(n: int, offsets: tuple[int, ...]) -> Graph:
         raise FamilyParameterError("circulant(n, ...) needs n >= 3")
     if any(not (1 <= s <= n // 2) for s in offsets):
         raise FamilyParameterError("circulant offsets must lie in [1, n/2]")
-    edges = set()
-    for s in offsets:
-        for i in range(n):
-            j = (i + s) % n
-            if i != j:
-                edges.add((min(i, j), max(i, j)))
-    return Graph(sorted(edges), n)
+    # Graph collapses the edges that offset n/2 (or a repeated offset) names twice
+    return Graph([(i, (i + s) % n) for s in offsets for i in range(n)], n)
 
 
 def _hypercube(d: int) -> Graph:

@@ -92,13 +92,9 @@ def oracle_measures(g: Graph) -> CentralityReport:
     n = g.n
     degrees = [g.degree(i) for i in range(n)]
 
-    clustering = []
-    for i in range(n):
-        d = degrees[i]
-        if d <= 1:
-            clustering.append(Fraction(0))
-        else:
-            clustering.append(Fraction(_triple_products(g, i), d * (d - 1)))
+    products = [_triple_products(g, i) for i in range(n)]
+    clustering = [Fraction(p, d * (d - 1)) if d > 1 else Fraction(0)
+                  for p, d in zip(products, degrees)]
 
     bc = []
     st = []
@@ -133,9 +129,8 @@ def oracle_measures(g: Graph) -> CentralityReport:
         eloc += term / (d * (d - 1))
     eloc /= n
 
-    triple_total = sum(_triple_products(g, i) for i in range(n))
     degree_pairs = sum(d * (d - 1) for d in degrees)
-    glob_c = Fraction(triple_total, degree_pairs) if degree_pairs else None
+    glob_c = Fraction(sum(products), degree_pairs) if degree_pairs else None
 
     return CentralityReport(
         degree=degrees,

@@ -190,58 +190,38 @@ def check_thm5(an: Analysis) -> RelationReport:
                    notes=[f"complete neighborhoods: {complete} of {an.n}"])
 
 
-def _degree_class_ordering(g: Graph, local: tuple[Fraction, ...]) -> str:
-    """Classify the joint degree/clustering ordering across vertices.
-
-    Returns "regular" (one degree), "both", "co", "anti", or "none".  Ties
-    in degree force equal clustering for either ordering to hold.
-    """
-    by_degree: dict[int, set[Fraction]] = {}
-    for i in range(g.n):
-        by_degree.setdefault(g.degree(i), set()).add(local[i])
-    if len(by_degree) == 1:
-        return "regular"
-    if any(len(vals) > 1 for vals in by_degree.values()):
-        return "none"
-    reps = [next(iter(by_degree[d])) for d in sorted(by_degree)]
-    co = all(reps[k] <= reps[k + 1] for k in range(len(reps) - 1))
-    anti = all(reps[k] >= reps[k + 1] for k in range(len(reps) - 1))
-    if co and anti:
-        return "both"
-    if co:
-        return "co"
-    if anti:
-        return "anti"
-    return "none"
-
-
-# degree/clustering ordering -> (relation, direction, equality expected, note)
-_THM6_CASES = {
-    "regular": ("cor_regular", "eq", True, "regular graph"),
-    "both": ("thm6", "eq", True, "all local clusterings equal"),
-    "co": ("thm6", "le", False, "co-monotone degree/clustering ordering"),
-    "anti": ("cor_thm6", "ge", False, "anti-monotone degree/clustering ordering"),
-}
-
-
 def check_thm6(an: Analysis) -> RelationReport:
     """Chebyshev ordering between average and global clustering.
 
     Co-monotone degree/clustering sequences give C_WS <= C, anti-monotone
     ones C_WS >= C, regular graphs (and graphs with all clusterings equal)
-    exact equality.  When neither ordering holds no direction is asserted.
+    exact equality.  Ties in degree force equal clustering for either
+    ordering to hold; when neither holds no direction is asserted.
     """
     local, lhs, glob = clustering(an)
     rhs = require_global(glob)
-    ordering = _degree_class_ordering(an.g, local)
-    if ordering == "none":
-        return RelationReport("thm6", "none", lhs, rhs, holds=True,
-                              slack=Fraction(0), equality_expected=False,
-                              equality_observed=lhs == rhs, hypothesis_met=False,
-                              notes=["no degree/clustering ordering holds; "
-                                     "no direction asserted"])
-    relation, direction, expected, note = _THM6_CASES[ordering]
-    return _report(relation, direction, lhs, rhs, expected, notes=[note])
+    by_degree: dict[int, set[Fraction]] = {}
+    for d, c in zip(an.g.degrees(), local):
+        by_degree.setdefault(d, set()).add(c)
+    classes = [cs for _, cs in sorted(by_degree.items())]
+    if len(classes) == 1:
+        return _report("cor_regular", "eq", lhs, rhs, True, notes=["regular graph"])
+    if all(len(cs) == 1 for cs in classes):
+        reps = [min(cs) for cs in classes]
+        if len(set(reps)) == 1:
+            return _report("thm6", "eq", lhs, rhs, True,
+                           notes=["all local clusterings equal"])
+        if reps == sorted(reps):
+            return _report("thm6", "le", lhs, rhs, False,
+                           notes=["co-monotone degree/clustering ordering"])
+        if reps == sorted(reps, reverse=True):
+            return _report("cor_thm6", "ge", lhs, rhs, False,
+                           notes=["anti-monotone degree/clustering ordering"])
+    return RelationReport("thm6", "none", lhs, rhs, holds=True,
+                          slack=Fraction(0), equality_expected=False,
+                          equality_observed=lhs == rhs, hypothesis_met=False,
+                          notes=["no degree/clustering ordering holds; "
+                                 "no direction asserted"])
 
 
 CHECKERS = (check_lemma1, check_thm1, check_thm2, check_thm3,

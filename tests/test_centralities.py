@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from centrel import (DisconnectedGraphError, FamilySpec, all_pairs,
                      average_clustering, betweenness_and_stress, bfs, closeness,
                      clustering, compute_report, generate, global_clustering,
-                     local_clusterings, local_efficiency, radiality)
+                     local_efficiency, radiality)
 from centrel.centralities import prefix_clusterings
 from centrel.graphs import Graph, PreconditionError
 from centrel.oracle import oracle_measures
@@ -25,7 +25,7 @@ def analysed(family, *params, seed=None):
 
 
 def local_of(g):
-    return prefix_clusterings(g, [g.n])[1]
+    return [Fraction(*r) for r in prefix_clusterings(g, [g.n])[1]]
 
 
 def prefix(g, s):
@@ -42,12 +42,13 @@ class TestClustering:
                             lambda g, sizes: calls.append(sizes) or kernel(g, sizes))
         g = make("windmill", 2, 3)
         dd = all_pairs(g)
-        first = local_clusterings(dd)
-        first[0] = Fraction(7)  # callers get copies
+        local = clustering(dd)[0]
+        with pytest.raises(TypeError):
+            local[0] = Fraction(7)  # every reader shares one immutable tuple
         slow = oracle_measures(g)
-        assert local_clusterings(dd) == slow.local_clustering
         assert clustering(dd) == (tuple(slow.local_clustering), slow.avg_clustering,
                                   slow.global_clustering)
+        assert clustering(dd)[0] is local
         assert compute_report(dd).avg_clustering == slow.avg_clustering
         assert calls == [[g.n]]  # one pass, whatever reads it
 
@@ -62,7 +63,7 @@ class TestClustering:
 
     def test_degree_one_convention(self, path3):
         assert local_of(path3) == [0, 0, 0]
-        assert local_clusterings(all_pairs(Graph([(0, 1)], 2))) == [0, 0]
+        assert clustering(all_pairs(Graph([(0, 1)], 2)))[0] == (0, 0)
 
     def test_average_and_global_complete(self):
         for n in (3, 5, 8):
@@ -115,7 +116,7 @@ def test_average_clustering_is_the_mean_of_the_local_ones(g):
     # degree <= 1 vertices contribute 0 and still count in n
     an = all_pairs(g)
     slow = oracle_measures(g)
-    assert local_clusterings(an) == slow.local_clustering
+    assert clustering(an)[0] == tuple(slow.local_clustering)
     mean = sum(slow.local_clustering, Fraction(0)) / g.n
     assert average_clustering(g) == mean == compute_report(an).avg_clustering
     assert compute_report(an).global_clustering == slow.global_clustering
@@ -139,7 +140,7 @@ def test_prefix_clusterings_equal_those_of_the_induced_subgraphs(g):
     for sizes in (every, every[::3], every[-1:]):  # one pass each
         rows, local = prefix_clusterings(g, sizes)
         assert rows == [expected[s][1:] for s in sizes]
-        assert local == expected[sizes[-1]][0]
+        assert [Fraction(*r) for r in local] == expected[sizes[-1]][0]
 
 
 class TestPrefixClusterings:

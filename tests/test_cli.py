@@ -658,9 +658,9 @@ def one_more_link_at_vertex_0(g, rows, local):
     """Vertex 0's local clustering moved by 2/(d(d-1)), as one more link among
     its neighbours would move it, and the average clustering with it."""
     d = g.degree(0)
-    step = Fraction(2, d * (d - 1))
     [(average, glob)] = rows
-    return [(average + step / g.n, glob)], [local[0] + step, *local[1:]]
+    (links, pairs), *rest = local  # links counted twice
+    return [(average + Fraction(2, d * (d - 1)) / g.n, glob)], [(links + 2, pairs), *rest]
 
 
 def one_more_triangle(g, rows, local):

@@ -1,12 +1,14 @@
-"""Integer-arithmetic kernels against per-pair Fraction references.
+"""Integer-arithmetic kernels against the oracle's definition-level values.
 
 Exact Brandes keeps each source's dependencies as integers over the lcm of
 its path counts, the efficiencies sum histograms of BFS distances, and the
 neighborhood profile reads every field in one scan of the neighbors' rows.
-These properties compare them with definition-level recomputations on random
-connected graphs (with degree-1 vertices, up to 40 vertices for the
-profiles), on many-path families (path counts above 1), and on graphs where
-the lcm of the path counts differs from source to source.
+These properties compare them with ``oracle_measures`` and
+``oracle_neighborhood_profiles``, which run their own BFS, so a fault in
+``graphs.bfs`` cannot fool both sides.  The graphs are random connected ones
+(with degree-1 vertices, up to 40 vertices for the profiles), many-path
+families (path counts above 1), and graphs where the lcm of the path counts
+differs from source to source.
 """
 
 import math
@@ -20,7 +22,7 @@ from centrel import (FamilySpec, all_pairs, betweenness_and_stress, bfs,
                      generate, global_efficiency, local_efficiency, profile,
                      radiality)
 from centrel.graphs import Graph
-from centrel.oracle import oracle_measures
+from centrel.oracle import oracle_measures, oracle_neighborhood_profiles
 
 MANY_PATH_FAMILIES = [
     ("hypercube", (3,)), ("hypercube", (4,)), ("hypercube", (5,)),
@@ -67,70 +69,17 @@ def assert_brandes_matches_definition(g):
     assert stress == slow.stress
 
 
-def reference_global_efficiency(dist):
-    n = len(dist)
-    total = sum((Fraction(1, dist[s][t])
-                 for s in range(n) for t in range(n) if s != t), Fraction(0))
-    return total / (n * (n - 1))
-
-
-def reference_local_efficiency(g, dist):
-    total = Fraction(0)
-    for v in range(g.n):
-        nbrs = g.neighbors(v)
-        d = len(nbrs)
-        if d > 1:
-            pairs = sum((Fraction(1, dist[a][b])
-                         for a in nbrs for b in nbrs if a != b), Fraction(0))
-            total += pairs / (d * (d - 1))
-    return total / g.n
-
-
-def reference_radiality(dist, v):
-    n = len(dist)
-    diam = max(dist[s][t] for s in range(n) for t in range(n))
-    return Fraction(sum(diam + 1 - dist[v][t] for t in range(n) if t != v),
-                    n - 1)
-
-
 def assert_efficiencies_and_radiality_match(g):
     an = all_pairs(g)
-    dist, _ = rows(g)
-    assert global_efficiency(an) == reference_global_efficiency(dist)
-    assert local_efficiency(an) == reference_local_efficiency(g, dist)
-    for v in range(g.n):
-        assert radiality(an, v) == reference_radiality(dist, v)
-
-
-def reference_profile(g, dist, sigma, i):
-    """(avg_path, betweenness, diameter, radiality, closeness, is_complete)
-    from per-pair definitions over ordered pairs of distinct neighbors."""
-    nbrs = g.neighbors(i)
-    d = len(nbrs)
-    pairs = [(s, t) for s in nbrs for t in nbrs if s != t]
-    complete = all(g.adjacent(s, t) for s, t in pairs)
-    if d <= 1:
-        return Fraction(0), Fraction(0), 0, Fraction(0), Fraction(0), complete
-    diam = max(dist[s][t] for s, t in pairs)
-    betweenness = sum((Fraction(sigma[s][i] * sigma[i][t], sigma[s][t])
-                       for s, t in pairs if dist[s][i] + dist[i][t] == dist[s][t]),
-                      Fraction(0))
-    radiality_n = closeness_n = Fraction(0)
-    for v in nbrs:
-        others = [t for t in nbrs if t != v]
-        radiality_n += Fraction(sum(diam + 1 - dist[v][t] for t in others), d - 1)
-        closeness_n += Fraction(d - 1, sum(dist[v][t] for t in others))
-    return (Fraction(sum(dist[s][t] for s, t in pairs), d * (d - 1)), betweenness,
-            diam, radiality_n / d, closeness_n / d, complete)
+    slow = oracle_measures(g)
+    assert global_efficiency(an) == slow.global_efficiency
+    assert local_efficiency(an) == slow.local_efficiency
+    assert [radiality(an, v) for v in range(g.n)] == slow.radiality
 
 
 def assert_profiles_match(g):
     an = all_pairs(g)
-    dist, sigma = rows(g)
-    for i in range(g.n):
-        p = profile(an, i)
-        assert (p.avg_path, p.betweenness, p.diameter, p.radiality, p.closeness,
-                p.is_complete) == reference_profile(g, dist, sigma, i), i
+    assert [profile(an, i) for i in range(g.n)] == oracle_neighborhood_profiles(g)
 
 
 @given(connected_graphs())

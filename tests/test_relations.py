@@ -6,11 +6,11 @@ from fractions import Fraction
 
 import pytest
 
-from centrel import (FamilySpec, PreconditionError, all_pairs, check_all,
-                     check_cor_sandwich, check_lemma1, check_lemma2,
+from centrel import (FamilySpec, PreconditionError, RelationReport, all_pairs,
+                     check_all, check_cor_sandwich, check_lemma1, check_lemma2,
                      check_lemma3, check_thm1, check_thm2, check_thm3,
-                     check_thm4, check_thm5, check_thm6, compute_report,
-                     generate, profiles, sweep_windmill)
+                     check_thm4, check_thm5, check_thm6, clustering,
+                     compute_report, generate, profiles, sweep_windmill)
 from centrel import relations
 from centrel.graphs import FamilyParameterError, Graph
 from centrel.relations import neighborhoods_unique_two_paths
@@ -173,11 +173,17 @@ class TestThm5:
 
 class TestThm6:
     def test_regular_graphs(self):
+        # the last: two diamonds (K4 minus an edge) joined at their degree-2
+        # corners, 3-regular with clusterings 1/3 and 2/3, so regular wins
+        # over the mixed clustering values
+        diamonds = Graph([(0, 1), (0, 2), (1, 2), (1, 3), (2, 3), (4, 5), (4, 6),
+                          (5, 6), (5, 7), (6, 7), (0, 4), (3, 7)], 8)
         for g in (make("cycle", 5), make("hypercube", 3),
-                  make("circulant", 8, 1, 2)):
+                  make("circulant", 8, 1, 2), diamonds):
             r = check_thm6(all_pairs(g))
             assert r.relation == "cor_regular"
             assert r.holds and r.slack == 0 and r.equality_observed
+        assert len(set(clustering(all_pairs(diamonds))[0])) == 2
 
     def test_windmill_anti_monotone(self):
         r = check_thm6(analysed("windmill", 2, 3))
@@ -198,6 +204,19 @@ class TestThm6:
                    (2, 3), (3, 4), (4, 5), (5, 2)], 6)
         r = check_thm6(all_pairs(g))
         assert not r.hypothesis_met and r.direction == "none" and r.holds
+
+    def test_one_clustering_per_degree_and_no_ordering_asserts_nothing(self):
+        # degrees 2, 2, 3, 3, 4, 4 with clusterings 0, 0, 1, 1, 1/2, 1/2:
+        # one value per degree class, rising and then falling
+        g = Graph([(0, 1), (0, 4), (1, 5), (2, 3), (2, 4), (2, 5), (3, 4),
+                   (3, 5), (4, 5)], 6)
+        an = all_pairs(g)
+        assert clustering(an)[0] == (0, 0, 1, 1, Fraction(1, 2), Fraction(1, 2))
+        assert check_thm6(an) == RelationReport(
+            "thm6", "none", Fraction(1, 2), Fraction(3, 5), holds=True,
+            slack=Fraction(0), equality_expected=False, equality_observed=False,
+            hypothesis_met=False,
+            notes=["no degree/clustering ordering holds; no direction asserted"])
 
     def test_all_clusterings_equal_on_k23(self):
         # two degree classes, every clustering 0: both orderings hold
