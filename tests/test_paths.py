@@ -1,7 +1,10 @@
 """Distance/path-count correctness and the global distance metrics."""
 
 import math
+import os
 import random
+import threading
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -12,9 +15,12 @@ from hypothesis import strategies as st
 from centrel import (DisconnectedGraphError, FamilySpec, all_pairs,
                      avg_path_length, bfs, density, diameter, generate,
                      global_efficiency, paths)
+from centrel.cli import main
 from centrel.graphs import Graph, PreconditionError, is_connected
-from centrel.oracle import oracle_measures, oracle_neighborhood_profiles
-from centrel.paths import exact_sum, mean
+from centrel.neighborhood import profiles
+from centrel.oracle import (_bfs_levels, _path_counts, oracle_measures,
+                            oracle_neighborhood_profiles)
+from centrel.paths import exact_sum, mean, orbits
 from enumeration import enumerate_shortest_paths
 
 
@@ -112,6 +118,191 @@ class TestAllPairs:
         finally:
             tracemalloc.stop()
         assert (peak < 3000 * n) != keep_rows, f"{peak / n:.0f} B/vertex"
+
+
+FIELDS = ("row_sums", "hists", "pair_hists", "pair_sums", "detours",
+          "betweenness", "stress")
+
+
+def random_graph(n, seed=1):
+    return generate(FamilySpec("random-min-degree-2", (n,), seed=seed))
+
+
+def with_false_twins(g, count):
+    """g with a false twin (a new vertex joined to N(v)) for each of the
+    first ``count`` vertices v of a greedy independent set, so that no twin
+    joins the neighbourhood of another twinned vertex."""
+    chosen = []
+    for v in range(g.n):
+        if len(chosen) < count and not any(g.adjacent(u, v) for u in chosen):
+            chosen.append(v)
+    twins = [(g.n + k, u) for k, v in enumerate(chosen) for u in g.neighbors(v)]
+    return Graph(list(g.edges()) + twins, g.n + count), chosen
+
+
+def pass_on(monkeypatch, g, cpus):
+    """``all_pairs(g)`` with ``cpus`` CPUs in the affinity mask, and the
+    number of children it forked."""
+    forked, fork = [], os.fork
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    monkeypatch.setattr(os, "fork", lambda: forked.append(1) or fork())
+    return all_pairs(g), len(forked)
+
+
+def assert_no_child_left():
+    # every child reaped: none running and none a zombie
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestSplit:
+    """The pass in chunks of orbits, all but one in forked children: every
+    field as the one chunk gives it."""
+
+    @pytest.mark.parametrize("g", [
+        *(random_graph(n) for n in (60, 80, 150, 300)),
+        with_false_twins(random_graph(150), 30)[0],
+    ], ids=["random-60", "random-80", "random-150", "random-300", "twins-180"])
+    def test_a_split_pass_equals_one_chunk(self, monkeypatch, g):
+        monkeypatch.setattr(paths, "CHUNK_WORK", 1)  # n = 60 splits too
+        one, forked = pass_on(monkeypatch, g, 1)
+        assert forked == 0
+        for cpus in (2, 3, 4):
+            split, forked = pass_on(monkeypatch, g, cpus)
+            assert forked == cpus - 1
+            for name in FIELDS:
+                assert getattr(split, name) == getattr(one, name), (cpus, name)
+        assert_no_child_left()
+
+    def test_the_twins_share_passes_across_the_split(self):
+        g, chosen = with_false_twins(random_graph(150), 30)
+        classes = orbits(g)
+        assert [vs for vs in classes if len(vs) > 1] == [
+            [v, 150 + k] for k, v in enumerate(chosen)]
+        assert len(classes) * g.m >= 4 * paths.CHUNK_WORK  # 4 chunks, unpatched
+
+    def test_a_chunk_needs_its_share_of_the_work(self, monkeypatch, full_suite):
+        def chunks(g, cpus):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+            return paths._chunk_count(len(orbits(g)), g.m)
+        # passes x edges: 366,600 on random(300), 11,700 on random(60)
+        assert [chunks(random_graph(300), cpus) for cpus in (1, 2, 4, 64)] == [1, 2, 4, 36]
+        assert chunks(random_graph(60), 64) == 1
+        # one pass each, and every small graph of the family and random suites
+        for spec in (FamilySpec("hypercube", (8,)),
+                     FamilySpec("circulant", (300, 1, 2, 3, 5, 8, 13)),
+                     FamilySpec("windmill", (60, 5)), FamilySpec("complete", (60,))):
+            assert chunks(generate(spec), 64) == 1, spec
+        for name, g in full_suite:
+            assert chunks(g, 64) == 1, name
+
+    def test_one_cpu_or_no_fork_sweeps_one_chunk_here(self, monkeypatch):
+        g = random_graph(300)
+        split, forked = pass_on(monkeypatch, g, 2)
+        assert forked == 1
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        for name in FIELDS:
+            assert getattr(all_pairs(g), name) == getattr(split, name), name
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+        monkeypatch.delattr(os, "fork")
+        for name in FIELDS:
+            assert getattr(all_pairs(g), name) == getattr(split, name), name
+
+    def test_no_fork_while_another_thread_runs(self, monkeypatch):
+        done = threading.Event()
+        thread = threading.Thread(target=done.wait, args=(60,))
+        thread.start()
+        try:
+            assert pass_on(monkeypatch, random_graph(300), 2)[1] == 0
+        finally:
+            done.set()
+            thread.join(60)
+        assert not thread.is_alive()
+        assert pass_on(monkeypatch, random_graph(300), 2)[1] == 1
+
+
+class TestForkedChildren:
+    """No child outlives the pass, and none fails it silently."""
+
+    def test_a_disconnected_graph_is_refused_through_the_cli(self, monkeypatch,
+                                                             capsys, tmp_path):
+        a, b = random_graph(100, 1), random_graph(100, 2)
+        path = tmp_path / "two.edges"
+        path.write_text("".join(f"{u} {v}\n" for u, v in a.edges()) +
+                        "".join(f"{u + 100} {v + 100}\n" for u, v in b.edges()))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(paths, "CHUNK_WORK", 1)
+        for command in ("compute", "check"):
+            assert main([command, "--input", str(path)]) == 3
+            assert capsys.readouterr().err == (
+                "error: vertex 0 cannot reach every vertex; distance sums undefined\n")
+            assert_no_child_left()
+
+    def test_a_failing_child_fails_the_pass(self, monkeypatch):
+        parent, kernel = os.getpid(), paths.bfs
+
+        def bfs_failing_in_children(g, s):
+            if os.getpid() != parent:
+                raise ValueError("planted")
+            return kernel(g, s)
+        monkeypatch.setattr(paths, "bfs", bfs_failing_in_children)
+        with pytest.raises(RuntimeError, match="chunk 1 of the all-pairs pass failed"):
+            pass_on(monkeypatch, random_graph(150), 3)
+        assert_no_child_left()
+
+    def test_a_child_that_exits_with_failure_fails_the_pass(self, monkeypatch):
+        # it writes every sum, then ends with status 3 in place of 0
+        exit_ = os._exit
+        monkeypatch.setattr(os, "_exit", lambda status: exit_(3))
+        with pytest.raises(RuntimeError, match=r"forked child \(wait status 768\)"):
+            pass_on(monkeypatch, random_graph(150), 2)
+        assert_no_child_left()
+
+    def test_an_interrupted_parent_kills_its_children(self, monkeypatch):
+        # the children would sweep for a minute; the parent stops at its
+        # first source, and must not wait for them
+        parent, kernel = os.getpid(), paths.bfs
+
+        def bfs_interrupted(g, s):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            time.sleep(60)
+            return kernel(g, s)
+        monkeypatch.setattr(paths, "bfs", bfs_interrupted)
+        start = time.perf_counter()
+        with pytest.raises(KeyboardInterrupt):
+            pass_on(monkeypatch, random_graph(150), 4)
+        assert time.perf_counter() - start < 30
+        assert_no_child_left()
+
+    @pytest.mark.slow
+    def test_exact_identities_at_2000(self, monkeypatch):
+        """Four exact identities on the split pass over random-min-degree-2
+        (2000), seed 1, far past the oracle's 300 vertices.  The right-hand
+        sides come from the oracle's own BFS and path counts, one source at a
+        time, and the pass computes nothing through them."""
+        g = random_graph(2000)
+        an, forked = pass_on(monkeypatch, g, 2)
+        assert forked == 1
+        detour_sum = stress_sum = at_two = 0
+        for s in range(g.n):
+            dist = _bfs_levels(g, s)
+            sigma = _path_counts(g, dist)
+            detour_sum += sum(d - 1 for d in dist if d)
+            stress_sum += sum(p * (d - 1) for p, d in zip(sigma, dist) if d)
+            at_two += dist.count(2)
+        # sum_v BC(v) = sum over s != t of (d(s, t) - 1)
+        assert exact_sum(x.as_integer_ratio() for x in an.betweenness) == detour_sum
+        # sum_v Str(v) = sum over s != t of sigma(s, t) * (d(s, t) - 1)
+        assert sum(an.stress) == stress_sum
+        # sum_i BC(i, N(i)) = the ordered pairs at distance 2
+        assert exact_sum(p.betweenness.as_integer_ratio()
+                         for p in profiles(an)) == at_two
+        # both fields fold sum over s, t in N(i) of d(s, t)
+        for i in range(g.n):
+            assert (sum(k * c for k, c in an.pair_sums[i].items()) ==
+                    sum(x * c for x, c in an.pair_hists[i].items())), i
 
 
 class TestGlobalMetrics:
