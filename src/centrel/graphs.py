@@ -17,7 +17,8 @@ from itertools import chain, combinations
 from typing import Iterable, Sequence
 
 # The exact all-pairs analysis runs one BFS and one Brandes sweep per orbit,
-# split over the CPUs, so n*m time and no n*n data on a graph without symmetry.
+# split over up to two CPUs, so n*m time and no n*n data on a graph without
+# symmetry.
 # compute took 2.8 s on random-min-degree-2(2000) with 2 vCPUs (4.8 s on one),
 # and a graph of the same mean degree at the cap would take about a hundred
 # times as long.  The cap is still a guess: no run has timed the analysis near

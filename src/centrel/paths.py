@@ -206,18 +206,24 @@ def _share(total, k: int):
 # 18,525 (n = 75) 6.9 against 7.6-8.0, 22,160 (n = 80) 7.9 against 6.9,
 # 366,600 (n = 300) 104 against 63.  A bare fork and wait took 1.1 ms.
 CHUNK_WORK = 10_000
+# At most two chunks, the most that was measured.  A third would add its
+# decode and lcm rescale to the parent's merge and its memory to what the
+# process's peak RSS does not show, and os.sched_getaffinity does not see a
+# cgroup's CPU quota.
+MAX_CHUNKS = 2
 
 
 def _chunk_count(passes: int, m: int) -> int:
     """The chunks a pass of ``passes`` BFS sources runs in: one per CPU this
-    process may use, but at most one per pass and per ``CHUNK_WORK`` of
-    passes x edges.  One where ``os.fork`` or ``os.sched_getaffinity`` is
-    missing, or while another thread runs: a forked child would inherit the
-    locks that thread holds."""
+    process may use, but at most ``MAX_CHUNKS``, one per pass and one per
+    ``CHUNK_WORK`` of passes x edges.  One where ``os.fork`` or
+    ``os.sched_getaffinity`` is missing, or while another thread runs: a
+    forked child would inherit the locks that thread holds."""
     if (not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity")
             or threading.active_count() > 1):
         return 1
-    return max(1, min(len(os.sched_getaffinity(0)), passes, passes * m // CHUNK_WORK))
+    return max(1, min(MAX_CHUNKS, len(os.sched_getaffinity(0)), passes,
+                      passes * m // CHUNK_WORK))
 
 
 def _record(value) -> bytes:
@@ -236,46 +242,63 @@ def _records(pipe):
         yield marshal.loads(pipe.read(int.from_bytes(pipe.read(8), "little")))
 
 
+def _fork(sweep, j: int):
+    """A forked child that writes the fields of ``sweep(j)`` to a pipe
+    (``_record``) and ends: its pid and the pipe's reading end.  ``OSError``
+    if no pipe or process can be had."""
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        raise
+    if pid == 0:  # the child: it never returns into the caller's stack
+        status = 1
+        try:
+            with open(w, "wb") as out:
+                for value in sweep(j):
+                    out.write(_record(value))
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(w)
+    return pid, open(r, "rb")
+
+
 def _in_chunks(sweep, chunks: int, fold) -> None:
     """``fold(j, part)`` for each chunk j in order, ``part`` yielding the
-    fields of ``sweep(j)``.  Chunk 0 is swept in this process while each other
-    chunk runs in a forked child, which writes its fields to a pipe
-    (``_record``).  Every child is reaped, and killed first unless all went
-    well.  ``RuntimeError`` if a child fails."""
-    pipes, pids = [], []  # of the children not reaped yet
+    fields of ``sweep(j)``.  Chunk 0 is swept in this process and each other
+    chunk in a forked child (``_fork``), or here as well from the first one
+    that gets no pipe or process.  Every child is reaped, and killed first
+    unless all went well.  ``RuntimeError`` if a child fails."""
+    children = []  # (pid, pipe) of chunks 1, 2, ... whose child is not reaped yet
     try:
         for j in range(1, chunks):
-            r, w = os.pipe()
-            pipes.append(open(r, "rb"))
-            with open(w, "wb") as out:
-                pid = os.fork()
-                if pid == 0:  # the child: it never returns into the caller's stack
-                    status = 1
-                    try:
-                        for value in sweep(j):
-                            out.write(_record(value))
-                        out.flush()
-                        status = 0
-                    finally:
-                        os._exit(status)
-                pids.append(pid)
+            try:
+                children.append(_fork(sweep, j))
+            except OSError:  # out of processes or memory: the rest run here
+                break
         fold(0, iter(sweep(0)))
         for j in range(1, chunks):
+            if not children:
+                fold(j, iter(sweep(j)))
+                continue
+            pid, pipe = children[0]
             failed = f"chunk {j} of the all-pairs pass failed in its forked child"
             try:
-                fold(j, _records(pipes[0]))
+                fold(j, _records(pipe))
             except (EOFError, ValueError) as exc:  # its sums ended early
                 raise RuntimeError(failed) from exc
-            pipes.pop(0).close()
-            if status := os.waitpid(pids.pop(0), 0)[1]:
+            status = os.waitpid(pid, 0)[1]
+            children.pop(0)
+            pipe.close()
+            if status:
                 raise RuntimeError(f"{failed} (wait status {status})")
     finally:
-        for pipe in pipes:
+        for pid, pipe in children:
             pipe.close()
-        if pids:  # only a failed pass kills; at the top, signal costs every start 0.5 ms
-            import signal
-        for pid in pids:
-            os.kill(pid, signal.SIGKILL)
+            os.kill(pid, 9)  # SIGKILL
             os.waitpid(pid, 0)
 
 

@@ -93,12 +93,15 @@ class TestAllPairs:
                 if dist[s][t] == 1:
                     assert sigma[s][t] == 1
 
-    @pytest.mark.parametrize("keep_rows", [False, True], ids=["clean", "rows-kept"])
-    def test_analysis_keeps_no_dense_rows(self, monkeypatch, keep_rows):
+    @pytest.mark.parametrize("keep_rows, cpus", [(False, 1), (True, 1), (False, 2), (True, 2)],
+                             ids=["clean", "rows-kept", "clean-split", "rows-kept-split"])
+    def test_analysis_keeps_no_dense_rows(self, monkeypatch, keep_rows, cpus):
         # the dense dist and sigma rows took 2 * 8 * n^2 bytes.  A sparse graph
         # keeps the traced run short: a seeded random tree plus 20 chords,
         # whose few symmetries (twin leaves) still leave about n passes.  The
-        # control keeps every BFS row the pass asks for and must break the bound
+        # control keeps every BFS row the pass asks for and must break the bound.
+        # tracemalloc sees this process only: with one CPU it sweeps every
+        # source, with two it sweeps half of them and merges the child's sums
         n = 200
         rng = random.Random(1)
         edges = [(v, rng.randrange(v)) for v in range(1, n)]
@@ -113,10 +116,11 @@ class TestAllPairs:
             monkeypatch.setattr(paths, "bfs", keeping)
         tracemalloc.start()
         try:
-            all_pairs(g)
+            forked = pass_on(monkeypatch, g, cpus)[1]
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        assert forked == cpus - 1
         assert (peak < 3000 * n) != keep_rows, f"{peak / n:.0f} B/vertex"
 
 
@@ -165,6 +169,7 @@ class TestSplit:
     ], ids=["random-60", "random-80", "random-150", "random-300", "twins-180"])
     def test_a_split_pass_equals_one_chunk(self, monkeypatch, g):
         monkeypatch.setattr(paths, "CHUNK_WORK", 1)  # n = 60 splits too
+        monkeypatch.setattr(paths, "MAX_CHUNKS", 4)  # and the merge of 3 children
         one, forked = pass_on(monkeypatch, g, 1)
         assert forked == 0
         for cpus in (2, 3, 4):
@@ -179,14 +184,16 @@ class TestSplit:
         classes = orbits(g)
         assert [vs for vs in classes if len(vs) > 1] == [
             [v, 150 + k] for k, v in enumerate(chosen)]
-        assert len(classes) * g.m >= 4 * paths.CHUNK_WORK  # 4 chunks, unpatched
+        assert len(classes) * g.m >= 4 * paths.CHUNK_WORK  # 4 chunks past the cap
 
     def test_a_chunk_needs_its_share_of_the_work(self, monkeypatch, full_suite):
         def chunks(g, cpus):
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
             return paths._chunk_count(len(orbits(g)), g.m)
         # passes x edges: 366,600 on random(300), 11,700 on random(60)
-        assert [chunks(random_graph(300), cpus) for cpus in (1, 2, 4, 64)] == [1, 2, 4, 36]
+        assert [chunks(random_graph(300), cpus) for cpus in (1, 2, 4, 64)] == [1, 2, 2, 2]
+        monkeypatch.setattr(paths, "MAX_CHUNKS", 64)
+        assert [chunks(random_graph(300), cpus) for cpus in (4, 64)] == [4, 36]
         assert chunks(random_graph(60), 64) == 1
         # one pass each, and every small graph of the family and random suites
         for spec in (FamilySpec("hypercube", (8,)),
@@ -208,6 +215,28 @@ class TestSplit:
         monkeypatch.delattr(os, "fork")
         for name in FIELDS:
             assert getattr(all_pairs(g), name) == getattr(split, name), name
+
+    @pytest.mark.parametrize("forks", [0, 1, 2])
+    def test_chunks_that_get_no_process_run_here(self, monkeypatch, forks):
+        # the first ``forks`` forks succeed and the next one fails as a full
+        # process table would; that chunk and the rest are swept here
+        g = random_graph(150)
+        one = pass_on(monkeypatch, g, 1)[0]
+        calls, fork = [], os.fork
+
+        def fork_until_full():
+            calls.append(1)
+            if len(calls) > forks:
+                raise BlockingIOError(11, "Resource temporarily unavailable")
+            return fork()
+        monkeypatch.setattr(paths, "MAX_CHUNKS", 4)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)))
+        monkeypatch.setattr(os, "fork", fork_until_full)
+        split = all_pairs(g)
+        assert len(calls) == forks + 1
+        for name in FIELDS:
+            assert getattr(split, name) == getattr(one, name), (forks, name)
+        assert_no_child_left()
 
     def test_no_fork_while_another_thread_runs(self, monkeypatch):
         done = threading.Event()
