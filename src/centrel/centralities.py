@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .graphs import Graph, PreconditionError
 from .paths import (Analysis, avg_path_length, density, diameter,
-                    efficiency_sum, exact_sum, global_efficiency, mean)
+                    efficiency_sum, exact_sum, global_efficiency)
 
 
 def prefix_clusterings(g: Graph, sizes: Sequence[int]
@@ -116,9 +116,14 @@ def radiality(an: Analysis, v: int) -> Fraction:
 
 def local_efficiency(an: Analysis) -> Fraction:
     """Mean over all vertices of the efficiency among each one's neighbors,
-    with whole-graph distances (degree-1 terms are 0)."""
-    return mean([efficiency_sum(an.pair_hists[v]) / (d * (d - 1)) if d > 1
-                 else Fraction(0) for v, d in enumerate(an.g.degrees())])
+    with whole-graph distances (degree-1 terms are 0), one term per orbit."""
+    def term(v: int) -> tuple[int, int]:
+        d = an.g.degree(v)
+        if d < 2:
+            return 0, 1
+        e = efficiency_sum(an.pair_hists[v])
+        return e.numerator, e.denominator * d * (d - 1)
+    return an.orbit_mean(term)
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +163,11 @@ class CentralityReport:
 
 
 def compute_report(an: Analysis) -> CentralityReport:
-    """Every measure of the analysed graph."""
+    """Every measure of the analysed graph; closeness and the local
+    efficiency once per orbit.
+
+    Radiality stays per vertex: ``perfbench/test_perfbench.py`` pins one
+    diameter read per radiality on the benchmark matrix."""
     g = an.g
     bc, st = betweenness_and_stress(an)
     local, average, glob = clustering(an)
@@ -167,7 +176,7 @@ def compute_report(an: Analysis) -> CentralityReport:
         local_clustering=list(local),
         betweenness=bc,
         stress=st,
-        closeness=[closeness(an, v) for v in range(g.n)],
+        closeness=an.per_orbit(lambda v: closeness(an, v)),
         radiality=[radiality(an, v) for v in range(g.n)],
         density=density(g),
         diameter=diameter(an),

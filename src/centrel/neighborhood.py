@@ -7,17 +7,17 @@ aggregate while still counting in 1/n averages.
 
 ``profile`` reads every field for one vertex from the neighbor-pair
 summaries that ``all_pairs`` folds out of the BFS rows of N(i);
-``profiles`` does that once per ``Analysis``, and ``bc_loc``, ``rad_loc``
-and ``clo_loc`` are means over its result.
+``profiles`` does that once per orbit of the ``Analysis``, and ``bc_loc``,
+``rad_loc`` and ``clo_loc`` are means over its result, one term per orbit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .graphs import Graph
-from .paths import Analysis, exact_sum, mean
+from .paths import Analysis, exact_sum
 
 
 def is_complete_neighborhood(g: Graph, i: int) -> bool:
@@ -82,24 +82,35 @@ def profile(an: Analysis, i: int) -> NeighborhoodProfile:
 
 
 def profiles(an: Analysis) -> list[NeighborhoodProfile]:
-    """Every vertex's profile, computed once per Analysis.
+    """Every vertex's profile, computed once per Analysis: ``profile`` runs
+    at the smallest vertex of each orbit, and the other members get its
+    values under their own ``vertex``.
 
     Later calls with the same ``an`` return a copy of the stored list.
     """
-    return list(an.memo("profiles", lambda: [profile(an, i) for i in range(an.n)]))
+    def build():
+        shared = an.per_orbit(lambda i: profile(an, i))
+        return [p if p.vertex == v else replace(p, vertex=v) for v, p in enumerate(shared)]
+    return list(an.memo("profiles", build))
 
 
 def bc_loc(an: Analysis) -> Fraction:
-    """Mean of BC(i, N(i)) / (d_i (d_i - 1)) over all vertices."""
-    return exact_sum((p.betweenness.numerator, p.betweenness.denominator * d * (d - 1))
-                     for p, d in zip(profiles(an), an.g.degrees()) if d > 1) / an.n
+    """Mean of BC(i, N(i)) / (d_i (d_i - 1)) over all vertices, one term per orbit."""
+    profs, degree = profiles(an), an.g.degree
+
+    def term(i: int) -> tuple[int, int]:
+        d, b = degree(i), profs[i].betweenness
+        return (b.numerator, b.denominator * d * (d - 1)) if d > 1 else (0, 1)
+    return an.orbit_mean(term)
 
 
 def rad_loc(an: Analysis) -> Fraction:
-    """Mean neighborhood radiality over all vertices."""
-    return mean([p.radiality for p in profiles(an)])
+    """Mean neighborhood radiality over all vertices, one term per orbit."""
+    profs = profiles(an)
+    return an.orbit_mean(lambda i: profs[i].radiality.as_integer_ratio())
 
 
 def clo_loc(an: Analysis) -> Fraction:
-    """Mean neighborhood closeness over all vertices."""
-    return mean([p.closeness for p in profiles(an)])
+    """Mean neighborhood closeness over all vertices, one term per orbit."""
+    profs = profiles(an)
+    return an.orbit_mean(lambda i: profs[i].closeness.as_integer_ratio())

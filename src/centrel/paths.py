@@ -4,7 +4,10 @@ Exact hop distances and shortest-path counts come from BFS.  ``all_pairs``
 runs one counting BFS and one Brandes dependency sweep per orbit of verified
 automorphisms (``orbits``), keeping only per-graph summaries in ``Analysis``.
 Above a measured size the orbits are swept in chunks, all but one in forked
-children, and their sums are merged exactly.
+children, and their sums are merged exactly.  What is read from the
+``Analysis`` past the pass is evaluated once per orbit too: only
+``Analysis.per_orbit`` and ``Analysis.orbit_mean`` read how the orbits are
+stored and weighted.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import threading
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .graphs import Graph, PreconditionError, bfs
 
@@ -46,6 +49,11 @@ class Analysis:
       neighbors s, t of v at distance 2
 
     ``betweenness`` and ``stress`` are the Brandes results of the same pass.
+    ``orbits`` are the orbits of the pass (``orbits(g)``).  Every field
+    above is equal on an orbit, so values read from them are computed once
+    per orbit (``per_orbit``, ``orbit_mean``); the degrees and the
+    clustering pass are not, and so cross-check the orbits.
+
     The per-graph results built from these (the diameter, the neighborhood
     profiles) and the clustering pass over the same graph are kept by
     ``memo``, so the summaries must not be mutated afterwards (the members
@@ -60,11 +68,30 @@ class Analysis:
     detours: list[Counter]
     betweenness: list[Fraction]
     stress: list[int]
+    orbits: list[list[int]]
     _memo: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def n(self) -> int:
         return self.g.n
+
+    def per_orbit(self, value) -> list:
+        """``value(v)`` at the smallest vertex v of each orbit, shared by the
+        orbit's members: one entry per vertex."""
+        shared = [None] * self.n
+        for vs in self.orbits:
+            x = value(vs[0])
+            for v in vs:
+                shared[v] = x
+        return shared
+
+    def orbit_mean(self, ratio, where=None) -> Fraction:
+        """The exact mean of p/q, with (p, q) = ``ratio(v)``, over the
+        vertices v (those with ``where(v)``, if given): computed at the
+        smallest vertex of each orbit and counted once per member; 0 for
+        none."""
+        return weighted_mean((*ratio(vs[0]), len(vs)) for vs in self.orbits
+                             if where is None or where(vs[0]))
 
     def memo(self, key: str, build):
         """``build()`` on the first call for ``key``; the stored result of
@@ -422,7 +449,7 @@ def all_pairs(g: Graph) -> Analysis:
     fields = (row_sums, hists, pair_hists, pair_sums, detours,
               [Fraction(totals[vs[0]], denom) for vs in classes],
               [stress[vs[0]] for vs in classes])
-    return Analysis(g, *([f[k] for k in orbit] for f in fields))
+    return Analysis(g, *([f[k] for k in orbit] for f in fields), classes)
 
 
 def diameter(an: Analysis) -> int:
@@ -446,9 +473,12 @@ def exact_sum(terms: Iterable[tuple[int, int]]) -> Fraction:
     return Fraction(total, denom)
 
 
-def mean(values: Sequence[Fraction]) -> Fraction:
-    """The exact mean of the values through one ``exact_sum``, and 0 for none."""
-    return exact_sum(x.as_integer_ratio() for x in values) / max(len(values), 1)
+def weighted_mean(terms: Iterable[tuple[int, int, int]]) -> Fraction:
+    """The exact mean over triples (p, q, w) of the ratios p/q, each taken
+    w times (an orbit's value once per member), through one ``exact_sum``;
+    0 for none."""
+    terms = list(terms)
+    return exact_sum((p * w, q) for p, q, w in terms) / max(sum(t[2] for t in terms), 1)
 
 
 def efficiency_sum(hist: Counter) -> Fraction:

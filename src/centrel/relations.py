@@ -7,6 +7,9 @@ stated for minimum degree 2, and ``check_all`` alone refuses a degree-1
 vertex unless overridden; a checker applies the degree-1 conventions to any
 analysis and reports the outcome honestly (several relations do not survive
 the conventions).
+
+Values read from the pass are computed once per orbit and weighted by its
+size; degrees and local clusterings stay per vertex (see ``Analysis``).
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from .centralities import (betweenness_and_stress, closeness, clustering,
 from .graphs import (FamilyParameterError, FamilySpec, Graph, PreconditionError,
                      generate)
 from .neighborhood import bc_loc, clo_loc, profiles, rad_loc
-from .paths import Analysis, all_pairs, avg_path_length, diameter, exact_sum, mean
+from .paths import Analysis, all_pairs, avg_path_length, diameter, weighted_mean
 
 
 @dataclass
@@ -78,19 +81,24 @@ def _eligible(g: Graph) -> tuple[list[int], list[str]]:
 
 
 def check_lemma1(an: Analysis) -> RelationReport:
-    """Per-vertex identity: neighborhood average path length = 2 - c_i."""
-    eligible, notes = _eligible(an.g)
+    """Per-vertex identity: neighborhood average path length = 2 - c_i,
+    each vertex's shared profile against its own clustering."""
+    g = an.g
+    eligible, notes = _eligible(g)
     profs = profiles(an)
     local = clustering(an)[0]
-    lhs_v = [profs[i].avg_path for i in eligible]
     rhs_v = [2 - local[i] for i in eligible]
     worst = Fraction(0)
-    for i, lhs_i, rhs_i in zip(eligible, lhs_v, rhs_v):
+    for i, rhs_i in zip(eligible, rhs_v):
+        lhs_i = profs[i].avg_path
         dev = abs(lhs_i - rhs_i)
         if dev > worst:
             worst = dev
             notes.append(f"vertex {i}: L(N)={lhs_i} vs 2-c={rhs_i}")
-    return _report("lemma1", "eq", mean(lhs_v), mean(rhs_v), True,
+    lhs = an.orbit_mean(lambda i: profs[i].avg_path.as_integer_ratio(),
+                        lambda i: g.degree(i) >= 2)
+    rhs = weighted_mean((*x.as_integer_ratio(), 1) for x in rhs_v)
+    return _report("lemma1", "eq", lhs, rhs, True,
                    slack=worst, notes=notes)
 
 
@@ -109,10 +117,12 @@ def check_thm2(an: Analysis) -> RelationReport:
     """
     g = an.g
     _, stress = betweenness_and_stress(an)
-    term_total = exact_sum((st, d * (d - 1))
-                           for st, d in zip(stress, g.degrees()) if d >= 2)
+
+    def term(i: int) -> tuple[int, int]:
+        d = g.degree(i)
+        return (stress[i], d * (d - 1)) if d >= 2 else (0, 1)
     lhs = clustering(an)[1]
-    rhs = 1 - term_total / g.n
+    rhs = 1 - an.orbit_mean(term)
     return _report("thm2", "ge", lhs, rhs, diameter(an) <= 2)
 
 
@@ -137,23 +147,31 @@ def check_thm3(an: Analysis) -> RelationReport:
 
 def check_cor_sandwich(an: Analysis) -> RelationReport:
     """Per-vertex sandwich:
-    BC(i,N(i))/(d(d-1)) <= L(N(i)) - 1 <= Str(i)/(d(d-1))."""
+    BC(i,N(i))/(d(d-1)) <= L(N(i)) - 1 <= Str(i)/(d(d-1)), each side and
+    the margin computed once per orbit."""
     g = an.g
     _, stress = betweenness_and_stress(an)
     eligible, notes = _eligible(g)
     profs = profiles(an)
-    pair_counts = [g.degree(i) * (g.degree(i) - 1) for i in eligible]
-    lefts = [profs[i].betweenness / pc for i, pc in zip(eligible, pair_counts)]
-    rights = [Fraction(stress[i], pc) for i, pc in zip(eligible, pair_counts)]
-    worst: Fraction | None = None
-    for i, left, right in zip(eligible, lefts, rights):
+
+    def sandwich(i: int) -> tuple[Fraction, Fraction, Fraction, Fraction]:
+        pair_count = g.degree(i) * (g.degree(i) - 1)
+        left, right = profs[i].betweenness / pair_count, Fraction(stress[i], pair_count)
         mid = profs[i].avg_path - 1
-        margin = min(mid - left, right - mid)
+        return left, mid, right, min(mid - left, right - mid)
+    sides = an.per_orbit(lambda i: sandwich(i) if g.degree(i) >= 2 else None)
+
+    def side(k: int) -> Fraction:
+        return an.orbit_mean(lambda i: sides[i][k].as_integer_ratio(),
+                             lambda i: sides[i] is not None)
+    worst: Fraction | None = None
+    for i in eligible:
+        left, mid, right, margin = sides[i]
         if worst is None or margin < worst:
             worst = margin
             if margin < 0:
                 notes.append(f"vertex {i}: {left} <= {mid} <= {right} fails")
-    return _report("cor_sandwich", "le", mean(lefts), mean(rights), False,
+    return _report("cor_sandwich", "le", side(0), side(2), False,
                    slack=Fraction(0) if worst is None else worst, notes=notes)
 
 
@@ -162,7 +180,7 @@ def check_lemma2(an: Analysis) -> RelationReport:
 
     Equality is expected when all per-vertex distance sums agree.
     """
-    lhs = mean([closeness(an, v) for v in range(an.n)])
+    lhs = an.orbit_mean(lambda v: closeness(an, v).as_integer_ratio())
     rhs = 1 / avg_path_length(an)
     return _report("lemma2", "ge", lhs, rhs, len(set(an.row_sums)) == 1)
 
@@ -175,7 +193,7 @@ def check_thm4(an: Analysis) -> RelationReport:
 
 def check_lemma3(an: Analysis) -> RelationReport:
     """Identity: mean radiality = diameter + 1 - average path length."""
-    lhs = mean([radiality(an, v) for v in range(an.n)])
+    lhs = an.orbit_mean(lambda v: radiality(an, v).as_integer_ratio())
     rhs = diameter(an) + 1 - avg_path_length(an)
     return _report("lemma3", "eq", lhs, rhs, True)
 

@@ -20,7 +20,7 @@ from centrel.graphs import Graph, PreconditionError, is_connected
 from centrel.neighborhood import profiles
 from centrel.oracle import (_bfs_levels, _path_counts, oracle_measures,
                             oracle_neighborhood_profiles)
-from centrel.paths import exact_sum, mean, orbits
+from centrel.paths import exact_sum, orbits, weighted_mean
 from enumeration import enumerate_shortest_paths
 
 
@@ -202,6 +202,18 @@ class TestSplit:
             assert chunks(generate(spec), 64) == 1, spec
         for name, g in full_suite:
             assert chunks(g, 64) == 1, name
+
+    def test_the_analysis_records_the_orbits_of_its_pass(self, monkeypatch):
+        for spec in (FamilySpec("hypercube", (8,)),
+                     FamilySpec("circulant", (300, 1, 2, 3, 5, 8, 13)),
+                     FamilySpec("windmill", (60, 5)), FamilySpec("complete", (60,))):
+            g = generate(spec)
+            an, forked = pass_on(monkeypatch, g, 2)
+            assert (an.orbits, forked) == (orbits(g), 0), spec
+        g = random_graph(300)
+        for cpus in (2, 1):
+            an, forked = pass_on(monkeypatch, g, cpus)
+            assert (an.orbits, forked) == (orbits(g), cpus - 1)
 
     def test_one_cpu_or_no_fork_sweeps_one_chunk_here(self, monkeypatch):
         g = random_graph(300)
@@ -478,10 +490,15 @@ class TestExactSum:
 
 class TestMean:
     def test_no_values_is_zero(self):
-        total = mean([])
+        total = weighted_mean([])
         assert isinstance(total, Fraction) and total == 0
 
     @given(st.lists(st.fractions(max_denominator=10 ** 6), min_size=1, max_size=60))
     @settings(max_examples=100, deadline=None)
     def test_matches_fraction_mean(self, values):
-        assert mean(values) == sum(values, Fraction(0)) / len(values)
+        # once each, and the k-th value k + 1 times, as an orbit of k + 1 members
+        pairs = [x.as_integer_ratio() for x in values]
+        assert weighted_mean((p, q, 1) for p, q in pairs) == sum(values, Fraction(0)) / len(values)
+        repeated = [x for k, x in enumerate(values) for _ in range(k + 1)]
+        assert (weighted_mean((p, q, k + 1) for k, (p, q) in enumerate(pairs))
+                == sum(repeated, Fraction(0)) / len(repeated))
