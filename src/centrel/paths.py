@@ -3,11 +3,10 @@
 Exact hop distances and shortest-path counts come from BFS.  ``all_pairs``
 runs one counting BFS and one Brandes dependency sweep per orbit of verified
 automorphisms (``orbits``), keeping only per-graph summaries in ``Analysis``.
-Above a measured size the orbits are swept in chunks, all but one in forked
-children, and their sums are merged exactly.  What is read from the
-``Analysis`` past the pass is evaluated once per orbit too: only
-``Analysis.per_orbit`` and ``Analysis.orbit_mean`` read how the orbits are
-stored and weighted.
+Above a measured size a forked child sweeps half of the orbits, and its sums
+are merged exactly.  What is read from the ``Analysis`` past the pass is
+evaluated once per orbit too: only ``Analysis.per_orbit`` and
+``Analysis.orbit_mean`` read how the orbits are stored and weighted.
 """
 
 from __future__ import annotations
@@ -15,6 +14,7 @@ from __future__ import annotations
 import marshal
 import math
 import os
+import sys
 import threading
 from collections import Counter
 from dataclasses import dataclass, field
@@ -227,106 +227,61 @@ def _share(total, k: int):
     return total // k
 
 
-# A forked chunk pays for its fork once it carries this many passes x edges.
-# Median ms of one chunk against two on random-min-degree-2 seed 1 (2 vCPU,
+# A pass splits in two once it carries this many passes x edges.  Median ms
+# of one sweep against two halves on random-min-degree-2 seed 1 (2 vCPU,
 # CPython 3.11.7), by passes x edges: 11,700 (n = 60) 4.7 against 4.7-5.3,
 # 18,525 (n = 75) 6.9 against 7.6-8.0, 22,160 (n = 80) 7.9 against 6.9,
 # 366,600 (n = 300) 104 against 63.  A bare fork and wait took 1.1 ms.
-CHUNK_WORK = 10_000
-# At most two chunks, the most that was measured.  A third would add its
-# decode and lcm rescale to the parent's merge and its memory to what the
-# process's peak RSS does not show, and os.sched_getaffinity does not see a
-# cgroup's CPU quota.
-MAX_CHUNKS = 2
+SPLIT_WORK = 20_000
 
 
-def _chunk_count(passes: int, m: int) -> int:
-    """The chunks a pass of ``passes`` BFS sources runs in: one per CPU this
-    process may use, but at most ``MAX_CHUNKS``, one per pass and one per
-    ``CHUNK_WORK`` of passes x edges.  One where ``os.fork`` or
+def _splits(passes: int, m: int) -> bool:
+    """Whether a pass of ``passes`` BFS sources over ``m`` edges sweeps half
+    of them in a forked child: with at least 2 CPUs this process may use, 2
+    passes and ``SPLIT_WORK`` passes x edges.  Never where ``os.fork`` or
     ``os.sched_getaffinity`` is missing, or while another thread runs: a
-    forked child would inherit the locks that thread holds."""
-    if (not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity")
-            or threading.active_count() > 1):
-        return 1
-    return max(1, min(MAX_CHUNKS, len(os.sched_getaffinity(0)), passes,
-                      passes * m // CHUNK_WORK))
+    forked child would inherit the locks that thread holds.  One child at
+    most, the most that was measured: a second would add its decode and lcm
+    rescale to the merge and its memory to what the process's peak RSS does
+    not show, and os.sched_getaffinity does not see a cgroup's CPU quota."""
+    return (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+            and threading.active_count() == 1 and len(os.sched_getaffinity(0)) > 1
+            and passes > 1 and passes * m >= SPLIT_WORK)
 
 
-def _record(value) -> bytes:
-    """A field of ``_sweep`` as one marshal record after its length in 8
-    bytes; a list of Counters goes as dicts."""
-    if isinstance(value, list) and isinstance(value[0], Counter):
-        value = [dict(counts) for counts in value]
-    data = marshal.dumps(value)
-    return len(data).to_bytes(8, "little") + data
-
-
-def _records(pipe):
-    """The values of the records that a child wrote to ``pipe``, decoded one
-    at a time; ``EOFError`` or ``ValueError`` past what it wrote."""
-    while True:
-        yield marshal.loads(pipe.read(int.from_bytes(pipe.read(8), "little")))
-
-
-def _fork(sweep, j: int):
-    """A forked child that writes the fields of ``sweep(j)`` to a pipe
-    (``_record``) and ends: its pid and the pipe's reading end.  ``OSError``
-    if no pipe or process can be had."""
-    r, w = os.pipe()
+def _fork(sweep):
+    """A forked child that writes ``sweep()`` to a pipe as one marshal
+    record, its lists of Counters as lists of dicts, and ends: its pid and
+    the pipe's reading end.  None if no pipe or process can be had (a full
+    descriptor or process table, no memory to fork)."""
+    try:
+        r, w = os.pipe()
+    except OSError:
+        return None
     try:
         pid = os.fork()
     except OSError:
         os.close(r)
         os.close(w)
-        raise
+        return None
     if pid == 0:  # the child: it never returns into the caller's stack
         status = 1
         try:
+            row_sums, *counts, stress, totals, denom = sweep()
             with open(w, "wb") as out:
-                for value in sweep(j):
-                    out.write(_record(value))
+                out.write(marshal.dumps([row_sums, *([dict(c) for c in f] for f in counts),
+                                         stress, totals, denom]))
             status = 0
+        except DisconnectedGraphError:
+            pass  # the parent's own half raises it as well
+        except Exception:  # the parent sees only the status: say why here
+            import traceback  # here, as only a failing child needs it
+            traceback.print_exc()
+            sys.stderr.flush()
         finally:
             os._exit(status)
     os.close(w)
     return pid, open(r, "rb")
-
-
-def _in_chunks(sweep, chunks: int, fold) -> None:
-    """``fold(j, part)`` for each chunk j in order, ``part`` yielding the
-    fields of ``sweep(j)``.  Chunk 0 is swept in this process and each other
-    chunk in a forked child (``_fork``), or here as well from the first one
-    that gets no pipe or process.  Every child is reaped, and killed first
-    unless all went well.  ``RuntimeError`` if a child fails."""
-    children = []  # (pid, pipe) of chunks 1, 2, ... whose child is not reaped yet
-    try:
-        for j in range(1, chunks):
-            try:
-                children.append(_fork(sweep, j))
-            except OSError:  # out of processes or memory: the rest run here
-                break
-        fold(0, iter(sweep(0)))
-        for j in range(1, chunks):
-            if not children:
-                fold(j, iter(sweep(j)))
-                continue
-            pid, pipe = children[0]
-            failed = f"chunk {j} of the all-pairs pass failed in its forked child"
-            try:
-                fold(j, _records(pipe))
-            except (EOFError, ValueError) as exc:  # its sums ended early
-                raise RuntimeError(failed) from exc
-            status = os.waitpid(pid, 0)[1]
-            children.pop(0)
-            pipe.close()
-            if status:
-                raise RuntimeError(f"{failed} (wait status {status})")
-    finally:
-        for pid, pipe in children:
-            pipe.close()
-            os.kill(pid, 9)  # SIGKILL
-            os.waitpid(pid, 0)
 
 
 def _sweep(g: Graph, nbrs, classes, orbit, ks) -> list:
@@ -404,10 +359,13 @@ def all_pairs(g: Graph) -> Analysis:
     rescaled when L_s does not divide L, and each vertex's value is a single
     ``Fraction(total, L)`` at the end.
 
-    The orbits are dealt round-robin into ``_chunk_count`` chunks that run
-    at the same time (``_in_chunks``).  Their sums merge exactly: the folds
-    and stress add up, and the betweenness totals are rescaled to the lcm of
-    the chunks' denominators before they add up.
+    Above ``SPLIT_WORK`` (``_splits``) a forked child sweeps the second half
+    of the orbits while this process sweeps the first; with no pipe or
+    process to be had, this process sweeps them all.  The halves merge
+    exactly: the folds and stress add up, and the betweenness totals are
+    rescaled to the lcm of the two denominators before they add up.  The
+    child is reaped, and killed first unless all went well; ``RuntimeError``
+    if it fails.
     """
     n = g.n
     if n < 2:
@@ -415,31 +373,38 @@ def all_pairs(g: Graph) -> Analysis:
             f"the all-pairs analysis needs at least 2 vertices (n={n})")
     nbrs, classes = [g.neighbors(v) for v in range(n)], orbits(g)
     orbit = [k for _, k in sorted((v, k) for k, vs in enumerate(classes) for v in vs)]
-    chunks = _chunk_count(len(classes), g.m)
-    # per orbit: the summaries of its source; the folds, stress and totals
-    # (per vertex until the end) and denominator are chunk 0's plus the rest
-    row_sums, hists, sums = [0] * len(classes), [None] * len(classes), []
-
-    def fold(j: int, part) -> None:
-        row_sums[j::chunks] = next(part)
-        if not sums:  # chunk 0's own Counters and sums start the merge
-            hists[::chunks] = next(part)
-            sums.extend(part)
-            return
-        hists[j::chunks] = map(Counter, next(part))
-        for acc in sums[:3]:
-            for counts, more in zip(acc, next(part)):
-                counts.update(more)
-        stress, totals, denom = sums[3:]
-        more_stress, more_totals, more_denom = next(part), next(part), next(part)
-        grown = math.lcm(denom, more_denom)
-        sums[3:] = ([a + b for a, b in zip(stress, more_stress)],
-                    [a * (grown // denom) + b * (grown // more_denom)
-                     for a, b in zip(totals, more_totals)], grown)
-
-    _in_chunks(lambda j: _sweep(g, nbrs, classes, orbit, range(j, len(classes), chunks)),
-               chunks, fold)
-    pair_hists, pair_sums, detours, stress, totals, denom = sums
+    passes = len(classes)
+    half = passes // 2 if _splits(passes, g.m) else passes
+    child = (_fork(lambda: _sweep(g, nbrs, classes, orbit, range(half, passes)))
+             if half < passes else None)
+    try:
+        (row_sums, hists, pair_hists, pair_sums, detours, stress, totals,
+         denom) = _sweep(g, nbrs, classes, orbit, range(half if child else passes))
+        if child:
+            pid, pipe = child
+            with pipe:
+                data = pipe.read()
+            status, child = os.waitpid(pid, 0)[1], None
+            if status:
+                raise RuntimeError("the forked half of the all-pairs pass failed "
+                                   f"(wait status {status})")
+            more_rows, more_hists, *folds, more_stress, more_totals, more_denom = (
+                marshal.loads(data))
+            row_sums += more_rows
+            hists += map(Counter, more_hists)
+            for acc, more in zip((pair_hists, pair_sums, detours), folds):
+                for counts, added in zip(acc, more):
+                    counts.update(added)
+            stress = [a + b for a, b in zip(stress, more_stress)]
+            grown = math.lcm(denom, more_denom)
+            totals = [a * (grown // denom) + b * (grown // more_denom)
+                      for a, b in zip(totals, more_totals)]
+            denom = grown
+    finally:
+        if child:  # failed or interrupted before the child was reaped
+            child[1].close()
+            os.kill(child[0], 9)  # SIGKILL
+            os.waitpid(child[0], 0)
     for k, members in enumerate(classes):
         if (size := len(members)) > 1:
             for f in (pair_hists, pair_sums, detours):

@@ -1,5 +1,6 @@
 """Distance/path-count correctness and the global distance metrics."""
 
+import errno
 import math
 import os
 import random
@@ -153,55 +154,84 @@ def pass_on(monkeypatch, g, cpus):
     return all_pairs(g), len(forked)
 
 
-def assert_no_child_left():
+def open_fds():
+    """This process's open file descriptors; None where /proc/self/fd is
+    missing, which leaves that check out."""
+    try:
+        return set(os.listdir("/proc/self/fd"))
+    except FileNotFoundError:
+        return None
+
+
+def assert_nothing_left(fds):
     # every child reaped: none running and none a zombie
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+    # and no end of a pipe left open: the descriptors open before the pass
+    assert open_fds() == fds
 
 
 class TestSplit:
-    """The pass in chunks of orbits, all but one in forked children: every
-    field as the one chunk gives it."""
+    """The pass in two halves of the orbits, the second in a forked child:
+    every field as one sweep gives it."""
 
     @pytest.mark.parametrize("g", [
-        *(random_graph(n) for n in (60, 80, 150, 300)),
+        *(random_graph(n) for n in (60, 75, 80, 150, 300)),
         with_false_twins(random_graph(150), 30)[0],
-    ], ids=["random-60", "random-80", "random-150", "random-300", "twins-180"])
+    ], ids=["random-60", "random-75", "random-80", "random-150", "random-300",
+            "twins-180"])
     def test_a_split_pass_equals_one_chunk(self, monkeypatch, g):
-        monkeypatch.setattr(paths, "CHUNK_WORK", 1)  # n = 60 splits too
-        monkeypatch.setattr(paths, "MAX_CHUNKS", 4)  # and the merge of 3 children
+        monkeypatch.setattr(paths, "SPLIT_WORK", 1)  # n = 60 splits too
         one, forked = pass_on(monkeypatch, g, 1)
         assert forked == 0
-        for cpus in (2, 3, 4):
+        for cpus in (2, 3, 4):  # one child whatever the CPUs; 75 halves unevenly
+            fds = open_fds()
             split, forked = pass_on(monkeypatch, g, cpus)
-            assert forked == cpus - 1
+            assert forked == 1
             for name in FIELDS:
                 assert getattr(split, name) == getattr(one, name), (cpus, name)
-        assert_no_child_left()
+            assert_nothing_left(fds)
 
     def test_the_twins_share_passes_across_the_split(self):
         g, chosen = with_false_twins(random_graph(150), 30)
         classes = orbits(g)
         assert [vs for vs in classes if len(vs) > 1] == [
             [v, 150 + k] for k, v in enumerate(chosen)]
-        assert len(classes) * g.m >= 4 * paths.CHUNK_WORK  # 4 chunks past the cap
+        assert len(classes) * g.m >= paths.SPLIT_WORK  # it splits unpatched
 
     def test_a_chunk_needs_its_share_of_the_work(self, monkeypatch, full_suite):
-        def chunks(g, cpus):
-            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-            return paths._chunk_count(len(orbits(g)), g.m)
-        # passes x edges: 366,600 on random(300), 11,700 on random(60)
-        assert [chunks(random_graph(300), cpus) for cpus in (1, 2, 4, 64)] == [1, 2, 2, 2]
-        monkeypatch.setattr(paths, "MAX_CHUNKS", 64)
-        assert [chunks(random_graph(300), cpus) for cpus in (4, 64)] == [4, 36]
-        assert chunks(random_graph(60), 64) == 1
+        def cpus(count):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+        def splits(g):
+            return paths._splits(len(orbits(g)), g.m)
+        cpus(2)
+        # passes x edges against SPLIT_WORK = 20,000
+        assert (paths._splits(2, 9_999), paths._splits(2, 10_000)) == (False, True)
+        assert not paths._splits(1, 10**6)
+        # 366,600 on random(300), 11,700 on random(60)
+        assert (splits(random_graph(300)), splits(random_graph(60))) == (True, False)
+        done = threading.Event()
+        thread = threading.Thread(target=done.wait, args=(60,))
+        thread.start()
+        try:
+            assert not paths._splits(2, 10_000)
+        finally:
+            done.set()
+            thread.join(60)
+        assert not thread.is_alive()
+        cpus(1)
+        assert not paths._splits(2, 10_000)
+        cpus(64)
         # one pass each, and every small graph of the family and random suites
         for spec in (FamilySpec("hypercube", (8,)),
                      FamilySpec("circulant", (300, 1, 2, 3, 5, 8, 13)),
                      FamilySpec("windmill", (60, 5)), FamilySpec("complete", (60,))):
-            assert chunks(generate(spec), 64) == 1, spec
+            assert not splits(generate(spec)), spec
         for name, g in full_suite:
-            assert chunks(g, 64) == 1, name
+            assert not splits(g), name
+        monkeypatch.delattr(os, "fork")
+        assert not paths._splits(2, 10_000)
 
     def test_the_analysis_records_the_orbits_of_its_pass(self, monkeypatch):
         for spec in (FamilySpec("hypercube", (8,)),
@@ -228,27 +258,30 @@ class TestSplit:
         for name in FIELDS:
             assert getattr(all_pairs(g), name) == getattr(split, name), name
 
-    @pytest.mark.parametrize("forks", [0, 1, 2])
-    def test_chunks_that_get_no_process_run_here(self, monkeypatch, forks):
-        # the first ``forks`` forks succeed and the next one fails as a full
-        # process table would; that chunk and the rest are swept here
+    @pytest.mark.parametrize("refused", ["pipe", "fork"])
+    def test_no_pipe_or_process_sweeps_every_orbit_here(self, monkeypatch, refused):
+        # a full descriptor table refuses the pipe, a full process table the
+        # fork; either way no child runs and this process sweeps every orbit
         g = random_graph(150)
         one = pass_on(monkeypatch, g, 1)[0]
         calls, fork = [], os.fork
 
-        def fork_until_full():
+        def full(*args):
+            raise OSError(errno.EMFILE, "Too many open files")
+
+        def fork_refused():
             calls.append(1)
-            if len(calls) > forks:
-                raise BlockingIOError(11, "Resource temporarily unavailable")
-            return fork()
-        monkeypatch.setattr(paths, "MAX_CHUNKS", 4)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)))
-        monkeypatch.setattr(os, "fork", fork_until_full)
+            raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(os, "fork", fork_refused)
+        if refused == "pipe":
+            monkeypatch.setattr(os, "pipe", full)
+        fds = open_fds()
         split = all_pairs(g)
-        assert len(calls) == forks + 1
+        assert len(calls) == (refused == "fork")
         for name in FIELDS:
-            assert getattr(split, name) == getattr(one, name), (forks, name)
-        assert_no_child_left()
+            assert getattr(split, name) == getattr(one, name), name
+        assert_nothing_left(fds)
 
     def test_no_fork_while_another_thread_runs(self, monkeypatch):
         done = threading.Event()
@@ -267,42 +300,57 @@ class TestForkedChildren:
     """No child outlives the pass, and none fails it silently."""
 
     def test_a_disconnected_graph_is_refused_through_the_cli(self, monkeypatch,
-                                                             capsys, tmp_path):
+                                                             capfd, tmp_path):
+        # this process's half waits until the child has met the same
+        # unreachable vertex: the child must end without a word of its own
         a, b = random_graph(100, 1), random_graph(100, 2)
         path = tmp_path / "two.edges"
         path.write_text("".join(f"{u} {v}\n" for u, v in a.edges()) +
                         "".join(f"{u + 100} {v + 100}\n" for u, v in b.edges()))
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        monkeypatch.setattr(paths, "CHUNK_WORK", 1)
-        for command in ("compute", "check"):
-            assert main([command, "--input", str(path)]) == 3
-            assert capsys.readouterr().err == (
-                "error: vertex 0 cannot reach every vertex; distance sums undefined\n")
-            assert_no_child_left()
+        parent, kernel = os.getpid(), paths.bfs
 
-    def test_a_failing_child_fails_the_pass(self, monkeypatch):
+        def bfs_late_here(g, s):
+            if os.getpid() == parent:
+                time.sleep(0.2)
+            return kernel(g, s)
+        monkeypatch.setattr(paths, "bfs", bfs_late_here)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(paths, "SPLIT_WORK", 1)
+        for command in ("compute", "check"):
+            fds = open_fds()
+            assert main([command, "--input", str(path)]) == 3
+            assert capfd.readouterr().err == (
+                "error: vertex 0 cannot reach every vertex; distance sums undefined\n")
+            assert_nothing_left(fds)
+
+    def test_a_failing_child_fails_the_pass(self, monkeypatch, capfd):
         parent, kernel = os.getpid(), paths.bfs
 
         def bfs_failing_in_children(g, s):
             if os.getpid() != parent:
-                raise ValueError("planted")
+                raise ValueError("planted cause")
             return kernel(g, s)
         monkeypatch.setattr(paths, "bfs", bfs_failing_in_children)
-        with pytest.raises(RuntimeError, match="chunk 1 of the all-pairs pass failed"):
+        fds = open_fds()
+        with pytest.raises(RuntimeError, match="the forked half of the all-pairs "
+                           r"pass failed \(wait status 256\)"):
             pass_on(monkeypatch, random_graph(150), 3)
-        assert_no_child_left()
+        assert_nothing_left(fds)
+        # the child says why on stderr before it ends
+        assert "ValueError: planted cause" in capfd.readouterr().err
 
     def test_a_child_that_exits_with_failure_fails_the_pass(self, monkeypatch):
         # it writes every sum, then ends with status 3 in place of 0
         exit_ = os._exit
         monkeypatch.setattr(os, "_exit", lambda status: exit_(3))
-        with pytest.raises(RuntimeError, match=r"forked child \(wait status 768\)"):
+        fds = open_fds()
+        with pytest.raises(RuntimeError, match=r"pass failed \(wait status 768\)"):
             pass_on(monkeypatch, random_graph(150), 2)
-        assert_no_child_left()
+        assert_nothing_left(fds)
 
     def test_an_interrupted_parent_kills_its_children(self, monkeypatch):
-        # the children would sweep for a minute; the parent stops at its
-        # first source, and must not wait for them
+        # the child would sweep for a minute; the parent stops at its first
+        # source, and must not wait for it
         parent, kernel = os.getpid(), paths.bfs
 
         def bfs_interrupted(g, s):
@@ -312,10 +360,13 @@ class TestForkedChildren:
             return kernel(g, s)
         monkeypatch.setattr(paths, "bfs", bfs_interrupted)
         start = time.perf_counter()
-        with pytest.raises(KeyboardInterrupt):
+        fds = open_fds()
+        with pytest.raises(KeyboardInterrupt) as interrupted:
             pass_on(monkeypatch, random_graph(150), 4)
         assert time.perf_counter() - start < 30
-        assert_no_child_left()
+        # while its traceback keeps the pass's frame, and so its pipe, alive
+        assert interrupted.traceback
+        assert_nothing_left(fds)
 
     @pytest.mark.slow
     def test_exact_identities_at_2000(self, monkeypatch):
