@@ -117,13 +117,7 @@ def radiality(an: Analysis, v: int) -> Fraction:
 def local_efficiency(an: Analysis) -> Fraction:
     """Mean over all vertices of the efficiency among each one's neighbors,
     with whole-graph distances (degree-1 terms are 0), one term per orbit."""
-    def term(v: int) -> tuple[int, int]:
-        d = an.g.degree(v)
-        if d < 2:
-            return 0, 1
-        e = efficiency_sum(an.pair_hists[v])
-        return e.numerator, e.denominator * d * (d - 1)
-    return an.orbit_mean(term)
+    return an.pair_mean(lambda v: efficiency_sum(an.pair_hists[v]))
 
 
 # ---------------------------------------------------------------------------

@@ -199,8 +199,9 @@ def cmd_oracle_diff(args) -> int:
     compared += [(name, getattr(fast, name), getattr(slow, name))
                  for name in CentralityReport.FIELDS_GRAPH]
     slow_profiles = oracle.oracle_neighborhood_profiles(g)
-    compared += [(f"neighborhood.{name}[{fp.vertex}]", getattr(fp, name), getattr(sp, name))
-                 for fp, sp in zip(profiles(an), slow_profiles) for name in fp.FIELDS]
+    compared += [(f"neighborhood.{name}[{i}]", getattr(fp, name), getattr(sp, name))
+                 for i, (fp, sp) in enumerate(zip(profiles(an), slow_profiles))
+                 for name in fp.FIELDS]
     mismatches = [f"{label}: fast={x} oracle={y}"
                   for label, x, y in compared if x != y]
     if mismatches:

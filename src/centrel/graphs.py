@@ -420,10 +420,11 @@ def to_json_graph(g: Graph) -> str:
 def load_graph(path: str) -> Graph:
     """Read a graph file, picking the format from the extension.
 
-    ``.json`` uses the JSON format; anything else is edge-list text.
+    ``.json`` uses the JSON format; anything else is edge-list text.  A
+    leading UTF-8 byte-order mark is dropped.
     """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             text = fh.read()
     except UnicodeDecodeError as exc:
         raise GraphFormatError(f"{path} is not UTF-8 text: {exc}") from exc

@@ -13,7 +13,7 @@ summaries that ``all_pairs`` folds out of the BFS rows of N(i);
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .graphs import Graph
@@ -30,15 +30,15 @@ def is_complete_neighborhood(g: Graph, i: int) -> bool:
 class NeighborhoodProfile:
     """All neighborhood-restricted values for one vertex.
 
-    Over ordered pairs of distinct neighbors of ``vertex``: ``avg_path`` is
+    Over ordered pairs of distinct neighbors of the vertex: ``avg_path`` is
     the mean distance, ``diameter`` the largest one and ``betweenness`` the
     betweenness of the vertex restricted to those pairs.  ``radiality`` and
     ``closeness`` are the means, over the neighbors v, of v's radiality (with
     the neighborhood diameter) and closeness among the other neighbors.  All
-    are 0 when the vertex has fewer than two neighbors.
+    are 0 when the vertex has fewer than two neighbors.  A profile does not
+    name its vertex: in a list of profiles, its index does.
     """
 
-    vertex: int
     avg_path: Fraction
     betweenness: Fraction
     diameter: int
@@ -62,13 +62,12 @@ def profile(an: Analysis, i: int) -> NeighborhoodProfile:
     d = g.degree(i)
     complete = is_complete_neighborhood(g, i)
     if d <= 1:
-        return NeighborhoodProfile(i, Fraction(0), Fraction(0), 0, Fraction(0),
+        return NeighborhoodProfile(Fraction(0), Fraction(0), 0, Fraction(0),
                                    Fraction(0), complete)
     hist = an.pair_hists[i]  # its d pairs s == t, at 0, add nothing below
     diam = max(hist)
     pairs = d * (d - 1)
     return NeighborhoodProfile(
-        vertex=i,
         avg_path=Fraction(sum(x * count for x, count in hist.items()), pairs),
         betweenness=exact_sum((count, paths)
                               for paths, count in an.detours[i].items()),
@@ -83,34 +82,27 @@ def profile(an: Analysis, i: int) -> NeighborhoodProfile:
 
 def profiles(an: Analysis) -> list[NeighborhoodProfile]:
     """Every vertex's profile, computed once per Analysis: ``profile`` runs
-    at the smallest vertex of each orbit, and the other members get its
-    values under their own ``vertex``.
+    at the smallest vertex of each orbit, and the members of the orbit share
+    that one frozen profile.
 
     Later calls with the same ``an`` return a copy of the stored list.
     """
-    def build():
-        shared = an.per_orbit(lambda i: profile(an, i))
-        return [p if p.vertex == v else replace(p, vertex=v) for v, p in enumerate(shared)]
-    return list(an.memo("profiles", build))
+    return list(an.memo("profiles", lambda: an.per_orbit(lambda i: profile(an, i))))
 
 
 def bc_loc(an: Analysis) -> Fraction:
     """Mean of BC(i, N(i)) / (d_i (d_i - 1)) over all vertices, one term per orbit."""
-    profs, degree = profiles(an), an.g.degree
-
-    def term(i: int) -> tuple[int, int]:
-        d, b = degree(i), profs[i].betweenness
-        return (b.numerator, b.denominator * d * (d - 1)) if d > 1 else (0, 1)
-    return an.orbit_mean(term)
+    profs = profiles(an)
+    return an.pair_mean(lambda i: profs[i].betweenness)
 
 
 def rad_loc(an: Analysis) -> Fraction:
     """Mean neighborhood radiality over all vertices, one term per orbit."""
     profs = profiles(an)
-    return an.orbit_mean(lambda i: profs[i].radiality.as_integer_ratio())
+    return an.orbit_mean(lambda i: profs[i].radiality)
 
 
 def clo_loc(an: Analysis) -> Fraction:
     """Mean neighborhood closeness over all vertices, one term per orbit."""
     profs = profiles(an)
-    return an.orbit_mean(lambda i: profs[i].closeness.as_integer_ratio())
+    return an.orbit_mean(lambda i: profs[i].closeness)

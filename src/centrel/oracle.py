@@ -160,7 +160,7 @@ def oracle_neighborhood_profiles(g: Graph) -> list[NeighborhoodProfile]:
         complete = all(g.adjacent(a, b) for ai, a in enumerate(nbrs)
                        for b in nbrs[ai + 1:])
         if d <= 1:
-            out.append(NeighborhoodProfile(i, Fraction(0), Fraction(0), 0,
+            out.append(NeighborhoodProfile(Fraction(0), Fraction(0), 0,
                                            Fraction(0), Fraction(0), complete))
             continue
         pair_dists = [dist[a][b] for a in nbrs for b in nbrs if a != b]
@@ -179,6 +179,5 @@ def oracle_neighborhood_profiles(g: Graph) -> list[NeighborhoodProfile]:
         rad_n /= d
         clo_n /= d
 
-        out.append(NeighborhoodProfile(i, avg_path, bc_n, diam_n, rad_n, clo_n,
-                                       complete))
+        out.append(NeighborhoodProfile(avg_path, bc_n, diam_n, rad_n, clo_n, complete))
     return out

@@ -5,8 +5,9 @@ runs one counting BFS and one Brandes dependency sweep per orbit of verified
 automorphisms (``orbits``), keeping only per-graph summaries in ``Analysis``.
 Above a measured size a forked child sweeps half of the orbits, and its sums
 are merged exactly.  What is read from the ``Analysis`` past the pass is
-evaluated once per orbit too: only ``Analysis.per_orbit`` and
-``Analysis.orbit_mean`` read how the orbits are stored and weighted.
+evaluated once per orbit too: only ``Analysis.per_orbit``,
+``Analysis.orbit_mean`` and ``Analysis.pair_mean`` read how the orbits are
+stored and weighted, and ``pair_mean`` alone divides by d(d-1).
 """
 
 from __future__ import annotations
@@ -51,8 +52,8 @@ class Analysis:
     ``betweenness`` and ``stress`` are the Brandes results of the same pass.
     ``orbits`` are the orbits of the pass (``orbits(g)``).  Every field
     above is equal on an orbit, so values read from them are computed once
-    per orbit (``per_orbit``, ``orbit_mean``); the degrees and the
-    clustering pass are not, and so cross-check the orbits.
+    per orbit (``per_orbit``, ``orbit_mean``, ``pair_mean``); the degrees
+    and the clustering pass are not, and so cross-check the orbits.
 
     The per-graph results built from these (the diameter, the neighborhood
     profiles) and the clustering pass over the same graph are kept by
@@ -85,13 +86,25 @@ class Analysis:
                 shared[v] = x
         return shared
 
-    def orbit_mean(self, ratio, where=None) -> Fraction:
-        """The exact mean of p/q, with (p, q) = ``ratio(v)``, over the
+    def orbit_mean(self, value, where=None) -> Fraction:
+        """The exact mean of the int or Fraction ``value(v)`` over the
         vertices v (those with ``where(v)``, if given): computed at the
         smallest vertex of each orbit and counted once per member; 0 for
         none."""
-        return weighted_mean((*ratio(vs[0]), len(vs)) for vs in self.orbits
-                             if where is None or where(vs[0]))
+        return weighted_mean((*value(vs[0]).as_integer_ratio(), len(vs))
+                             for vs in self.orbits if where is None or where(vs[0]))
+
+    def pair_mean(self, value) -> Fraction:
+        """The exact mean over all vertices v of ``value(v)`` / (d(d-1)), d
+        the degree of v: 0 for d <= 1 (``value`` is not called), still
+        counted in 1/n.  Once per orbit, each term an unreduced ratio."""
+        def ratio(v: int) -> tuple[int, int]:
+            d = self.g.degree(v)
+            if d < 2:
+                return 0, 1
+            p, q = value(v).as_integer_ratio()
+            return p, q * d * (d - 1)
+        return weighted_mean((*ratio(vs[0]), len(vs)) for vs in self.orbits)
 
     def memo(self, key: str, build):
         """``build()`` on the first call for ``key``; the stored result of

@@ -95,8 +95,7 @@ def check_lemma1(an: Analysis) -> RelationReport:
         if dev > worst:
             worst = dev
             notes.append(f"vertex {i}: L(N)={lhs_i} vs 2-c={rhs_i}")
-    lhs = an.orbit_mean(lambda i: profs[i].avg_path.as_integer_ratio(),
-                        lambda i: g.degree(i) >= 2)
+    lhs = an.orbit_mean(lambda i: profs[i].avg_path, lambda i: g.degree(i) >= 2)
     rhs = weighted_mean((*x.as_integer_ratio(), 1) for x in rhs_v)
     return _report("lemma1", "eq", lhs, rhs, True,
                    slack=worst, notes=notes)
@@ -115,14 +114,9 @@ def check_thm2(an: Analysis) -> RelationReport:
     Equality is expected whenever the diameter is at most 2 (every
     through-path then has length exactly 2).
     """
-    g = an.g
     _, stress = betweenness_and_stress(an)
-
-    def term(i: int) -> tuple[int, int]:
-        d = g.degree(i)
-        return (stress[i], d * (d - 1)) if d >= 2 else (0, 1)
     lhs = clustering(an)[1]
-    rhs = 1 - an.orbit_mean(term)
+    rhs = 1 - an.pair_mean(stress.__getitem__)
     return _report("thm2", "ge", lhs, rhs, diameter(an) <= 2)
 
 
@@ -162,8 +156,7 @@ def check_cor_sandwich(an: Analysis) -> RelationReport:
     sides = an.per_orbit(lambda i: sandwich(i) if g.degree(i) >= 2 else None)
 
     def side(k: int) -> Fraction:
-        return an.orbit_mean(lambda i: sides[i][k].as_integer_ratio(),
-                             lambda i: sides[i] is not None)
+        return an.orbit_mean(lambda i: sides[i][k], lambda i: sides[i] is not None)
     worst: Fraction | None = None
     for i in eligible:
         left, mid, right, margin = sides[i]
@@ -180,7 +173,7 @@ def check_lemma2(an: Analysis) -> RelationReport:
 
     Equality is expected when all per-vertex distance sums agree.
     """
-    lhs = an.orbit_mean(lambda v: closeness(an, v).as_integer_ratio())
+    lhs = an.orbit_mean(lambda v: closeness(an, v))
     rhs = 1 / avg_path_length(an)
     return _report("lemma2", "ge", lhs, rhs, len(set(an.row_sums)) == 1)
 
@@ -193,7 +186,7 @@ def check_thm4(an: Analysis) -> RelationReport:
 
 def check_lemma3(an: Analysis) -> RelationReport:
     """Identity: mean radiality = diameter + 1 - average path length."""
-    lhs = an.orbit_mean(lambda v: radiality(an, v).as_integer_ratio())
+    lhs = an.orbit_mean(lambda v: radiality(an, v))
     rhs = diameter(an) + 1 - avg_path_length(an)
     return _report("lemma3", "eq", lhs, rhs, True)
 

@@ -303,6 +303,21 @@ class TestFileFormats:
         assert load_graph(str(edge_path)).edges() == g.edges()
         assert load_graph(str(json_path)).edges() == g.edges()
 
+    @pytest.mark.parametrize("name, text", [
+        ("labelled.edges", "a b\nb c\nc a\n"),
+        ("header.edges", "n=3\n0 1\n1 2\n2 0\n"),
+        ("triangle.json", '{"n": 3, "edges": [[0, 1], [1, 2], [2, 0]]}'),
+    ], ids=["labelled", "header", "json"])
+    def test_byte_order_mark_is_dropped(self, tmp_path, name, text):
+        plain, marked = tmp_path / "plain", tmp_path / "marked"
+        plain.mkdir()
+        marked.mkdir()
+        (plain / name).write_bytes(text.encode("utf-8"))
+        (marked / name).write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        want, got = load_graph(str(plain / name)), load_graph(str(marked / name))
+        assert (got.n, got.edges(), got.labels) == (want.n, want.edges(), want.labels)
+        assert (got.n, got.m) == (3, 3)
+
 
 @st.composite
 def edge_lists(draw):

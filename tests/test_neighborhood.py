@@ -121,8 +121,7 @@ class TestPerVertexInvariants:
             dd = all_pairs(g)
             _, stress = betweenness_and_stress(dd)
             clustering = oracle_measures(g).local_clustering
-            for p in profiles(dd):
-                i = p.vertex
+            for i, p in enumerate(profiles(dd)):
                 d = g.degree(i)
                 if d < 2:
                     continue

@@ -118,10 +118,9 @@ def test_limit_refused_before_any_bfs(monkeypatch):
 
 
 def assert_profiles_equal(fast, slow, name):
-    for fp, sp in zip(fast, slow, strict=True):
+    for i, (fp, sp) in enumerate(zip(fast, slow, strict=True)):
         for field in fp.FIELDS:
-            assert getattr(fp, field) == getattr(sp, field), \
-                f"{name}: {field}[{fp.vertex}]"
+            assert getattr(fp, field) == getattr(sp, field), f"{name}: {field}[{i}]"
 
 
 def assert_oracle_agrees(g, name):

@@ -1,5 +1,6 @@
 """Relation checkers: direction, slack, equality detection, serialization."""
 
+import dataclasses
 import hashlib
 import json
 from fractions import Fraction
@@ -111,6 +112,16 @@ class TestCorSandwich:
         r = check_cor_sandwich(analysed("random-min-degree-2", 25, seed=3))
         assert r.holds
 
+    def test_planted_stress_fault_is_named(self):
+        # windmill(2,3): Str(1) = 0 is planted as -1; the orbit {1, 2, 3, 4}
+        # reads it at vertex 1, whose right side becomes -1/2 < mid = 0
+        an = analysed("windmill", 2, 3)
+        stress = list(an.stress)
+        stress[1] -= 1
+        r = check_cor_sandwich(dataclasses.replace(an, stress=stress))
+        assert not r.holds and r.slack == Fraction(-1, 2)
+        assert r.notes == ["vertex 1: 0 <= 0 <= -1/2 fails"]
+
 
 class TestLemma2:
     def test_complete_equality(self):
@@ -197,6 +208,25 @@ class TestThm6:
         r = check_thm6(analysed("complete-with-glued-4-cycles", n))
         assert r.relation == "thm6" and r.direction == "le"
         assert r.holds and r.lhs < r.rhs
+
+    def test_tied_degree_classes_co_monotone(self):
+        # degree classes 2, 3, 4 with clusterings 0, 1/3, 1/3: a tie in the
+        # clustering still orders them
+        g = Graph([(0, 1), (0, 5), (1, 6), (2, 3), (2, 4), (3, 5), (3, 6),
+                   (4, 5), (4, 6), (5, 6)], 7)
+        r = check_thm6(all_pairs(g))
+        assert (r.relation, r.direction, r.lhs, r.rhs) == (
+            "thm6", "le", Fraction(4, 21), Fraction(2, 7))
+        assert r.holds and r.notes == ["co-monotone degree/clustering ordering"]
+
+    def test_tied_degree_classes_anti_monotone(self):
+        # degree classes 2, 3, 4 with clusterings 1, 1, 2/3
+        g = Graph([(0, 3), (0, 4), (1, 2), (1, 3), (1, 4), (2, 3), (2, 4),
+                   (3, 4)], 5)
+        r = check_thm6(all_pairs(g))
+        assert (r.relation, r.direction, r.lhs, r.rhs) == (
+            "cor_thm6", "ge", Fraction(13, 15), Fraction(15, 19))
+        assert r.holds and r.notes == ["anti-monotone degree/clustering ordering"]
 
     def test_no_ordering_asserts_nothing(self):
         # triangle and square sharing vertex 2: the degree-2 class mixes
