@@ -254,34 +254,53 @@ def _add_options(p: argparse.ArgumentParser, command: str) -> None:
     if command == "check":
         p.add_argument("--allow-pendant", action="store_true",
                        help="permit degree-1 vertices (degree-1 conventions apply)")
+    p.set_defaults(func=COMMANDS[command][1])
 
 
 def build_parser(argv: list[str]) -> argparse.ArgumentParser:
-    """The parser for ``argv``.  Every command is listed, but only the invoked
-    one gets its options, ``-h`` included.  The invoked command is the first
-    token of ``argv`` that is not an option: the top level has only ``-h``,
-    so that is the token argparse reads as the command."""
+    """The full tree, for when the top level speaks.  Every command is listed,
+    but only the invoked one gets its options, ``-h`` included.  The invoked
+    command is the first token of ``argv`` that is not an option: the top
+    level has only ``-h``, so that is the token argparse reads as the command."""
     command = next((arg for arg in argv if not arg.startswith("-")), None)
     parser = argparse.ArgumentParser(
         prog="centrel",
         description="Exact centrality measures and clustering relation checks "
                     "for simple undirected graphs.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, func) in COMMANDS.items():
+    for name, (help_text, _) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text, add_help=name == command)
         if name == command:
             _add_options(p, name)
-            p.set_defaults(func=func)
     return parser
 
 
-def main(argv: list[str] | None = None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
+def _csv_refused(args: argparse.Namespace) -> bool:
+    return getattr(args, "float_values", None) is not None and args.format == "csv"
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """The options of ``argv``.  When ``argv[0]`` names a command, its parser
+    alone reads the rest, with the prog, help, usage and errors that
+    ``add_parser`` would give it.  The full tree is built only when the top
+    level speaks: no command comes first, arguments are left over, or csv
+    is asked for with ``--exact`` or ``--float``."""
+    if argv and argv[0] in COMMANDS:
+        parser = argparse.ArgumentParser(prog=f"centrel {argv[0]}")
+        _add_options(parser, argv[0])
+        args, extras = parser.parse_known_args(argv[1:])
+        if not extras and not _csv_refused(args):
+            return args
     parser = build_parser(argv)
     args = parser.parse_args(argv)
-    if getattr(args, "float_values", None) is not None and args.format == "csv":
+    if _csv_refused(args):
         parser.error(f"{args.command} --format csv always renders floats; "
                      "--exact and --float apply to json and human only")
+    return args
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parse_args(sys.argv[1:] if argv is None else argv)
     try:
         return args.func(args)
     except (GraphFormatError, FamilyParameterError, OSError) as exc:

@@ -36,12 +36,14 @@ def _json(x, exact: bool, nl: str, out: list[str]) -> None:
         out.append("false")
     elif isinstance(x, int):
         out.append(int.__repr__(x))
-    elif isinstance(x, Fraction):  # float(x) is finite or raises OverflowError
+    elif isinstance(x, Fraction):  # p / q is float(x): finite, or OverflowError
+        p, q = x.as_integer_ratio()
         if exact:
             inner = nl + "  "
-            out.append(f'{{{inner}"exact": "{str(x)}",{inner}"value": {float(x)!r}{nl}}}')
+            text = p if q == 1 else f"{p}/{q}"  # str(x)
+            out.append(f'{{{inner}"exact": "{text}",{inner}"value": {p / q!r}{nl}}}')
         else:
-            out.append(repr(float(x)))
+            out.append(repr(p / q))
     elif hasattr(x, "FIELDS"):
         _json_object([(name, getattr(x, name)) for name in x.FIELDS], exact, nl, out)
     elif isinstance(x, dict):

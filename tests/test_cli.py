@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from centrel import (FamilySpec, Graph, all_pairs, check_all, generate,
                      read_edge_list_text, read_json_graph, to_edge_list_text)
 from centrel.centralities import CentralityReport
-from centrel.cli import main
+from centrel.cli import COMMANDS, main
 from centrel.graphs import GraphFormatError, PreconditionError
 from centrel.neighborhood import NeighborhoodProfile
 
@@ -465,8 +465,9 @@ class TestUnreadFlags:
         assert out == "" and "--format csv" in err
 
 
-# exit code, stdout and stderr of the command lines, recorded when every
-# command's options were built on each call (80 columns)
+# exit code, stdout and stderr of the command lines (80 columns), recorded
+# while the whole parser tree was built on each call: the first ten when
+# every command got its options, the rest when the invoked one alone did
 PARITY = json.loads((Path(__file__).parent / "cli_parity.json").read_text(encoding="utf-8"))
 
 
@@ -481,20 +482,44 @@ class TestParser:
         out, err = capsys.readouterr()
         assert {"exit": code, "stdout": out, "stderr": err} == PARITY[command]
 
-    def test_only_the_invoked_command_gets_options(self, capsys, monkeypatch):
-        built = []
-        real = argparse._ActionsContainer.add_argument
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """The prog of every parser constructed, then the first name of every
+        option added, in order."""
+        progs, names = [], []
+        real_init = argparse.ArgumentParser.__init__
+        real_add = argparse._ActionsContainer.add_argument
 
-        def add_argument(container, *names, **kwargs):
-            built.append(names[0])
-            return real(container, *names, **kwargs)
+        def init(parser, *args, **kwargs):
+            real_init(parser, *args, **kwargs)
+            progs.append(parser.prog)
 
+        def add_argument(container, *option_names, **kwargs):
+            names.append(option_names[0])
+            return real_add(container, *option_names, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", init)
         monkeypatch.setattr(argparse._ActionsContainer, "add_argument", add_argument)
+        return progs, names
+
+    def test_only_the_invoked_command_gets_options(self, capsys, built):
         assert main(["sweep", "--family", "windmill", "--params", "3,2,5",
                      "--format", "json"]) == 0
         json.loads(capsys.readouterr().out)
-        # the top level's -h, then sweep's own
-        assert built == ["-h", "-h", "--family", "--params", "--format", "--exact", "--float"]
+        # one parser, sweep's, and no top level
+        assert built == (["centrel sweep"],
+                         ["-h", "--family", "--params", "--format", "--exact", "--float"])
+
+    def test_leftover_arguments_build_the_full_tree(self, built):
+        with pytest.raises(SystemExit) as exc:  # its bytes are a parity pin
+            main(["check", "--bogus"])
+        assert exc.value.code == 2
+        check = ["-h", "--input", "--family", "--params", "--seed", "--format",
+                 "--exact", "--float", "--allow-pendant"]
+        # check's parser, then the top level and one parser per command, of
+        # which check's alone gets options
+        assert built == (["centrel check", "centrel", *(f"centrel {name}" for name in COMMANDS)],
+                         [*check, "-h", *check])
 
 
 def move_hub_betweenness(report):
