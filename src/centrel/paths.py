@@ -143,46 +143,56 @@ def _twin_quotient(g: Graph) -> tuple[list[int], list[frozenset], list]:
 def _refine(adj, cells: list[set], cell_of: list[int], queue: set[int]) -> None:
     """1-WL: split the ordered partition ``cells`` from the splitters in
     ``queue`` until it is equitable.  Steps read only cell positions and counts,
-    so an isomorphism that maps the cells in order still does so after it."""
+    so an isomorphism that maps the cells in order still does so after it.  A
+    cell whose vertices all get one count is not split."""
     while queue and len(cells) < len(adj):  # a discrete partition is equitable
-        hits: dict[int, int] = {}
-        for v in cells[queue.pop()]:
-            for u in adj[v]:
-                hits[u] = hits.get(u, 0) + 1
-        touched: dict[int, dict[int, list[int]]] = {}
-        for u, count in hits.items():
+        splitter = cells[queue.pop()]
+        if len(splitter) == 1:  # each hit counts 1
+            hits = dict.fromkeys(adj[next(iter(splitter))], 1)
+        else:
+            hits = {}
+            for v in splitter:
+                for u in adj[v]:
+                    hits[u] = hits.get(u, 0) + 1
+        touched: dict[int, list[int]] = {}
+        for u in hits:
             if len(cells[cell_of[u]]) > 1:
-                touched.setdefault(cell_of[u], {}).setdefault(count, []).append(u)
-        for c, groups in sorted(touched.items()):
+                touched.setdefault(cell_of[u], []).append(u)
+        for c, hit in sorted(touched.items()):
+            covered = len(hit) == len(cells[c])
+            if covered and len({hits[u] for u in hit}) == 1:
+                continue
+            groups: dict[int, list[int]] = {}
+            for u in hit:
+                groups.setdefault(hits[u], []).append(u)
             # the lowest count's piece stays in place when no vertex is missed
-            counts = sorted(groups)[sum(map(len, groups.values())) == len(cells[c]):]
-            if counts:
-                pieces = [c, *range(len(cells), len(cells) + len(counts))]
-                for count in counts:
-                    cells[c].difference_update(groups[count])
-                    for v in groups[count]:
-                        cell_of[v] = len(cells)
-                    cells.append(set(groups[count]))
-                if c not in queue:  # any one piece's counts follow from the rest
-                    pieces.remove(max(pieces, key=lambda p: len(cells[p])))
-                queue.update(pieces)
+            counts = sorted(groups)[covered:]
+            pieces = [c, *range(len(cells), len(cells) + len(counts))]
+            for count in counts:
+                cells[c].difference_update(groups[count])
+                for v in groups[count]:
+                    cell_of[v] = len(cells)
+                cells.append(set(groups[count]))
+            if c not in queue:  # any one piece's counts follow from the rest
+                pieces.remove(max(pieces, key=lambda p: len(cells[p])))
+            queue.update(pieces)
 
 
 def _leaf(adj, cells: list[set], cell_of: list[int], v: int) -> list[int]:
     """The nodes in cell order once a copy of an equitable partition is discrete:
     v individualised (unless alone) and refined, then a vertex of the first
-    non-singleton cell, until none is."""
-    cells, cell_of, first = [set(cell) for cell in cells], list(cell_of), 0
-    while True:  # the cells before first are singletons, and stay so
+    largest cell, until every cell is a single node."""
+    cells, cell_of = [set(cell) for cell in cells], list(cell_of)
+    while True:
         if len(cells[cell_of[v]]) > 1:
             cells[cell_of[v]].discard(v)
             cell_of[v] = len(cells)
             cells.append({v})
             _refine(adj, cells, cell_of, {len(cells) - 1})
-        first = next((k for k in range(first, len(cells)) if len(cells[k]) > 1), -1)
-        if first < 0:
+        largest = max(cells, key=len)
+        if len(largest) == 1:
             return [next(iter(cell)) for cell in cells]
-        v = next(iter(cells[first]))
+        v = next(iter(largest))
 
 
 def _is_automorphism(adj: list[frozenset], colour: list, phi: dict) -> bool:
@@ -198,8 +208,9 @@ def orbits(g: Graph) -> list[list[int]]:
     1-WL splits the twin quotient into cells that are unions of orbits.  Each
     cell's smallest node r is mapped to the others, its neighbors first, by
     individualisation-refinement (McKay and Piperno, 2014): the discrete leaves
-    grown from r and from s are paired in cell order.  A cell is left at its
-    first refusal; a union-find over the used maps gives their group's orbits."""
+    grown from r and from s, each individualising in the first largest cell
+    (``_leaf``), are paired in cell order.  A cell is left at its first
+    refusal; a union-find over the used maps gives their group's orbits."""
     node_of, adj, colour = _twin_quotient(g)
     q, ids, degree = len(adj), {}, list(map(len, adj))
     cell_of = [ids.setdefault((c, degree[v], sum(map(degree.__getitem__, adj[v]))),
