@@ -7,13 +7,30 @@ vertices still count in 1/n averages.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from bisect import bisect_left
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .graphs import Graph, PreconditionError
 from .paths import (Analysis, avg_path_length, density, diameter,
                     efficiency_sum, exact_sum, global_efficiency)
+
+
+# A joining vertex with at least this many earlier neighbours counts their
+# links on bit masks, and with fewer by set intersection.  The measured
+# crossover: masks were at least as fast from 8 earlier neighbours at
+# n = 200, from 12 at n = 2,000 and from 20 at n = 10,000, and at 24 they
+# took 0.48, 0.65 and 0.91 of the sets' time (see the README).
+MASK_FROM = 24
+
+
+def _mask(vertices: Iterable[int]) -> int:
+    """The integer with bit v set for each v in ``vertices``."""
+    bits = 0
+    for v in vertices:
+        bits |= 1 << v
+    return bits
 
 
 def prefix_clusterings(g: Graph, sizes: Sequence[int]
@@ -28,32 +45,58 @@ def prefix_clusterings(g: Graph, sizes: Sequence[int]
     Vertices join in index order.  A new vertex u with earlier neighbours P
     changes only the terms of u and P: each p in P gains |N(p) & P| links
     among its neighbours, and u's links and the new triangles are half their
-    sum.  The average adds each unreduced ratio once, times its vertex count."""
-    links, degree = [0] * g.n, [0] * g.n  # links counted twice
-    ratio = [(0, 1)] * g.n  # (2 * links, d(d-1)); (0, 1) for d <= 1 or not yet added
-    count = {(0, 1): g.n}  # ratio -> number of vertices that have it, never 0
-    triangles, triples = 0, 0  # T, sum d(d-1)
-    rows, top = [], max(sizes, default=0)
+    sum.  With fewer than ``MASK_FROM`` earlier neighbours |N(p) & P| is a
+    set intersection, |P| probes for each p; from there on it is the bit
+    count of two integer masks (Schank and Wagner, WEA 2005; Latapy, Theor.
+    Comput. Sci. 407, 2008).  p's mask of N(p) is built when a joining vertex first
+    needs it and dropped once p's last neighbour has joined.  At each size,
+    each vertex changed since the size before moves its ratio in a multiset
+    of ratios, and the average adds each unreduced ratio once, times its
+    vertex count."""
+    top = max(sizes, default=0)
+    nbrs = list(map(g.neighbors, range(top)))
+    nbr_sets = list(map(g.neighbor_set, range(top)))
+    links = [0] * top  # links among each vertex's neighbours joined so far
+    degree = [0] * top  # as of the last size
+    ratio = [(0, 1)] * top  # (2 * links, d(d-1)) as of the last size; (0, 1) for d <= 1
+    count = {(0, 1): top}  # ratio -> number of vertices that have it, never 0
+    masks, last = {}, {}  # p -> mask of N(p); u -> the masks to drop once u has joined
+    changed, rows, start, triangles, triples = set(), [], 0, 0, 0
     for u in range(top):
-        prior = [p for p in g.neighbors(u) if p < u]
-        shared = [len(g.neighbor_set(p).intersection(prior)) for p in prior]
+        prior = nbrs[u][:bisect_left(nbrs[u], u)]
+        if len(prior) < MASK_FROM:
+            shared = [len(nbr_sets[p].intersection(prior)) for p in prior]
+        else:
+            for p in prior:
+                if p not in masks:
+                    masks[p] = _mask(nbrs[p])
+                    last.setdefault(nbrs[p][-1], []).append(p)
+            within = _mask(prior)
+            shared = [(masks[p] & within).bit_count() for p in prior]
         for p, c in zip(prior, shared):
-            links[p] += 2 * c
-            triples += 2 * degree[p]
-            degree[p] += 1
-        links[u], degree[u] = sum(shared), len(prior)
-        triples += degree[u] * (degree[u] - 1)
-        triangles += links[u] // 2
-        for v in prior + [u]:
-            old, ratio[v] = ratio[v], (links[v], degree[v] * (degree[v] - 1) or 1)
-            count[old] -= 1
-            if not count[old]:
-                del count[old]
-            count[ratio[v]] = count.get(ratio[v], 0) + 1
+            links[p] += c
+        links[u] = sum(shared) // 2
+        triangles += links[u]
+        changed.update(prior)
+        for p in last.pop(u, ()):
+            del masks[p]
         if u + 1 == sizes[len(rows)]:
-            average = exact_sum((p * c, q) for (p, q), c in count.items()) / (u + 1)
+            s = u + 1
+            changed.update(range(start, s))
+            for v in changed:
+                d = bisect_left(nbrs[v], s)
+                triples += d * (d - 1) - degree[v] * (degree[v] - 1)
+                degree[v] = d
+                old, ratio[v] = ratio[v], (2 * links[v], d * (d - 1) or 1)
+                count[old] -= 1
+                if not count[old]:
+                    del count[old]
+                count[ratio[v]] = count.get(ratio[v], 0) + 1
+            changed.clear()
+            start = s
+            average = exact_sum((p * c, q * s) for (p, q), c in count.items())
             rows.append((average, Fraction(6 * triangles, triples) if triples else None))
-    return rows, ratio[:top]
+    return rows, ratio
 
 
 def clustering(an: Analysis) -> tuple[tuple[Fraction, ...], Fraction, Fraction | None]:

@@ -6,8 +6,9 @@ automorphisms (``orbits``), keeping only per-graph summaries in ``Analysis``.
 Above a measured size a forked child sweeps half of the orbits, and its sums
 are merged exactly.  What is read from the ``Analysis`` past the pass is
 evaluated once per orbit too: only ``Analysis.per_orbit``,
-``Analysis.orbit_mean`` and ``Analysis.pair_mean`` read how the orbits are
-stored and weighted, and ``pair_mean`` alone divides by d(d-1).
+``Analysis.orbit_mean`` and ``Analysis.pair_mean``, and in this module
+``diameter`` and ``global_efficiency``, read how the orbits are stored and
+weighted, and ``pair_mean`` alone divides by d(d-1).
 """
 
 from __future__ import annotations
@@ -52,8 +53,9 @@ class Analysis:
     ``betweenness`` and ``stress`` are the Brandes results of the same pass.
     ``orbits`` are the orbits of the pass (``orbits(g)``).  Every field
     above is equal on an orbit, so values read from them are computed once
-    per orbit (``per_orbit``, ``orbit_mean``, ``pair_mean``); the degrees
-    and the clustering pass are not, and so cross-check the orbits.
+    per orbit (``per_orbit``, ``orbit_mean``, ``pair_mean``, ``diameter``,
+    ``global_efficiency``); the degrees and the clustering pass are not, and
+    so cross-check the orbits.
 
     The per-graph results built from these (the diameter, the neighborhood
     profiles) and the clustering pass over the same graph are kept by
@@ -442,8 +444,9 @@ def all_pairs(g: Graph) -> Analysis:
 
 
 def diameter(an: Analysis) -> int:
-    """Largest eccentricity (read once per Analysis)."""
-    return an.memo("diameter", lambda: max(max(hist) for hist in an.hists))
+    """Largest eccentricity, read at one vertex per orbit and once per
+    Analysis."""
+    return an.memo("diameter", lambda: max(max(an.hists[vs[0]]) for vs in an.orbits))
 
 
 def exact_sum(terms: Iterable[tuple[int, int]]) -> Fraction:
@@ -481,10 +484,12 @@ def avg_path_length(an: Analysis) -> Fraction:
 
 
 def global_efficiency(an: Analysis) -> Fraction:
-    """Mean inverse hop distance over ordered pairs s != t."""
+    """Mean inverse hop distance over ordered pairs s != t, from one
+    histogram per orbit scaled by the orbit's size."""
     hist: Counter = Counter()
-    for row_hist in an.hists:
-        hist.update(row_hist)
+    for vs in an.orbits:
+        for d, count in an.hists[vs[0]].items():
+            hist[d] += count * len(vs)
     return efficiency_sum(hist) / (an.n * (an.n - 1))
 
 

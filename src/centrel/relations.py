@@ -82,23 +82,28 @@ def _eligible(g: Graph) -> tuple[list[int], list[str]]:
 
 def check_lemma1(an: Analysis) -> RelationReport:
     """Per-vertex identity: neighborhood average path length = 2 - c_i,
-    each vertex's shared profile against its own clustering."""
+    each vertex's shared profile against its own clustering.
+
+    With L(N(i)) = p/q and c_i = a/b in lowest terms it holds at i iff
+    p*b == q*(2b - a); a deviation is kept as the integer ratio
+    |p*b - q*(2b - a)| / (q*b), and made a Fraction only when reported."""
     g = an.g
     eligible, notes = _eligible(g)
     profs = profiles(an)
     local = clustering(an)[0]
-    rhs_v = [2 - local[i] for i in eligible]
-    worst = Fraction(0)
-    for i, rhs_i in zip(eligible, rhs_v):
-        lhs_i = profs[i].avg_path
-        dev = abs(lhs_i - rhs_i)
-        if dev > worst:
-            worst = dev
-            notes.append(f"vertex {i}: L(N)={lhs_i} vs 2-c={rhs_i}")
+    worst, rhs_terms = (0, 1), []
+    for i in eligible:
+        p, q = profs[i].avg_path.as_integer_ratio()
+        a, b = local[i].as_integer_ratio()
+        r = 2 * b - a  # 2 - c_i = r/b, in lowest terms
+        rhs_terms.append((r, b, 1))
+        gap = abs(p * b - q * r)
+        if gap * worst[1] > worst[0] * q * b:
+            worst = gap, q * b
+            notes.append(f"vertex {i}: L(N)={profs[i].avg_path} vs 2-c={Fraction(r, b)}")
     lhs = an.orbit_mean(lambda i: profs[i].avg_path, lambda i: g.degree(i) >= 2)
-    rhs = weighted_mean((*x.as_integer_ratio(), 1) for x in rhs_v)
-    return _report("lemma1", "eq", lhs, rhs, True,
-                   slack=worst, notes=notes)
+    return _report("lemma1", "eq", lhs, weighted_mean(rhs_terms), True,
+                   slack=Fraction(*worst), notes=notes)
 
 
 def check_thm1(an: Analysis) -> RelationReport:
@@ -211,14 +216,14 @@ def check_thm6(an: Analysis) -> RelationReport:
     """
     local, lhs, glob = clustering(an)
     rhs = require_global(glob)
-    by_degree: dict[int, set[Fraction]] = {}
+    by_degree: dict[int, set[tuple[int, int]]] = {}  # degree -> its c_i in lowest terms
     for d, c in zip(an.g.degrees(), local):
-        by_degree.setdefault(d, set()).add(c)
+        by_degree.setdefault(d, set()).add(c.as_integer_ratio())
     classes = [cs for _, cs in sorted(by_degree.items())]
     if len(classes) == 1:
         return _report("cor_regular", "eq", lhs, rhs, True, notes=["regular graph"])
     if all(len(cs) == 1 for cs in classes):
-        reps = [min(cs) for cs in classes]
+        reps = [Fraction(*c) for cs in classes for c in cs]
         if len(set(reps)) == 1:
             return _report("thm6", "eq", lhs, rhs, True,
                            notes=["all local clusterings equal"])

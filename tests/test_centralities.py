@@ -1,6 +1,9 @@
 """Clustering, betweenness/stress, closeness, radiality, local efficiency."""
 
+import random
+import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +13,7 @@ from centrel import (DisconnectedGraphError, FamilySpec, all_pairs,
                      average_clustering, betweenness_and_stress, bfs, closeness,
                      clustering, compute_report, generate, global_clustering,
                      local_efficiency, radiality)
+import centrel.centralities as cents
 from centrel.centralities import prefix_clusterings
 from centrel.graphs import Graph, PreconditionError
 from centrel.oracle import oracle_measures
@@ -35,7 +39,6 @@ def prefix(g, s):
 
 class TestClustering:
     def test_local_clusterings_memoized_per_distance_data(self, monkeypatch):
-        import centrel.centralities as cents
         calls = []
         kernel = cents.prefix_clusterings
         monkeypatch.setattr(cents, "prefix_clusterings",
@@ -132,15 +135,58 @@ def graphs_up_to_30(draw):
                  if pairs else [], n)
 
 
+def assert_prefixes_equal_the_reference(g):
+    """``prefix_clusterings`` at every prefix size of ``g`` equals the
+    reference on the induced subgraph, on either counting path: bit masks
+    for every joining vertex (from 0 earlier neighbours), and set
+    intersections for every one (from more than any degree)."""
+    expected = {s: reference_clustering(prefix(g, s)) for s in range(1, g.n + 1)}
+    every = list(expected)
+    for mask_from in (0, g.n):
+        with mock.patch.object(cents, "MASK_FROM", mask_from):
+            for sizes in (every, every[::3], every[-1:]):  # one pass each
+                rows, local = prefix_clusterings(g, sizes)
+                assert rows == [expected[s][1:] for s in sizes]
+                assert [Fraction(*r) for r in local] == expected[sizes[-1]][0]
+
+
 @given(graphs_up_to_30())
 @settings(max_examples=150, deadline=None)
 def test_prefix_clusterings_equal_those_of_the_induced_subgraphs(g):
-    expected = {s: reference_clustering(prefix(g, s)) for s in range(1, g.n + 1)}
-    every = list(expected)
-    for sizes in (every, every[::3], every[-1:]):  # one pass each
-        rows, local = prefix_clusterings(g, sizes)
-        assert rows == [expected[s][1:] for s in sizes]
-        assert [Fraction(*r) for r in local] == expected[sizes[-1]][0]
+    assert_prefixes_equal_the_reference(g)
+
+
+def dense_random(n: int, density: float, seed: int) -> Graph:
+    rng = random.Random(seed)
+    return Graph([(i, j) for i in range(n) for j in range(i + 1, n)
+                  if rng.random() < density], n)
+
+
+@pytest.mark.parametrize("g", [make("complete", n) for n in (25, 38, 60)] + [
+    dense_random(n, density, seed) for n, density, seed in
+    ((30, 0.9, 1), (45, 0.7, 2), (60, 0.8, 3))], ids=repr)
+def test_dense_prefix_clusterings_equal_those_of_the_induced_subgraphs(g):
+    # past MASK_FROM = 24 earlier neighbours the default counts on masks too
+    assert_prefixes_equal_the_reference(g)
+
+
+def test_masks_are_dropped_at_the_last_neighbour():
+    # 25 disjoint K_28 in a row: each clique's masks die with the clique, so
+    # counting on masks peaks within a few masks of counting on sets alone;
+    # keeping them all would take about 50 KB more
+    k, cliques = 28, 25
+    g = Graph([(c * k + i, c * k + j) for c in range(cliques)
+               for i in range(k) for j in range(i + 1, k)], k * cliques)
+
+    def peak(mask_from):
+        with mock.patch.object(cents, "MASK_FROM", mask_from):
+            tracemalloc.start()
+            try:
+                prefix_clusterings(g, [g.n])
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+    assert peak(cents.MASK_FROM) - peak(g.n) < 16 * 1024
 
 
 class TestPrefixClusterings:

@@ -12,6 +12,7 @@ from centrel import (FamilySpec, PreconditionError, RelationReport, all_pairs,
                      check_lemma3, check_thm1, check_thm2, check_thm3,
                      check_thm4, check_thm5, check_thm6, clustering,
                      compute_report, generate, profiles, sweep_windmill)
+import centrel.centralities as cents
 from centrel import relations
 from centrel.graphs import FamilyParameterError, Graph
 from centrel.paths import orbits
@@ -40,6 +41,25 @@ class TestLemma1:
     def test_random(self):
         r = check_lemma1(analysed("random-min-degree-2", 30, seed=7))
         assert r.holds and r.slack == 0
+
+    @pytest.mark.parametrize("family, params, vertex, planted, lhs, rhs, slack, note", [
+        # every c_i = 0 and L(N(i)) = 2; c_5 planted as 1/3
+        ("hypercube", (3,), 5, (2, 6), 2, Fraction(47, 24), Fraction(1, 3),
+         "vertex 5: L(N)=2 vs 2-c=5/3"),
+        # the hub's c_0 = 1/3 planted as 1/2, against L(N(0)) = 5/3
+        ("windmill", (2, 3), 0, (6, 12), Fraction(17, 15), Fraction(11, 10),
+         Fraction(1, 6), "vertex 0: L(N)=5/3 vs 2-c=3/2"),
+    ])
+    def test_planted_clustering_is_named(self, monkeypatch, family, params, vertex,
+                                         planted, lhs, rhs, slack, note):
+        kernel = cents.prefix_clusterings
+
+        def plant(g, sizes):
+            rows, local = kernel(g, sizes)
+            return rows, [planted if v == vertex else r for v, r in enumerate(local)]
+        monkeypatch.setattr(cents, "prefix_clusterings", plant)
+        r = check_lemma1(analysed(family, *params))
+        assert (r.holds, r.lhs, r.rhs, r.slack, r.notes) == (False, lhs, rhs, slack, [note])
 
 
 class TestThm1:
@@ -330,7 +350,6 @@ class TestPreconditionsAndPendants:
 
     def test_check_all_builds_per_graph_quantities_once(self, monkeypatch,
                                                          family_suite):
-        import centrel.centralities as cents
         import centrel.neighborhood as nbhd
         calls = {"profile": 0, "prefix_clusterings": 0}
 
