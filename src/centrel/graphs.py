@@ -159,13 +159,14 @@ def is_connected(g: Graph) -> bool:
 
 @dataclass(frozen=True)
 class FamilySpec:
-    """A named generator family plus its integer parameters.
+    """A named generator family plus its parameters, each of type ``int``
+    (a ``bool``, ``float`` or ``str`` is refused, not converted).
 
     ``FAMILIES`` gives the number of parameters each family takes and the
-    vertex count they give.  Only random-min-degree-2 reads ``seed``; the
-    other families build the same graph for any seed, and the command line
-    refuses ``--seed`` with them.  The library accepts it while perfbench
-    builds every family with ``seed=0``.
+    vertex count they give.  Only random-min-degree-2 reads ``seed``, and
+    only its ``name`` shows it; the other families build the same graph for
+    any seed, and the command line refuses ``--seed`` with them.  The library
+    accepts it while perfbench builds every family with ``seed=0``.
     """
 
     family: str
@@ -176,8 +177,8 @@ class FamilySpec:
         if self.family not in FAMILIES:
             raise FamilyParameterError(
                 f"unknown family {self.family!r}; known: {', '.join(FAMILIES)}")
-        object.__setattr__(self, "params", tuple(int(p) for p in self.params))
-        if any(p <= 0 for p in self.params):
+        object.__setattr__(self, "params", tuple(self.params))
+        if any(type(p) is not int or p <= 0 for p in self.params):
             raise FamilyParameterError("family parameters must be positive integers")
         arity_ok = FAMILIES[self.family][0]
         if not arity_ok(len(self.params)):
@@ -186,7 +187,7 @@ class FamilySpec:
 
     def name(self) -> str:
         s = f"{self.family}({','.join(str(p) for p in self.params)})"
-        if self.seed is not None:
+        if self.family == "random-min-degree-2" and self.seed is not None:
             s += f"@seed={self.seed}"
         return s
 
@@ -332,21 +333,18 @@ def read_edge_list_text(text: str) -> Graph:
     """
     n_declared: int | None = None
     pairs: list[tuple[str, str]] = []
-    first_data_line = True
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if first_data_line and line.startswith("n="):
+        if n_declared is None and not pairs and line.startswith("n="):
             try:
                 n_declared = int(line[2:])
             except ValueError as exc:
                 raise GraphFormatError(f"line {lineno}: bad vertex count {line!r}") from exc
             if n_declared < 1:
                 raise GraphFormatError(f"line {lineno}: vertex count must be >= 1")
-            first_data_line = False
             continue
-        first_data_line = False
         parts = line.split()
         if len(parts) != 2:
             raise GraphFormatError(
@@ -365,16 +363,11 @@ def read_edge_list_text(text: str) -> Graph:
         return Graph(edges, n_declared)
 
     index: dict[str, int] = {}
-    edges = []
-    for a, b in pairs:
-        for lbl in (a, b):
-            if lbl not in index:
-                index[lbl] = len(index)
-        edges.append((index[a], index[b]))
+    edges = [(index.setdefault(a, len(index)), index.setdefault(b, len(index)))
+             for a, b in pairs]
     if not index:
         raise GraphFormatError("empty edge list and no n= header")
-    labels = sorted(index, key=index.get)
-    return Graph(edges, len(index), labels=labels)
+    return Graph(edges, len(index), labels=list(index))
 
 
 def to_edge_list_text(g: Graph) -> str:

@@ -276,9 +276,9 @@ def _splits(passes: int, m: int) -> bool:
 
 
 def _fork(sweep):
-    """A forked child that writes ``sweep()`` to a pipe as one marshal
-    record, its lists of Counters as lists of dicts, and ends: its pid and
-    the pipe's reading end.  None if no pipe or process can be had (a full
+    """A forked child that writes the record ``sweep()`` returns to a pipe
+    with marshal, its lists of Counters as lists of dicts, and ends: its pid
+    and the pipe's reading end.  None if no pipe or process can be had (a full
     descriptor or process table, no memory to fork)."""
     try:
         r, w = os.pipe()
@@ -312,22 +312,23 @@ def _fork(sweep):
 
 def _sweep(g: Graph, nbrs, classes, orbit, ks) -> list:
     """One BFS and Brandes sweep from the smallest vertex of each orbit in
-    ``ks``: their row sums and histograms, the per-orbit folds of those
-    sources into their neighbours' neighbourhoods (pair histograms, pair sums,
-    detours), and per vertex the stress and the betweenness totals over the
-    common denominator that comes last."""
-    n = g.n
-    row_sums, hists = [], []
-    pair_hists, pair_sums, detours = ([Counter() for _ in classes] for _ in range(3))
-    stress, totals, denom = [0] * n, [0] * n, 1
+    ``ks``, as one record with one entry per orbit k in every field: the
+    source's row sum and histogram at k, then the sums over the orbit's
+    members of their pair histograms, pair sums, detours, stress and
+    betweenness totals, over the common denominator that comes last.  An
+    orbit that no source in ``ks`` reaches holds 0 or an empty Counter."""
+    n, passes = g.n, len(classes)
+    row_sums, stress, totals = ([0] * passes for _ in range(3))
+    hists, pair_hists, pair_sums, detours = ([Counter() for _ in classes] for _ in range(4))
+    denom = 1
     for k in ks:
         s, size = classes[k][0], len(classes[k])
         order, dist, sigma = bfs(g, s)
         if len(order) < n:
             raise DisconnectedGraphError(
                 f"vertex {s} cannot reach every vertex; distance sums undefined")
-        row_sums.append(sum(dist))
-        hists.append(Counter(dist))
+        row_sums[k] = sum(dist)
+        hists[k] = Counter(dist)
         # s is a neighbor of each i in N(s): fold in its distances to N(i), size times
         for i in nbrs[s]:
             near_hist, near_detours, near_sum = pair_hists[orbit[i]], detours[orbit[i]], 0
@@ -355,8 +356,8 @@ def _sweep(g: Graph, nbrs, classes, orbit, ks) -> list:
             sv = sigma[v]
             steps[v] = lcm_s // sv + scaled
             paths_below[v] = size + tail
-            stress[v] += sv * tail
-            totals[v] += sv * scaled * factor
+            stress[orbit[v]] += sv * tail
+            totals[orbit[v]] += sv * scaled * factor
     return [row_sums, hists, pair_hists, pair_sums, detours, stress, totals, denom]
 
 
@@ -382,16 +383,16 @@ def all_pairs(g: Graph) -> Analysis:
     step D(v) = sum of sigma(v) * (L_s + D(w)) / sigma(w) becomes
     A(v) = sum of L_s // sigma(w) + A(w), with exact floor division.  The
     sources share one running common denominator L: the integer totals are
-    rescaled when L_s does not divide L, and each vertex's value is a single
+    rescaled when L_s does not divide L, and each orbit's value is a single
     ``Fraction(total, L)`` at the end.
 
     Above ``SPLIT_WORK`` (``_splits``) a forked child sweeps the second half
     of the orbits while this process sweeps the first; with no pipe or
-    process to be had, this process sweeps them all.  The halves merge
-    exactly: the folds and stress add up, and the betweenness totals are
-    rescaled to the lcm of the two denominators before they add up.  The
-    child is reaped, and killed first unless all went well; ``RuntimeError``
-    if it fails.
+    process to be had, this process sweeps them all.  Each half is one record
+    with an entry per orbit (``_sweep``), so they merge exactly, entry by
+    entry: every field adds up, the betweenness totals once both are rescaled
+    to the lcm of the two denominators.  The child is reaped, and killed first
+    unless all went well; ``RuntimeError`` if it fails.
     """
     n = g.n
     if n < 2:
@@ -404,8 +405,8 @@ def all_pairs(g: Graph) -> Analysis:
     child = (_fork(lambda: _sweep(g, nbrs, classes, orbit, range(half, passes)))
              if half < passes else None)
     try:
-        (row_sums, hists, pair_hists, pair_sums, detours, stress, totals,
-         denom) = _sweep(g, nbrs, classes, orbit, range(half if child else passes))
+        *record, totals, denom = _sweep(g, nbrs, classes, orbit,
+                                        range(half if child else passes))
         if child:
             pid, pipe = child
             with pipe:
@@ -414,18 +415,18 @@ def all_pairs(g: Graph) -> Analysis:
             if status:
                 raise RuntimeError("the forked half of the all-pairs pass failed "
                                    f"(wait status {status})")
-            more_rows, more_hists, *folds, more_stress, more_totals, more_denom = (
-                marshal.loads(data))
-            row_sums += more_rows
-            hists += map(Counter, more_hists)
-            for acc, more in zip((pair_hists, pair_sums, detours), folds):
-                for counts, added in zip(acc, more):
-                    counts.update(added)
-            stress = [a + b for a, b in zip(stress, more_stress)]
+            *more, more_totals, more_denom = marshal.loads(data)
             grown = math.lcm(denom, more_denom)
             totals = [a * (grown // denom) + b * (grown // more_denom)
                       for a, b in zip(totals, more_totals)]
             denom = grown
+            for acc, added in zip(record, more):
+                if isinstance(acc[0], Counter):  # cheaper than +=, which scans for counts <= 0
+                    for counts, x in zip(acc, added):
+                        counts.update(x)
+                else:
+                    for k, x in enumerate(added):
+                        acc[k] += x
     finally:
         if child:  # failed or interrupted before the child was reaped
             child[1].close()
@@ -433,13 +434,10 @@ def all_pairs(g: Graph) -> Analysis:
             os.waitpid(child[0], 0)
     for k, members in enumerate(classes):
         if (size := len(members)) > 1:
-            for f in (pair_hists, pair_sums, detours):
+            for f in (*record[2:], totals):  # the sums over the orbit's members
                 f[k] = _share(f[k], size)
-            for f in (totals, stress):
-                f[members[0]] = _share(sum(f[v] for v in members), size)
-    fields = (row_sums, hists, pair_hists, pair_sums, detours,
-              [Fraction(totals[vs[0]], denom) for vs in classes],
-              [stress[vs[0]] for vs in classes])
+    *fields, stress = record
+    fields += [Fraction(t, denom) for t in totals], stress
     return Analysis(g, *([f[k] for k in orbit] for f in fields), classes)
 
 

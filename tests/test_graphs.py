@@ -216,6 +216,19 @@ class TestFamilyTable:
                                match=f"parameters for {re.escape(family)}:"):
                 FamilySpec(family, bad)
 
+    @pytest.mark.parametrize("family, params", [("cycle", (4.9,)),
+                                                ("windmill", (True, "3"))])
+    def test_parameters_of_another_type_refused(self, family, params):
+        # not converted: int(4.9) would build cycle(4), True windmill(1, 3)
+        with pytest.raises(FamilyParameterError, match="positive integers"):
+            FamilySpec(family, params)
+
+    def test_only_a_family_that_reads_the_seed_shows_it(self):
+        assert FamilySpec("cycle", (4,), seed=3).name() == "cycle(4)"
+        assert (FamilySpec("random-min-degree-2", (12,), seed=3).name()
+                == "random-min-degree-2(12)@seed=3")
+        assert FamilySpec("random-min-degree-2", (12,)).name() == "random-min-degree-2(12)"
+
     def test_unknown_family_lists_every_family_in_order(self):
         with pytest.raises(FamilyParameterError) as exc:
             FamilySpec("moebius", (5,))
@@ -275,6 +288,22 @@ class TestFileFormats:
         g = read_edge_list_text("n=3\n0 1\n")
         assert g.n == 3 and g.degree(2) == 0
         assert not is_connected(g)
+
+    @pytest.mark.parametrize("text, message", [
+        ("n=x\n0 1\n", "line 1: bad vertex count 'n=x'"),
+        ("n=0\n", "line 1: vertex count must be >= 1"),
+        ("# n=2 in a comment\n\nn=2\nn=3\n0 1\n", "line 4: expected two labels, got 1"),
+        ("0 1\nn=2\n", "line 2: expected two labels, got 1"),
+    ], ids=["bad-count", "zero", "second-header", "header-after-edge"])
+    def test_header_rules(self, text, message):
+        # a header is read only before any other header or edge
+        with pytest.raises(GraphFormatError, match=f"^{re.escape(message)}$"):
+            read_edge_list_text(text)
+
+    def test_labels_keep_their_first_appearance(self):
+        g = read_edge_list_text("z y\n3 z\nb 3\na y\n")
+        assert g.labels == ("z", "y", "3", "b", "a")
+        assert sorted(g.edges()) == [(0, 1), (0, 2), (1, 4), (2, 3)]
 
     def test_header_requires_integer_labels(self):
         with pytest.raises(GraphFormatError):

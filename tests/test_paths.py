@@ -192,6 +192,24 @@ class TestSplit:
                 assert getattr(split, name) == getattr(one, name), (cpus, name)
             assert_nothing_left(fds)
 
+    @pytest.mark.parametrize("seed", [4, 5])
+    def test_both_halves_are_rescaled_in_the_merge(self, monkeypatch, seed):
+        # the halves' betweenness denominators differ and neither divides the
+        # other, so the merge rescales the totals of both before adding them
+        g = random_graph(150, seed)
+        nbrs, classes = [g.neighbors(v) for v in range(g.n)], orbits(g)
+        orbit = [k for _, k in sorted((v, k) for k, vs in enumerate(classes) for v in vs)]
+        half = len(classes) // 2
+        first, second = (paths._sweep(g, nbrs, classes, orbit, ks)[-1]
+                         for ks in (range(half), range(half, len(classes))))
+        assert first % second and second % first, (first, second)
+        one, forked = pass_on(monkeypatch, g, 1)
+        assert forked == 0
+        split, forked = pass_on(monkeypatch, g, 2)
+        assert forked == 1
+        for name in FIELDS:
+            assert getattr(split, name) == getattr(one, name), name
+
     def test_the_twins_share_passes_across_the_split(self):
         g, chosen = with_false_twins(random_graph(150), 30)
         classes = orbits(g)
