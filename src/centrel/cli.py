@@ -5,7 +5,7 @@ Commands: compute, check, generate, sweep, oracle-diff.  Exit codes:
 parameters, 3 precondition failure (disconnected graph, degree-1 vertex in
 ``check`` without ``--allow-pendant``, size caps), 4 relation violation or
 oracle mismatch.
-Output is deterministic for a fixed command line and seed.
+Output is deterministic for a fixed command line (random-min-degree-2 needs --seed).
 """
 
 from __future__ import annotations
@@ -41,6 +41,8 @@ def _graph_from_args(args, limit=None) -> tuple[Graph, str]:
         if g.duplicates_collapsed:
             print(f"warning: {path}: duplicate edges collapsed", file=sys.stderr)
         return g, path
+    if args.seed is None and args.family == "random-min-degree-2":
+        raise FamilyParameterError("random-min-degree-2 needs --seed")
     if args.seed is not None and args.family != "random-min-degree-2":
         raise FamilyParameterError(f"--seed applies to random-min-degree-2 only, "
                                    f"not {args.family}")
@@ -257,21 +259,16 @@ def _add_options(p: argparse.ArgumentParser, command: str) -> None:
     p.set_defaults(func=COMMANDS[command][1])
 
 
-def build_parser(argv: list[str]) -> argparse.ArgumentParser:
-    """The full tree, for when the top level speaks.  Every command is listed,
-    but only the invoked one gets its options, ``-h`` included.  The invoked
-    command is the first token of ``argv`` that is not an option: the top
-    level has only ``-h``, so that is the token argparse reads as the command."""
-    command = next((arg for arg in argv if not arg.startswith("-")), None)
+def build_parser() -> argparse.ArgumentParser:
+    """The full tree, for when the top level speaks: every command, each
+    with its options."""
     parser = argparse.ArgumentParser(
         prog="centrel",
         description="Exact centrality measures and clustering relation checks "
                     "for simple undirected graphs.")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, _) in COMMANDS.items():
-        p = sub.add_parser(name, help=help_text, add_help=name == command)
-        if name == command:
-            _add_options(p, name)
+        _add_options(sub.add_parser(name, help=help_text), name)
     return parser
 
 
@@ -282,16 +279,16 @@ def _csv_refused(args: argparse.Namespace) -> bool:
 def _parse_args(argv: list[str]) -> argparse.Namespace:
     """The options of ``argv``.  When ``argv[0]`` names a command, its parser
     alone reads the rest, with the prog, help, usage and errors that
-    ``add_parser`` would give it.  The full tree is built only when the top
-    level speaks: no command comes first, arguments are left over, or csv
-    is asked for with ``--exact`` or ``--float``."""
+    ``add_parser`` would give it.  The full tree reads ``argv`` only when the
+    top level speaks: no command comes first, arguments are left over, or
+    csv is asked for with ``--exact`` or ``--float``."""
     if argv and argv[0] in COMMANDS:
         parser = argparse.ArgumentParser(prog=f"centrel {argv[0]}")
         _add_options(parser, argv[0])
         args, extras = parser.parse_known_args(argv[1:])
         if not extras and not _csv_refused(args):
             return args
-    parser = build_parser(argv)
+    parser = build_parser()
     args = parser.parse_args(argv)
     if _csv_refused(args):
         parser.error(f"{args.command} --format csv always renders floats; "

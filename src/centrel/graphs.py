@@ -332,12 +332,13 @@ def read_edge_list_text(text: str) -> Graph:
     indices in order of first appearance.
     """
     n_declared: int | None = None
-    pairs: list[tuple[str, str]] = []
+    edges: list[tuple[int, int]] = []
+    index: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if n_declared is None and not pairs and line.startswith("n="):
+        if n_declared is None and not edges and line.startswith("n="):
             try:
                 n_declared = int(line[2:])
             except ValueError as exc:
@@ -349,22 +350,18 @@ def read_edge_list_text(text: str) -> Graph:
         if len(parts) != 2:
             raise GraphFormatError(
                 f"line {lineno}: expected two labels, got {len(parts)}")
-        pairs.append((parts[0], parts[1]))
+        a, b = parts
+        if n_declared is None:
+            edges.append((index.setdefault(a, len(index)), index.setdefault(b, len(index))))
+            continue
+        try:
+            edges.append((int(a), int(b)))
+        except ValueError as exc:
+            raise GraphFormatError(
+                "labels must be integers in [0, n) when n= is declared") from exc
 
     if n_declared is not None:
-        edges = []
-        for a, b in pairs:
-            try:
-                i, j = int(a), int(b)
-            except ValueError as exc:
-                raise GraphFormatError(
-                    "labels must be integers in [0, n) when n= is declared") from exc
-            edges.append((i, j))
         return Graph(edges, n_declared)
-
-    index: dict[str, int] = {}
-    edges = [(index.setdefault(a, len(index)), index.setdefault(b, len(index)))
-             for a, b in pairs]
     if not index:
         raise GraphFormatError("empty edge list and no n= header")
     return Graph(edges, len(index), labels=list(index))

@@ -363,6 +363,23 @@ class TestGenerate:
         assert code == 3 and out == "" and not path.exists()
         assert "too large for the exact all-pairs analysis" in err
 
+    @pytest.mark.parametrize("family, params, message", [
+        ("complete", "1", "complete(n) needs n >= 2"),
+        ("cycle", "2", "cycle(n) needs n >= 3"),
+        ("circulant", "2,1", "circulant(n, ...) needs n >= 3"),
+        ("circulant", "6,4", "circulant offsets must lie in [1, n/2]"),
+        ("hypercube", "1", "hypercube(d) needs d >= 2 for minimum degree 2"),
+        ("random-min-degree-2", "2", "random-min-degree-2(n) needs n >= 3"),
+        ("random-min-degree-2", "5",
+         "could not sample a connected min-degree-2 graph on 5 vertices in 0 tries"),
+    ])
+    def test_builder_refusal_exit_2(self, capsys, monkeypatch, family, params, message):
+        # no draws allowed, so that the sampler gives up at once
+        monkeypatch.setattr("centrel.graphs._MAX_TRIES", 0)
+        seed = ("--seed", "1") if family == "random-min-degree-2" else ()
+        assert (run(capsys, "generate", "--family", family, "--params", params, *seed)
+                == (2, "", f"error: {message}\n"))
+
 
 class TestSweep:
     def test_csv_table(self, capsys):
@@ -400,6 +417,11 @@ class TestSweep:
             code, _, _ = run(capsys, "sweep", "--family", "windmill",
                              "--params", params)
             assert code == 2, params
+
+    @pytest.mark.parametrize("params", [(), ("--params", "3,2,5,9")], ids=["none", "four"])
+    def test_parameter_count_refused(self, capsys, params):
+        assert run(capsys, "sweep", *params) == (
+            2, "", "error: sweep --params takes k[,eta_max] or k,eta_min,eta_max\n")
 
     @pytest.mark.parametrize("params, n", [("3,2,100000000", 200000001),
                                            ("5,2,5000", 20001)])
@@ -450,6 +472,12 @@ class TestUnreadFlags:
         code, out, err = run(capsys, *argv, "--seed", "2")
         assert (code, out) == (2, "")
         assert err == f"error: --seed applies to random-min-degree-2 only, not {family}\n"
+
+    @pytest.mark.parametrize("command", ["compute", "check", "generate", "oracle-diff"])
+    def test_seed_required_by_the_random_family(self, capsys, command):
+        argv = (command, "--family", "random-min-degree-2", "--params", "12")
+        assert run(capsys, *argv, "--seed", "1")[0] == 0
+        assert run(capsys, *argv) == (2, "", "error: random-min-degree-2 needs --seed\n")
 
     @pytest.mark.parametrize("flag", ["--exact", "--float"])
     @pytest.mark.parametrize("argv", [
@@ -514,12 +542,37 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:  # its bytes are a parity pin
             main(["check", "--bogus"])
         assert exc.value.code == 2
-        check = ["-h", "--input", "--family", "--params", "--seed", "--format",
-                 "--exact", "--float", "--allow-pendant"]
-        # check's parser, then the top level and one parser per command, of
-        # which check's alone gets options
+        rendered = ["--format", "--exact", "--float"]
+        options = {
+            "compute": ["-h", "--input", "--family", "--params", "--seed", *rendered],
+            "check": ["-h", "--input", "--family", "--params", "--seed", *rendered,
+                      "--allow-pendant"],
+            "generate": ["-h", "--family", "--params", "--seed", "--format", "--output"],
+            "sweep": ["-h", "--family", "--params", *rendered],
+            "oracle-diff": ["-h", "--input", "--family", "--params", "--seed"],
+        }
+        # check's parser, then the top level and one parser per command, each
+        # with its options
         assert built == (["centrel check", "centrel", *(f"centrel {name}" for name in COMMANDS)],
-                         [*check, "-h", *check])
+                         [*options["check"], "-h",
+                          *(option for name in COMMANDS for option in options[name])])
+
+    @pytest.mark.parametrize("command", ["compute", "check", "sweep"])
+    def test_bogus_top_level_option_ends_in_the_commands_usage_error(
+            self, capsys, monkeypatch, command):
+        monkeypatch.setenv("COLUMNS", "80")
+        errors = []
+        for argv in ([command, "--format", "xml"], ["--bogus", command, "--format", "xml"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            errors.append(err)
+        # the full tree speaks, through the invoked command's own parser
+        assert errors[1] == errors[0]
+        assert errors[1].startswith(f"usage: centrel {command} [-h]")
+        assert f"centrel {command}: error: argument --format: invalid choice" in errors[1]
 
 
 def move_hub_betweenness(report):

@@ -294,9 +294,13 @@ class TestFileFormats:
         ("n=0\n", "line 1: vertex count must be >= 1"),
         ("# n=2 in a comment\n\nn=2\nn=3\n0 1\n", "line 4: expected two labels, got 1"),
         ("0 1\nn=2\n", "line 2: expected two labels, got 1"),
-    ], ids=["bad-count", "zero", "second-header", "header-after-edge"])
+        ("n=3\n0 a\n0 1 2\n", "labels must be integers in [0, n) when n= is declared"),
+        ("a b\nb c\nc\n", "line 3: expected two labels, got 1"),
+    ], ids=["bad-count", "zero", "second-header", "header-after-edge", "first-fault",
+            "bad-line-after-edges"])
     def test_header_rules(self, text, message):
-        # a header is read only before any other header or edge
+        # a header is read only before any other header or edge, and a file
+        # is refused at its first fault
         with pytest.raises(GraphFormatError, match=f"^{re.escape(message)}$"):
             read_edge_list_text(text)
 

@@ -117,6 +117,12 @@ def test_limit_refused_before_any_bfs(monkeypatch):
             entry(g)
 
 
+@pytest.mark.parametrize("entry", [oracle_measures, oracle_neighborhood_profiles])
+def test_disconnected_graph_refused(two_triangles, entry):
+    with pytest.raises(PreconditionError, match="^the oracle needs a connected graph$"):
+        entry(two_triangles)
+
+
 def assert_profiles_equal(fast, slow, name):
     for i, (fp, sp) in enumerate(zip(fast, slow, strict=True)):
         for field in fp.FIELDS:

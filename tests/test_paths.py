@@ -439,6 +439,10 @@ class TestGlobalMetrics:
         assert avg_path_length(dd) == Fraction(4, 3)
         assert density(g) == Fraction(2, 3)
 
+    def test_density_needs_two_vertices(self):
+        with pytest.raises(PreconditionError, match="^density needs at least 2 vertices$"):
+            density(Graph([], 1))
+
     def test_efficiency_and_length_bounds(self, full_suite):
         for name, g in full_suite[:40]:
             dd = all_pairs(g)
