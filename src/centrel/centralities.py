@@ -130,14 +130,17 @@ def global_clustering(g: Graph) -> Fraction:
 # Betweenness and stress
 # ---------------------------------------------------------------------------
 
-def betweenness_and_stress(an: Analysis) -> tuple[list[Fraction], list[int]]:
+def betweenness_and_stress(an: Analysis) -> tuple[list[Fraction] | None, list[int]]:
     """Exact Brandes betweenness and stress, from the pass of ``all_pairs``.
 
     Both sums run over ordered pairs (s, t), s != t != i.  Every call returns
-    fresh copies of the values in ``an``.  It stays a function of its own while
-    perfbench counts its calls (``centralities.brandes_calls``).
+    fresh copies of the values in ``an``, and None for the betweenness of a
+    pass without it (``all_pairs(g, betweenness=False)``).  It stays a
+    function of its own while perfbench counts its calls
+    (``centralities.brandes_calls``).
     """
-    return list(an.betweenness), list(an.stress)
+    bc = None if an.betweenness is None else list(an.betweenness)
+    return bc, list(an.stress)
 
 
 # ---------------------------------------------------------------------------
@@ -201,12 +204,16 @@ class CentralityReport:
 
 def compute_report(an: Analysis) -> CentralityReport:
     """Every measure of the analysed graph; closeness and the local
-    efficiency once per orbit.
+    efficiency once per orbit.  ``ValueError`` for an Analysis without
+    betweenness.
 
     Radiality stays per vertex: ``perfbench/test_perfbench.py`` pins one
     diameter read per radiality on the benchmark matrix."""
     g = an.g
     bc, st = betweenness_and_stress(an)
+    if bc is None:
+        raise ValueError("compute_report needs the betweenness of the pass; this "
+                         "Analysis comes from all_pairs(g, betweenness=False)")
     local, average, glob = clustering(an)
     return CentralityReport(
         degree=g.degrees(),

@@ -163,10 +163,11 @@ class FamilySpec:
     (a ``bool``, ``float`` or ``str`` is refused, not converted).
 
     ``FAMILIES`` gives the number of parameters each family takes and the
-    vertex count they give.  Only random-min-degree-2 reads ``seed``, and
-    only its ``name`` shows it; the other families build the same graph for
-    any seed, and the command line refuses ``--seed`` with them.  The library
-    accepts it while perfbench builds every family with ``seed=0``.
+    vertex count they give.  Only random-min-degree-2 reads ``seed``, needs
+    one (so that one name is one graph), and shows it in its ``name``; the
+    other families build the same graph for any seed, and the command line
+    refuses ``--seed`` with them.  The library accepts it while perfbench
+    builds every family with ``seed=0``.
     """
 
     family: str
@@ -184,10 +185,12 @@ class FamilySpec:
         if not arity_ok(len(self.params)):
             raise FamilyParameterError(
                 f"wrong number of parameters for {self.family}: {self.params}")
+        if self.family == "random-min-degree-2" and self.seed is None:
+            raise FamilyParameterError("random-min-degree-2 needs a seed")
 
     def name(self) -> str:
         s = f"{self.family}({','.join(str(p) for p in self.params)})"
-        if self.family == "random-min-degree-2" and self.seed is not None:
+        if self.family == "random-min-degree-2":
             s += f"@seed={self.seed}"
         return s
 
@@ -255,7 +258,7 @@ def _glued_4_cycles(n: int) -> Graph:
 _MAX_TRIES = 1000  # random-min-degree-2 draws before it gives up
 
 
-def _random_min_degree_2(n: int, seed: int | None) -> Graph:
+def _random_min_degree_2(n: int, seed: int) -> Graph:
     # G(n, p) resampled until connected with min degree >= 2.
     if n < 3:
         raise FamilyParameterError("random-min-degree-2(n) needs n >= 3")

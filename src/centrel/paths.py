@@ -1,8 +1,9 @@
 """One BFS per orbit, folded into per-graph distance and path summaries.
 
 Exact hop distances and shortest-path counts come from BFS.  ``all_pairs``
-runs one counting BFS and one Brandes dependency sweep per orbit of verified
-automorphisms (``orbits``), keeping only per-graph summaries in ``Analysis``.
+runs one counting BFS and one Brandes dependency sweep (or its stress
+recurrence alone) per orbit of verified automorphisms (``orbits``), keeping
+only per-graph summaries in ``Analysis``.
 Above a measured size a forked child sweeps half of the orbits, and its sums
 are merged exactly.  What is read from the ``Analysis`` past the pass is
 evaluated once per orbit too: only ``Analysis.per_orbit``,
@@ -50,7 +51,9 @@ class Analysis:
     - ``detours[v]``: path count sigma(s, t) -> number of ordered pairs of
       neighbors s, t of v at distance 2
 
-    ``betweenness`` and ``stress`` are the Brandes results of the same pass.
+    ``betweenness`` and ``stress`` are the Brandes results of the same pass;
+    ``betweenness`` is None, never zeros, when the pass skipped it
+    (``all_pairs(g, betweenness=False)``).
     ``orbits`` are the orbits of the pass (``orbits(g)``).  Every field
     above is equal on an orbit, so values read from them are computed once
     per orbit (``per_orbit``, ``orbit_mean``, ``pair_mean``, ``diameter``,
@@ -69,7 +72,7 @@ class Analysis:
     pair_hists: list[Counter]
     pair_sums: list[Counter]
     detours: list[Counter]
-    betweenness: list[Fraction]
+    betweenness: list[Fraction] | None
     stress: list[int]
     orbits: list[list[int]]
     _memo: dict = field(default_factory=dict, init=False, repr=False)
@@ -310,15 +313,18 @@ def _fork(sweep):
     return pid, open(r, "rb")
 
 
-def _sweep(g: Graph, nbrs, classes, orbit, ks) -> list:
+def _sweep(g: Graph, nbrs, classes, orbit, ks, *, betweenness: bool = True) -> list:
     """One BFS and Brandes sweep from the smallest vertex of each orbit in
     ``ks``, as one record with one entry per orbit k in every field: the
     source's row sum and histogram at k, then the sums over the orbit's
     members of their pair histograms, pair sums, detours, stress and
     betweenness totals, over the common denominator that comes last.  An
-    orbit that no source in ``ks`` reaches holds 0 or an empty Counter."""
+    orbit that no source in ``ks`` reaches holds 0 or an empty Counter.
+    Without ``betweenness`` the back sweep counts stress alone, and the
+    totals are None over the denominator 1."""
     n, passes = g.n, len(classes)
-    row_sums, stress, totals = ([0] * passes for _ in range(3))
+    row_sums, stress = [0] * passes, [0] * passes
+    totals = [0] * passes if betweenness else None
     hists, pair_hists, pair_sums, detours = ([Counter() for _ in classes] for _ in range(4))
     denom = 1
     for k in ks:
@@ -339,14 +345,24 @@ def _sweep(g: Graph, nbrs, classes, orbit, ks) -> list:
                 if d == 2:
                     near_detours[sigma[t]] += size
             pair_sums[orbit[i]][near_sum] += size
+        paths_below = [0] * n  # size * (1 + T(w))
+        if not betweenness:  # the stress recurrence alone
+            for v in order[:0:-1]:  # order[0] is s, which is skipped
+                farther = dist[v] + 1
+                tail = 0  # size * T(v)
+                for w in nbrs[v]:
+                    if dist[w] == farther:
+                        tail += paths_below[w]
+                paths_below[v] = size + tail
+                stress[orbit[v]] += sigma[v] * tail
+            continue
         lcm_s = math.lcm(*set(sigma))
         if denom % lcm_s:
             grown = math.lcm(denom, lcm_s)
             totals, denom = [t * (grown // denom) for t in totals], grown
         factor = denom // lcm_s * size  # all sources of the orbit at once
         steps = [0] * n  # L_s // sigma(w) + A(w)
-        paths_below = [0] * n  # size * (1 + T(w))
-        for v in order[:0:-1]:  # order[0] is s, which is skipped
+        for v in order[:0:-1]:
             farther = dist[v] + 1
             scaled = tail = 0  # A(v) and size * T(v)
             for w in nbrs[v]:
@@ -361,7 +377,7 @@ def _sweep(g: Graph, nbrs, classes, orbit, ks) -> list:
     return [row_sums, hists, pair_hists, pair_sums, detours, stress, totals, denom]
 
 
-def all_pairs(g: Graph) -> Analysis:
+def all_pairs(g: Graph, *, betweenness: bool = True) -> Analysis:
     """One BFS per orbit (``orbits``), folded into an ``Analysis``.
 
     Only the smallest vertex of each orbit O is a source, with weight |O|, so
@@ -384,7 +400,9 @@ def all_pairs(g: Graph) -> Analysis:
     A(v) = sum of L_s // sigma(w) + A(w), with exact floor division.  The
     sources share one running common denominator L: the integer totals are
     rescaled when L_s does not divide L, and each orbit's value is a single
-    ``Fraction(total, L)`` at the end.
+    ``Fraction(total, L)`` at the end.  With ``betweenness`` false none of
+    this runs: the back sweep counts stress alone, and the Analysis's
+    ``betweenness`` is None (``check_all`` reads no betweenness).
 
     Above ``SPLIT_WORK`` (``_splits``) a forked child sweeps the second half
     of the orbits while this process sweeps the first; with no pipe or
@@ -402,11 +420,13 @@ def all_pairs(g: Graph) -> Analysis:
     orbit = [k for _, k in sorted((v, k) for k, vs in enumerate(classes) for v in vs)]
     passes = len(classes)
     half = passes // 2 if _splits(passes, g.m) else passes
-    child = (_fork(lambda: _sweep(g, nbrs, classes, orbit, range(half, passes)))
+    child = (_fork(lambda: _sweep(g, nbrs, classes, orbit, range(half, passes),
+                                  betweenness=betweenness))
              if half < passes else None)
     try:
         *record, totals, denom = _sweep(g, nbrs, classes, orbit,
-                                        range(half if child else passes))
+                                        range(half if child else passes),
+                                        betweenness=betweenness)
         if child:
             pid, pipe = child
             with pipe:
@@ -416,10 +436,11 @@ def all_pairs(g: Graph) -> Analysis:
                 raise RuntimeError("the forked half of the all-pairs pass failed "
                                    f"(wait status {status})")
             *more, more_totals, more_denom = marshal.loads(data)
-            grown = math.lcm(denom, more_denom)
-            totals = [a * (grown // denom) + b * (grown // more_denom)
-                      for a, b in zip(totals, more_totals)]
-            denom = grown
+            if betweenness:
+                grown = math.lcm(denom, more_denom)
+                totals = [a * (grown // denom) + b * (grown // more_denom)
+                          for a, b in zip(totals, more_totals)]
+                denom = grown
             for acc, added in zip(record, more):
                 if isinstance(acc[0], Counter):  # cheaper than +=, which scans for counts <= 0
                     for counts, x in zip(acc, added):
@@ -432,13 +453,16 @@ def all_pairs(g: Graph) -> Analysis:
             child[1].close()
             os.kill(child[0], 9)  # SIGKILL
             os.waitpid(child[0], 0)
+    summed = record[2:] + ([totals] if betweenness else [])  # sums over orbit members
     for k, members in enumerate(classes):
         if (size := len(members)) > 1:
-            for f in (*record[2:], totals):  # the sums over the orbit's members
+            for f in summed:
                 f[k] = _share(f[k], size)
-    *fields, stress = record
-    fields += [Fraction(t, denom) for t in totals], stress
-    return Analysis(g, *([f[k] for k in orbit] for f in fields), classes)
+    *fields, stress = ([f[k] for k in orbit] for f in record)
+    if betweenness:
+        totals = [Fraction(t, denom) for t in totals]
+        totals = [totals[k] for k in orbit]
+    return Analysis(g, *fields, totals, stress, classes)
 
 
 def diameter(an: Analysis) -> int:

@@ -248,14 +248,17 @@ CHECKERS = (check_lemma1, check_thm1, check_thm2, check_thm3,
 def check_all(g: Graph, allow_pendant: bool = False) -> list[RelationReport]:
     """Run every checker on one analysis of ``g``.
 
-    A degree-1 vertex is refused before the analysis is built, unless
-    ``allow_pendant`` is set and the degree-1 conventions apply.
+    No relation reads whole-graph betweenness (thm2 and the sandwich read
+    stress, thm3 the neighborhood betweenness of the profiles), so the
+    analysis is built without it.  A degree-1 vertex is refused before the
+    analysis is built, unless ``allow_pendant`` is set and the degree-1
+    conventions apply.
     """
     if not allow_pendant and g.min_degree() < 2:
         raise PreconditionError(
             "graph has a vertex of degree < 2; rerun with the pendant override "
             "to apply the degree-1 conventions")
-    an = all_pairs(g)
+    an = all_pairs(g, betweenness=False)
     return [chk(an) for chk in CHECKERS]
 
 

@@ -239,6 +239,11 @@ class TestBetweennessStress:
         with pytest.raises(DisconnectedGraphError):
             all_pairs(Graph([(0, 1), (2, 3)], 4))
 
+    def test_a_pass_without_betweenness_has_stress_alone(self):
+        g = make("complete-with-glued-4-cycles", 4)
+        bc, st = betweenness_and_stress(all_pairs(g, betweenness=False))
+        assert (bc, st) == (None, betweenness_and_stress(all_pairs(g))[1])
+
     def test_brandes_equals_definitional(self, family_suite):
         for name, g in family_suite:
             bc, st = betweenness_and_stress(all_pairs(g))
@@ -299,6 +304,10 @@ class TestLocalEfficiency:
 
 
 class TestReport:
+    def test_refuses_an_analysis_without_betweenness(self):
+        with pytest.raises(ValueError, match=r"all_pairs\(g, betweenness=False\)"):
+            compute_report(all_pairs(make("cycle", 5), betweenness=False))
+
     def test_report_fields_consistent(self):
         g = make("windmill", 2, 3)
         rep = compute_report(all_pairs(g))

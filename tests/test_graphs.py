@@ -227,7 +227,11 @@ class TestFamilyTable:
         assert FamilySpec("cycle", (4,), seed=3).name() == "cycle(4)"
         assert (FamilySpec("random-min-degree-2", (12,), seed=3).name()
                 == "random-min-degree-2(12)@seed=3")
-        assert FamilySpec("random-min-degree-2", (12,)).name() == "random-min-degree-2(12)"
+
+    def test_a_seedless_random_spec_is_refused(self):
+        # with no seed each graph would come from OS entropy under one name
+        with pytest.raises(FamilyParameterError, match="^random-min-degree-2 needs a seed$"):
+            FamilySpec("random-min-degree-2", (12,))
 
     def test_unknown_family_lists_every_family_in_order(self):
         with pytest.raises(FamilyParameterError) as exc:

@@ -145,13 +145,13 @@ def with_false_twins(g, count):
     return Graph(list(g.edges()) + twins, g.n + count), chosen
 
 
-def pass_on(monkeypatch, g, cpus):
-    """``all_pairs(g)`` with ``cpus`` CPUs in the affinity mask, and the
-    number of children it forked."""
+def pass_on(monkeypatch, g, cpus, **options):
+    """``all_pairs(g, **options)`` with ``cpus`` CPUs in the affinity mask,
+    and the number of children it forked."""
     forked, fork = [], os.fork
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
     monkeypatch.setattr(os, "fork", lambda: forked.append(1) or fork())
-    return all_pairs(g), len(forked)
+    return all_pairs(g, **options), len(forked)
 
 
 def open_fds():
@@ -169,6 +169,38 @@ def assert_nothing_left(fds):
         os.waitpid(-1, os.WNOHANG)
     # and no end of a pipe left open: the descriptors open before the pass
     assert open_fds() == fds
+
+
+def assert_equal_but_betweenness(without, full):
+    """``without`` is ``full`` in every field but ``betweenness``, which is
+    None."""
+    assert without.betweenness is None
+    assert full.betweenness is not None
+    for name in (*FIELDS, "orbits"):
+        if name != "betweenness":
+            assert getattr(without, name) == getattr(full, name), name
+
+
+class TestWithoutBetweenness:
+    """``all_pairs(g, betweenness=False)``: the same pass with no Brandes
+    betweenness recurrence."""
+
+    def test_family_suite(self, family_suite):
+        for name, g in family_suite:
+            assert_equal_but_betweenness(all_pairs(g, betweenness=False), all_pairs(g))
+
+    @pytest.mark.parametrize("g", [
+        random_graph(60), random_graph(150), with_false_twins(random_graph(150), 30)[0],
+    ], ids=["random-60", "random-150", "twins-180"])
+    def test_a_split_pass(self, monkeypatch, g):
+        monkeypatch.setattr(paths, "SPLIT_WORK", 1)  # n = 60 splits too
+        one, forked = pass_on(monkeypatch, g, 1)
+        assert forked == 0
+        fds = open_fds()
+        split, forked = pass_on(monkeypatch, g, 2, betweenness=False)
+        assert forked == 1
+        assert_equal_but_betweenness(split, one)
+        assert_nothing_left(fds)
 
 
 class TestSplit:

@@ -19,7 +19,7 @@ from small_graphs import connected_graphs
 
 def results(monkeypatch, an):
     """The report, the profiles and every relation report of ``an``."""
-    monkeypatch.setattr(relations, "all_pairs", lambda g: an)
+    monkeypatch.setattr(relations, "all_pairs", lambda g, **_: an)
     return (compute_report(an), profiles(an),
             relations.check_all(an.g, allow_pendant=True))
 

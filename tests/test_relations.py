@@ -368,6 +368,21 @@ class TestPreconditionsAndPendants:
             check_all(g)
             assert calls == {"profile": len(orbits(g)), "prefix_clusterings": 1}, name
 
+    def test_check_all_builds_its_analysis_without_betweenness(self, monkeypatch,
+                                                               full_suite):
+        kernel, built = relations.all_pairs, []
+
+        def recorded(g, **options):
+            built.append(kernel(g, **options))
+            return built[-1]
+        monkeypatch.setattr(relations, "all_pairs", recorded)
+        for name, g in full_suite[:40]:  # the family suite and 9 random graphs
+            reports = check_all(g)
+            [an] = built
+            built.clear()
+            assert an.betweenness is None, name
+            # every report, notes included, is the one a full pass gives
+            assert [chk(all_pairs(g)) for chk in relations.CHECKERS] == reports, name
 
 class TestSerialization:
     def test_json_schema(self):
