@@ -320,11 +320,10 @@ def _sweep(g: Graph, nbrs, classes, orbit, ks, *, betweenness: bool = True) -> l
     members of their pair histograms, pair sums, detours, stress and
     betweenness totals, over the common denominator that comes last.  An
     orbit that no source in ``ks`` reaches holds 0 or an empty Counter.
-    Without ``betweenness`` the back sweep counts stress alone, and the
-    totals are None over the denominator 1."""
+    ``betweenness`` only chooses the back loop: without it the loop counts
+    stress alone and the totals stay 0."""
     n, passes = g.n, len(classes)
-    row_sums, stress = [0] * passes, [0] * passes
-    totals = [0] * passes if betweenness else None
+    row_sums, stress, totals = ([0] * passes for _ in range(3))
     hists, pair_hists, pair_sums, detours = ([Counter() for _ in classes] for _ in range(4))
     denom = 1
     for k in ks:
@@ -401,16 +400,18 @@ def all_pairs(g: Graph, *, betweenness: bool = True) -> Analysis:
     sources share one running common denominator L: the integer totals are
     rescaled when L_s does not divide L, and each orbit's value is a single
     ``Fraction(total, L)`` at the end.  With ``betweenness`` false none of
-    this runs: the back sweep counts stress alone, and the Analysis's
-    ``betweenness`` is None (``check_all`` reads no betweenness).
+    this runs: the back sweep counts stress alone, the totals stay 0 over
+    L = 1, and the Analysis's ``betweenness`` is None, not those zeros
+    (``check_all`` reads no betweenness).
 
     Above ``SPLIT_WORK`` (``_splits``) a forked child sweeps the second half
     of the orbits while this process sweeps the first; with no pipe or
     process to be had, this process sweeps them all.  Each half is one record
-    with an entry per orbit (``_sweep``), so they merge exactly, entry by
-    entry: every field adds up, the betweenness totals once both are rescaled
-    to the lcm of the two denominators.  The child is reaped, and killed first
-    unless all went well; ``RuntimeError`` if it fails.
+    of the same shape, with an entry per orbit (``_sweep``), so they merge
+    exactly, entry by entry: the betweenness totals are rescaled to the lcm
+    of the two denominators, and then every field adds up.  The child is
+    reaped, and killed first unless all went well; ``RuntimeError`` if it
+    fails.
     """
     n = g.n
     if n < 2:
@@ -424,9 +425,8 @@ def all_pairs(g: Graph, *, betweenness: bool = True) -> Analysis:
                                   betweenness=betweenness))
              if half < passes else None)
     try:
-        *record, totals, denom = _sweep(g, nbrs, classes, orbit,
-                                        range(half if child else passes),
-                                        betweenness=betweenness)
+        *record, denom = _sweep(g, nbrs, classes, orbit, range(half if child else passes),
+                                betweenness=betweenness)
         if child:
             pid, pipe = child
             with pipe:
@@ -435,12 +435,11 @@ def all_pairs(g: Graph, *, betweenness: bool = True) -> Analysis:
             if status:
                 raise RuntimeError("the forked half of the all-pairs pass failed "
                                    f"(wait status {status})")
-            *more, more_totals, more_denom = marshal.loads(data)
-            if betweenness:
-                grown = math.lcm(denom, more_denom)
-                totals = [a * (grown // denom) + b * (grown // more_denom)
-                          for a, b in zip(totals, more_totals)]
-                denom = grown
+            *more, more_denom = marshal.loads(data)
+            grown = math.lcm(denom, more_denom)
+            for totals, d in ((record[-1], denom), (more[-1], more_denom)):
+                totals[:] = [t * (grown // d) for t in totals]
+            denom = grown
             for acc, added in zip(record, more):
                 if isinstance(acc[0], Counter):  # cheaper than +=, which scans for counts <= 0
                     for counts, x in zip(acc, added):
@@ -453,16 +452,13 @@ def all_pairs(g: Graph, *, betweenness: bool = True) -> Analysis:
             child[1].close()
             os.kill(child[0], 9)  # SIGKILL
             os.waitpid(child[0], 0)
-    summed = record[2:] + ([totals] if betweenness else [])  # sums over orbit members
     for k, members in enumerate(classes):
         if (size := len(members)) > 1:
-            for f in summed:
+            for f in record[2:]:  # the sums over orbit members
                 f[k] = _share(f[k], size)
-    *fields, stress = ([f[k] for k in orbit] for f in record)
-    if betweenness:
-        totals = [Fraction(t, denom) for t in totals]
-        totals = [totals[k] for k in orbit]
-    return Analysis(g, *fields, totals, stress, classes)
+    shares = [Fraction(t, denom) for t in record[-1]] if betweenness else None
+    *fields, stress = ([f[k] for k in orbit] for f in record[:-1])
+    return Analysis(g, *fields, shares and [shares[k] for k in orbit], stress, classes)
 
 
 def diameter(an: Analysis) -> int:

@@ -171,6 +171,14 @@ def assert_nothing_left(fds):
     assert open_fds() == fds
 
 
+def sweep_args(g):
+    """The neighbor lists, orbits and orbit of each vertex that ``all_pairs``
+    hands to ``paths._sweep``."""
+    nbrs, classes = [g.neighbors(v) for v in range(g.n)], orbits(g)
+    orbit = [k for _, k in sorted((v, k) for k, vs in enumerate(classes) for v in vs)]
+    return nbrs, classes, orbit
+
+
 def assert_equal_but_betweenness(without, full):
     """``without`` is ``full`` in every field but ``betweenness``, which is
     None."""
@@ -202,6 +210,26 @@ class TestWithoutBetweenness:
         assert_equal_but_betweenness(split, one)
         assert_nothing_left(fds)
 
+    @pytest.mark.parametrize("g", [random_graph(60), with_false_twins(random_graph(60), 10)[0]],
+                             ids=["random-60", "twins-70"])
+    def test_the_sweep_keeps_its_record_shape(self, g):
+        # the same eight entries of the same types, so the forked half, the
+        # merge and the orbit shares never ask which pass made a record
+        nbrs, classes, orbit = sweep_args(g)
+        ks = range(len(classes))
+        full = paths._sweep(g, nbrs, classes, orbit, ks)
+        without = paths._sweep(g, nbrs, classes, orbit, ks, betweenness=False)
+
+        def types(record):
+            return [(type(f), {type(x) for x in f}) if isinstance(f, list) else type(f)
+                    for f in record]
+        assert len(without) == len(full) == 8
+        assert types(without) == types(full)
+        *fields, totals, denom = without
+        assert totals == [0] * len(classes) and denom == 1
+        assert fields == full[:-2]
+        assert any(full[-2])
+
 
 class TestSplit:
     """The pass in two halves of the orbits, the second in a forked child:
@@ -229,8 +257,7 @@ class TestSplit:
         # the halves' betweenness denominators differ and neither divides the
         # other, so the merge rescales the totals of both before adding them
         g = random_graph(150, seed)
-        nbrs, classes = [g.neighbors(v) for v in range(g.n)], orbits(g)
-        orbit = [k for _, k in sorted((v, k) for k, vs in enumerate(classes) for v in vs)]
+        nbrs, classes, orbit = sweep_args(g)
         half = len(classes) // 2
         first, second = (paths._sweep(g, nbrs, classes, orbit, ks)[-1]
                          for ks in (range(half), range(half, len(classes))))
