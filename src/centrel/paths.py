@@ -151,14 +151,10 @@ def _refine(adj, cells: list[set], cell_of: list[int], queue: set[int]) -> None:
     so an isomorphism that maps the cells in order still does so after it.  A
     cell whose vertices all get one count is not split."""
     while queue and len(cells) < len(adj):  # a discrete partition is equitable
-        splitter = cells[queue.pop()]
-        if len(splitter) == 1:  # each hit counts 1
-            hits = dict.fromkeys(adj[next(iter(splitter))], 1)
-        else:
-            hits = {}
-            for v in splitter:
-                for u in adj[v]:
-                    hits[u] = hits.get(u, 0) + 1
+        hits: dict[int, int] = {}
+        for v in cells[queue.pop()]:
+            for u in adj[v]:
+                hits[u] = hits.get(u, 0) + 1
         touched: dict[int, list[int]] = {}
         for u in hits:
             if len(cells[cell_of[u]]) > 1:
@@ -185,15 +181,14 @@ def _refine(adj, cells: list[set], cell_of: list[int], queue: set[int]) -> None:
 
 def _leaf(adj, cells: list[set], cell_of: list[int], v: int) -> list[int]:
     """The nodes in cell order once a copy of an equitable partition is discrete:
-    v individualised (unless alone) and refined, then a vertex of the first
-    largest cell, until every cell is a single node."""
+    v, whose cell must hold other nodes too, individualised and refined, then
+    a node of the first largest cell, until every cell is a single node."""
     cells, cell_of = [set(cell) for cell in cells], list(cell_of)
     while True:
-        if len(cells[cell_of[v]]) > 1:
-            cells[cell_of[v]].discard(v)
-            cell_of[v] = len(cells)
-            cells.append({v})
-            _refine(adj, cells, cell_of, {len(cells) - 1})
+        cells[cell_of[v]].discard(v)
+        cell_of[v] = len(cells)
+        cells.append({v})
+        _refine(adj, cells, cell_of, {len(cells) - 1})
         largest = max(cells, key=len)
         if len(largest) == 1:
             return [next(iter(cell)) for cell in cells]
@@ -210,8 +205,9 @@ def _is_automorphism(adj: list[frozenset], colour: list, phi: dict) -> bool:
 def orbits(g: Graph) -> list[list[int]]:
     """The orbits of a group of verified automorphisms, ascending and sorted.
 
-    1-WL splits the twin quotient into cells that are unions of orbits.  Each
-    cell's smallest node r is mapped to the others, its neighbors first, by
+    1-WL splits the twin quotient into cells that are unions of orbits, so a
+    discrete partition starts no search.  In each cell of two or more nodes
+    the smallest node r is mapped to the others, its neighbors first, by
     individualisation-refinement (McKay and Piperno, 2014): the discrete leaves
     grown from r and from s, each individualising in the first largest cell
     (``_leaf``), are paired in cell order.  A cell is left at its first
@@ -224,8 +220,6 @@ def orbits(g: Graph) -> list[list[int]]:
     for v, k in enumerate(cell_of):
         cells[k].add(v)
     _refine(adj, cells, cell_of, set(range(len(cells))))
-    if len(cells) == q == g.n:  # discrete, and no twins: only the trivial group
-        return [[v] for v in range(q)]
     root = list(range(q))
     def find(v: int) -> int:
         while root[v] != v:
@@ -261,6 +255,8 @@ def _share(total, k: int):
 # CPython 3.11.7), by passes x edges: 11,700 (n = 60) 4.7 against 4.7-5.3,
 # 18,525 (n = 75) 6.9 against 7.6-8.0, 22,160 (n = 80) 7.9 against 6.9,
 # 366,600 (n = 300) 104 against 63.  A bare fork and wait took 1.1 ms.
+# Stress alone (betweenness=False), at the same sizes: 4.7-5.6 against 4.9-6.0,
+# 5.9-9.0 against 5.8-8.8, 6.8-7.8 against 6.2-8.7, 81-104 against 49-75.
 SPLIT_WORK = 20_000
 
 
@@ -280,7 +276,7 @@ def _splits(passes: int, m: int) -> bool:
 
 def _fork(sweep):
     """A forked child that writes the record ``sweep()`` returns to a pipe
-    with marshal, its lists of Counters as lists of dicts, and ends: its pid
+    with marshal, each Counter in its lists as a dict, and ends: its pid
     and the pipe's reading end.  None if no pipe or process can be had (a full
     descriptor or process table, no memory to fork)."""
     try:
@@ -296,10 +292,9 @@ def _fork(sweep):
     if pid == 0:  # the child: it never returns into the caller's stack
         status = 1
         try:
-            row_sums, *counts, stress, totals, denom = sweep()
             with open(w, "wb") as out:
-                out.write(marshal.dumps([row_sums, *([dict(c) for c in f] for f in counts),
-                                         stress, totals, denom]))
+                out.write(marshal.dumps([[dict(x) if isinstance(x, Counter) else x for x in f]
+                                         if isinstance(f, list) else f for f in sweep()]))
             status = 0
         except DisconnectedGraphError:
             pass  # the parent's own half raises it as well
@@ -441,12 +436,8 @@ def all_pairs(g: Graph, *, betweenness: bool = True) -> Analysis:
                 totals[:] = [t * (grown // d) for t in totals]
             denom = grown
             for acc, added in zip(record, more):
-                if isinstance(acc[0], Counter):  # cheaper than +=, which scans for counts <= 0
-                    for counts, x in zip(acc, added):
-                        counts.update(x)
-                else:
-                    for k, x in enumerate(added):
-                        acc[k] += x
+                for k, x in enumerate(added):
+                    acc[k] += x
     finally:
         if child:  # failed or interrupted before the child was reaped
             child[1].close()

@@ -155,6 +155,11 @@ class TestCompute:
         code, _, err = run(capsys, "compute")
         assert code == 2
 
+    def test_bad_parameter_list_exit_2(self, capsys):
+        assert run(capsys, "compute", "--family", "cycle", "--params", "5,x") == (
+            2, "", "error: bad parameter list '5,x': "
+                   "invalid literal for int() with base 10: 'x'\n")
+
     @pytest.mark.parametrize("text", [
         '{"n": 3, "edges": [[true, 2], [0, 2]]}',
         '{"n": 3, "edges": [[0, 1], [1, false]]}',
@@ -411,6 +416,10 @@ class TestSweep:
     def test_non_windmill_rejected(self, capsys):
         code, _, _ = run(capsys, "sweep", "--family", "cycle", "--params", "5")
         assert code == 2
+
+    def test_bad_parameters_exit_2(self, capsys):
+        assert run(capsys, "sweep", "--params", "3,x") == (
+            2, "", "error: bad sweep parameters: invalid literal for int() with base 10: 'x'\n")
 
     def test_bad_params_exit_2(self, capsys):
         for params in ("3,x", "2,2,10", "3,9,4"):

@@ -388,6 +388,15 @@ def test_an_asymmetric_regular_graph_is_left_at_its_first_refused_map(monkeypatc
     assert calls == {"_leaf": 2, "_is_automorphism": 1}
 
 
+def test_a_discrete_partition_starts_no_search(monkeypatch):
+    # 1-WL splits random-min-degree-2(300) into single nodes, and a cell of
+    # one node is a whole orbit: no leaf is grown and no map is checked
+    calls = counted(monkeypatch, "_refine", "_leaf", "_is_automorphism")
+    g = generate(FamilySpec("random-min-degree-2", (300,), seed=1))
+    assert orbits(g) == [[v] for v in range(300)]
+    assert calls == {"_refine": 1}
+
+
 def test_an_orbit_sum_that_does_not_divide_is_an_error():
     assert _share(12, 4) == 3
     assert _share(Counter({1: 6, 2: 4}), 2) == Counter({1: 3, 2: 2})
