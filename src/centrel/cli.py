@@ -11,6 +11,7 @@ Output is deterministic for a fixed command line (random-min-degree-2 needs --se
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import oracle
@@ -259,9 +260,10 @@ def _add_options(p: argparse.ArgumentParser, command: str) -> None:
     p.set_defaults(func=COMMANDS[command][1])
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The full tree, for when the top level speaks: every command, each
-    with its options."""
+    """The full tree, every command with its options, built on the first call
+    and shared by every later one in the process, so do not change it."""
     parser = argparse.ArgumentParser(
         prog="centrel",
         description="Exact centrality measures and clustering relation checks "
@@ -272,25 +274,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _csv_refused(args: argparse.Namespace) -> bool:
-    return getattr(args, "float_values", None) is not None and args.format == "csv"
-
-
 def _parse_args(argv: list[str]) -> argparse.Namespace:
-    """The options of ``argv``.  When ``argv[0]`` names a command, its parser
-    alone reads the rest, with the prog, help, usage and errors that
-    ``add_parser`` would give it.  The full tree reads ``argv`` only when the
-    top level speaks: no command comes first, arguments are left over, or
-    csv is asked for with ``--exact`` or ``--float``."""
-    if argv and argv[0] in COMMANDS:
-        parser = argparse.ArgumentParser(prog=f"centrel {argv[0]}")
-        _add_options(parser, argv[0])
-        args, extras = parser.parse_known_args(argv[1:])
-        if not extras and not _csv_refused(args):
-            return args
+    """The options of ``argv``, read by the shared tree, which also refuses
+    csv asked for with ``--exact`` or ``--float``."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    if _csv_refused(args):
+    if getattr(args, "float_values", None) is not None and args.format == "csv":
         parser.error(f"{args.command} --format csv always renders floats; "
                      "--exact and --float apply to json and human only")
     return args

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from centrel import (FamilySpec, Graph, all_pairs, check_all, generate,
                      read_edge_list_text, read_json_graph, to_edge_list_text)
 from centrel.centralities import CentralityReport
-from centrel.cli import COMMANDS, main
+from centrel.cli import COMMANDS, build_parser, main
 from centrel.graphs import GraphFormatError, PreconditionError
 from centrel.neighborhood import NeighborhoodProfile
 
@@ -502,27 +502,33 @@ class TestUnreadFlags:
         assert out == "" and "--format csv" in err
 
 
-# exit code, stdout and stderr of the command lines (80 columns), recorded
+# exit code, stdout and stderr of the command lines (90 columns), recorded
 # while the whole parser tree was built on each call: the first ten when
-# every command got its options, the rest when the invoked one alone did
+# every command got its options, the rest when the invoked one alone did;
+# the same bytes hold on a tree that earlier calls in the process reused
 PARITY = json.loads((Path(__file__).parent / "cli_parity.json").read_text(encoding="utf-8"))
+
+
+def run_command(capsys, command: str) -> dict:
+    """Exit code, stdout and stderr of ``centrel <command>``, as in PARITY."""
+    try:
+        code = main(command.split())
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return {"exit": code, "stdout": out, "stderr": err}
 
 
 class TestParser:
     @pytest.mark.parametrize("command", list(PARITY))
     def test_help_usage_and_errors_unchanged(self, capsys, monkeypatch, command):
         monkeypatch.setenv("COLUMNS", "90")  # one wrapping on CPython 3.10-3.13
-        try:
-            code = main(command.split())
-        except SystemExit as exc:
-            code = exc.code
-        out, err = capsys.readouterr()
-        assert {"exit": code, "stdout": out, "stderr": err} == PARITY[command]
+        assert run_command(capsys, command) == PARITY[command]
 
     @pytest.fixture
     def built(self, monkeypatch):
         """The prog of every parser constructed, then the first name of every
-        option added, in order."""
+        option added, in order, from an empty parser cache."""
         progs, names = [], []
         real_init = argparse.ArgumentParser.__init__
         real_add = argparse._ActionsContainer.add_argument
@@ -535,22 +541,16 @@ class TestParser:
             names.append(option_names[0])
             return real_add(container, *option_names, **kwargs)
 
+        build_parser.cache_clear()
         monkeypatch.setattr(argparse.ArgumentParser, "__init__", init)
         monkeypatch.setattr(argparse._ActionsContainer, "add_argument", add_argument)
-        return progs, names
+        yield progs, names
+        build_parser.cache_clear()
 
-    def test_only_the_invoked_command_gets_options(self, capsys, built):
+    def test_the_first_call_builds_the_one_tree(self, capsys, built):
         assert main(["sweep", "--family", "windmill", "--params", "3,2,5",
                      "--format", "json"]) == 0
         json.loads(capsys.readouterr().out)
-        # one parser, sweep's, and no top level
-        assert built == (["centrel sweep"],
-                         ["-h", "--family", "--params", "--format", "--exact", "--float"])
-
-    def test_leftover_arguments_build_the_full_tree(self, built):
-        with pytest.raises(SystemExit) as exc:  # its bytes are a parity pin
-            main(["check", "--bogus"])
-        assert exc.value.code == 2
         rendered = ["--format", "--exact", "--float"]
         options = {
             "compute": ["-h", "--input", "--family", "--params", "--seed", *rendered],
@@ -560,11 +560,31 @@ class TestParser:
             "sweep": ["-h", "--family", "--params", *rendered],
             "oracle-diff": ["-h", "--input", "--family", "--params", "--seed"],
         }
-        # check's parser, then the top level and one parser per command, each
-        # with its options
-        assert built == (["centrel check", "centrel", *(f"centrel {name}" for name in COMMANDS)],
-                         [*options["check"], "-h",
-                          *(option for name in COMMANDS for option in options[name])])
+        # the top level and one parser per command, each with its options
+        tree = (["centrel", *(f"centrel {name}" for name in COMMANDS)],
+                ["-h", *(option for name in COMMANDS for option in options[name])])
+        assert built == tree
+        # later calls, valid or not, parse with the same tree
+        assert main(["compute", "--family", "cycle", "--params", "5", "--format", "json"]) == 0
+        json.loads(capsys.readouterr().out)
+        with pytest.raises(SystemExit) as exc:  # its bytes are a parity pin
+            main(["check", "--bogus"])
+        assert exc.value.code == 2
+        assert built == tree
+
+    def test_a_reused_tree_gives_the_same_bytes(self, capsys, monkeypatch):
+        # the second pass reads a tree that has printed help and raised errors
+        monkeypatch.setenv("COLUMNS", "90")
+        for _ in range(2):
+            for command, pinned in PARITY.items():
+                assert run_command(capsys, command) == pinned, command
+        # argparse reads the width when it formats, not when the tree is built
+        texts = []
+        for columns in ("60", "90", "60"):
+            monkeypatch.setenv("COLUMNS", columns)
+            texts.append(run_command(capsys, "compute -h"))
+        assert texts[0] != texts[1]
+        assert texts[2] == texts[0]
 
     @pytest.mark.parametrize("command", ["compute", "check", "sweep"])
     def test_bogus_top_level_option_ends_in_the_commands_usage_error(
