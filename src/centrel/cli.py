@@ -1,10 +1,11 @@
 """Command-line front end.
 
 Commands: compute, check, generate, sweep, oracle-diff.  Exit codes:
-0 success (and every relation holds), 2 unreadable/invalid input or bad
-parameters, 3 precondition failure (disconnected graph, degree-1 vertex in
-``check`` without ``--allow-pendant``, size caps), 4 relation violation or
-oracle mismatch.
+0 success (and every relation holds), 1 stdout could not be written (a
+closed pipe, a full disk), 2 unreadable/invalid input or bad parameters, or
+an unwritable ``--output``, 3 precondition failure (disconnected graph,
+degree-1 vertex in ``check`` without ``--allow-pendant``, size caps), 4
+relation violation or oracle mismatch.
 Output is deterministic for a fixed command line (random-min-degree-2 needs --seed).
 """
 
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 
 from . import oracle
@@ -25,9 +27,14 @@ from .relations import RelationReport, SweepRow, check_all, sweep_windmill
 from .serialize import csv_table, csv_value, human_value, json_text
 
 EXIT_OK = 0
+EXIT_STDOUT = 1
 EXIT_PARSE = 2
 EXIT_PRECONDITION = 3
 EXIT_VIOLATION = 4
+
+# CPython 3.10.7 and later refuse int <-> str past 4,300 digits; earlier ones have no limit
+_get_digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
+_set_digit_limit = getattr(sys, "set_int_max_str_digits", lambda digits: None)
 
 
 def _graph_from_args(args, limit=None) -> tuple[Graph, str]:
@@ -41,32 +48,33 @@ def _graph_from_args(args, limit=None) -> tuple[Graph, str]:
         g = load_graph(path)
         if g.duplicates_collapsed:
             print(f"warning: {path}: duplicate edges collapsed", file=sys.stderr)
-        return g, path
-    if args.seed is None and args.family == "random-min-degree-2":
-        raise FamilyParameterError("random-min-degree-2 needs --seed")
-    if args.seed is not None and args.family != "random-min-degree-2":
-        raise FamilyParameterError(f"--seed applies to random-min-degree-2 only, "
-                                   f"not {args.family}")
-    spec = parse_family(args.family, args.params or "", seed=args.seed)
-    if limit is not None:  # before the build; the cap, as in generate, speaks first
-        check_size_cap(spec.order())
-        limit(spec.order())
-    return generate(spec), spec.name()
+        if limit is not None:
+            limit(g.n)
+        source = path
+    else:
+        if args.seed is None and args.family == "random-min-degree-2":
+            raise FamilyParameterError("random-min-degree-2 needs --seed")
+        if args.seed is not None and args.family != "random-min-degree-2":
+            raise FamilyParameterError(f"--seed applies to random-min-degree-2 only, "
+                                       f"not {args.family}")
+        spec = parse_family(args.family, args.params or "", seed=args.seed)
+        if limit is not None:  # before the build; the cap, as in generate, speaks first
+            check_size_cap(spec.order())
+            limit(spec.order())
+        g, source = generate(spec), spec.name()
+    _set_digit_limit(0)  # the input is read, and exact output may be longer; main restores it
+    return g, source
 
 
 def _graph_header(g: Graph, source: str) -> dict:
     return {"source": source, "n": g.n, "m": g.m}
 
 
-def _print_lines(lines: list[str]) -> None:
-    sys.stdout.write("\n".join(lines) + "\n")
-
-
 # ---------------------------------------------------------------------------
 # compute
 # ---------------------------------------------------------------------------
 
-def cmd_compute(args) -> int:
+def cmd_compute(args) -> tuple[int, str]:
     g, source = _graph_from_args(args)
     rep = compute_report(all_pairs(g))
     exact = not args.float_values
@@ -77,14 +85,13 @@ def cmd_compute(args) -> int:
         vertices = [{"vertex": i, "label": g.label_of(i),
                      **{name: col[i] for name, col in per_vertex}}
                     for i in range(g.n)]
-        print(json_text({"graph": _graph_header(g, source), "vertices": vertices,
-                         "graph_level": dict(graph_level)}, exact))
-    elif args.format == "csv":
+        return EXIT_OK, json_text({"graph": _graph_header(g, source), "vertices": vertices,
+                                   "graph_level": dict(graph_level)}, exact)
+    if args.format == "csv":
         lines = ["scope,metric,value"]
         lines += [f"graph,{name},{csv_value(x)}" for name, x in graph_level]
         lines += [f"vertex:{i},{name},{csv_value(col[i])}"
                   for i in range(g.n) for name, col in per_vertex]
-        _print_lines(lines)
     else:
         lines = [f"graph {source}: n={g.n} m={g.m}", "", "graph-level:"]
         for name, x in graph_level:
@@ -101,24 +108,24 @@ def cmd_compute(args) -> int:
         lines += ["", "per-vertex:"]
         lines += ["  " + " ".join(f"{cell:>{width}}" for cell, width in zip(row, widths))
                   for row in table]
-        _print_lines(lines)
-    return EXIT_OK
+    return EXIT_OK, "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------
 # check
 # ---------------------------------------------------------------------------
 
-def cmd_check(args) -> int:
+def cmd_check(args) -> tuple[int, str]:
     g, source = _graph_from_args(args)
     reports = check_all(g, allow_pendant=args.allow_pendant)
     all_hold = all(r.holds for r in reports)
+    code = EXIT_OK if all_hold else EXIT_VIOLATION
     exact = not args.float_values
     if args.format == "json":
-        print(json_text({"graph": _graph_header(g, source), "all_hold": all_hold,
-                         "relations": reports}, exact))
-    elif args.format == "csv":
-        _print_lines(csv_table(RelationReport.CSV_FIELDS, reports))
+        return code, json_text({"graph": _graph_header(g, source), "all_hold": all_hold,
+                                "relations": reports}, exact)
+    if args.format == "csv":
+        lines = csv_table(RelationReport.CSV_FIELDS, reports)
     else:
         lines = [f"graph {source}: n={g.n} m={g.m}"]
         for r in reports:
@@ -129,24 +136,21 @@ def cmd_check(args) -> int:
                          f"lhs={lhs} rhs={rhs} slack={slack}{eq}")
             lines += [f"      note: {note}" for note in r.notes]
         lines.append("all relations hold" if all_hold else "RELATION VIOLATION")
-        _print_lines(lines)
-    return EXIT_OK if all_hold else EXIT_VIOLATION
+    return code, "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------
 # generate
 # ---------------------------------------------------------------------------
 
-def cmd_generate(args) -> int:
+def cmd_generate(args) -> tuple[int, str]:
     g, source = _graph_from_args(args)
-    text = to_json_graph(g) + "\n" if args.format == "json" else to_edge_list_text(g)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        print(f"wrote {source}: n={g.n} m={g.m} -> {args.output}")
-    else:
-        sys.stdout.write(text)
-    return EXIT_OK
+    text = to_json_graph(g) if args.format == "json" else to_edge_list_text(g).removesuffix("\n")
+    if not args.output:
+        return EXIT_OK, text
+    with open(args.output, "w", encoding="utf-8") as fh:
+        print(text, file=fh)
+    return EXIT_OK, f"wrote {source}: n={g.n} m={g.m} -> {args.output}"
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +169,7 @@ def _parse_sweep_params(params: str | None) -> tuple[int, int, int]:
     return k, lo, hi
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args) -> tuple[int, str]:
     if args.family not in (None, "windmill"):
         raise FamilyParameterError("sweep supports only the windmill family")
     k, lo, hi = _parse_sweep_params(args.params)
@@ -174,25 +178,22 @@ def cmd_sweep(args) -> int:
         print(f"warning: windmill(1,{k}) is a single clique; the eta=1 row "
               "is excluded from the trend summary", file=sys.stderr)
     if args.format == "json":
-        print(json_text(result, not args.float_values))
-    else:
-        lines = csv_table(SweepRow.FIELDS, result.rows)
-        lines.append(f"# trend: avg_clustering strictly increasing: "
-                     f"{csv_value(result.avg_strictly_increasing)}; "
-                     f"global_clustering strictly decreasing: "
-                     f"{csv_value(result.glob_strictly_decreasing)}")
-        _print_lines(lines)
-    return EXIT_OK
+        return EXIT_OK, json_text(result, not args.float_values)
+    lines = csv_table(SweepRow.FIELDS, result.rows)
+    lines.append(f"# trend: avg_clustering strictly increasing: "
+                 f"{csv_value(result.avg_strictly_increasing)}; "
+                 f"global_clustering strictly decreasing: "
+                 f"{csv_value(result.glob_strictly_decreasing)}")
+    return EXIT_OK, "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------
 # oracle-diff
 # ---------------------------------------------------------------------------
 
-def cmd_oracle_diff(args) -> int:
+def cmd_oracle_diff(args) -> tuple[int, str]:
     # a family is refused before it is built, a file before the fast pass
     g, source = _graph_from_args(args, oracle.check_oracle_limit)
-    oracle.check_oracle_limit(g.n)
     an = all_pairs(g)  # then n < 2 and disconnected graphs get its messages
     fast = compute_report(an)
     slow = oracle.oracle_measures(g)
@@ -205,16 +206,12 @@ def cmd_oracle_diff(args) -> int:
     compared += [(f"neighborhood.{name}[{i}]", getattr(fp, name), getattr(sp, name))
                  for i, (fp, sp) in enumerate(zip(profiles(an), slow_profiles))
                  for name in fp.FIELDS]
-    mismatches = [f"{label}: fast={x} oracle={y}"
+    mismatches = [f"  {label}: fast={x} oracle={y}"
                   for label, x, y in compared if x != y]
     if mismatches:
-        print(f"graph {source}: {len(mismatches)} mismatches")
-        for line in mismatches:
-            print("  " + line)
-        return EXIT_VIOLATION
-    print(f"graph {source}: fast and oracle reports identical "
-          f"({g.n} vertices)")
-    return EXIT_OK
+        return EXIT_VIOLATION, "\n".join([f"graph {source}: {len(mismatches)} mismatches",
+                                           *mismatches])
+    return EXIT_OK, f"graph {source}: fast and oracle reports identical ({g.n} vertices)"
 
 
 # ---------------------------------------------------------------------------
@@ -286,15 +283,32 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command line and return its exit code.  The command returns
+    its stdout text without the final newline, and this writes it, once and
+    flushed: a failed write is exit 1, never mistaken for unreadable input.
+    The caller's int-to-str digit limit holds again on return."""
     args = _parse_args(sys.argv[1:] if argv is None else argv)
+    digit_limit = _get_digit_limit()
     try:
-        return args.func(args)
+        code, text = args.func(args)
     except (GraphFormatError, FamilyParameterError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except PreconditionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
+    finally:
+        _set_digit_limit(digit_limit)
+    try:
+        print(text, flush=True)
+    except OSError as exc:  # a closed pipe, a full disk
+        # fd 1 to devnull, so that the exit-time flush of what is left cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print(f"error: cannot write stdout: {exc}", file=sys.stderr)
+        return EXIT_STDOUT
+    return code
 
 
 if __name__ == "__main__":

@@ -9,7 +9,10 @@ are merged exactly.  What is read from the ``Analysis`` past the pass is
 evaluated once per orbit too: only ``Analysis.per_orbit``,
 ``Analysis.orbit_mean`` and ``Analysis.pair_mean``, and in this module
 ``diameter`` and ``global_efficiency``, read how the orbits are stored and
-weighted, and ``pair_mean`` alone divides by d(d-1).
+weighted.  Three places divide by d(d-1), the ordered pairs of neighbours:
+``pair_mean`` (the local efficiency, ``bc_loc`` and Thm 2's stress term),
+``neighborhood.profile`` (the mean pair distance and the radiality) and
+``relations.check_cor_sandwich`` (the betweenness and stress bounds).
 """
 
 from __future__ import annotations

@@ -4,7 +4,10 @@ import argparse
 import dataclasses
 import importlib
 import json
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -13,6 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import centrel
 from centrel import (FamilySpec, Graph, all_pairs, check_all, generate,
                      read_edge_list_text, read_json_graph, to_edge_list_text)
 from centrel.centralities import CentralityReport
@@ -185,7 +189,9 @@ class TestCompute:
         ("bad.json", b'{"n": 3, "edges": [[0, 1]], "x": "\xe9"}'),
         ("deep.json", b"[" * 100_000),
         ("long-int.json", b'{"n": ' + b"1" * 5000 + b', "edges": []}'),
-    ], ids=["non-utf8-edges", "non-utf8-json", "deep-json", "long-int-json"])
+        ("long-int.edges", b"n=" + b"1" * 5000 + b"\n0 1\n"),
+    ], ids=["non-utf8-edges", "non-utf8-json", "deep-json", "long-int-json",
+            "long-int-edges"])
     def test_undecodable_or_unparsable_exit_2(self, capsys, tmp_path, name, data):
         path = tmp_path / name
         path.write_bytes(data)
@@ -357,6 +363,13 @@ class TestGenerate:
         code, _, _ = run(capsys, "generate", "--params", "4")
         assert code == 2
 
+    def test_output_into_a_missing_directory_exit_2(self, capsys, tmp_path):
+        # exit 2, as for unreadable input; a failed stdout write is 1 (TestStdout)
+        code, out, err = run(capsys, "generate", "--family", "cycle", "--params", "4",
+                             "--output", str(tmp_path / "missing" / "g.edges"))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     @pytest.mark.parametrize("family,params", [("hypercube", "40"),
                                                ("complete", "20001")])
     def test_oversized_family_refused_before_it_is_built(
@@ -384,6 +397,73 @@ class TestGenerate:
         seed = ("--seed", "1") if family == "random-min-degree-2" else ()
         assert (run(capsys, "generate", "--family", family, "--params", params, *seed)
                 == (2, "", f"error: {message}\n"))
+
+
+def run_child(argv, stdout, unbuffered=False) -> subprocess.CompletedProcess:
+    """``centrel`` in a child process with this checkout's package first on
+    its path, and with ``PYTHONUNBUFFERED`` set or cleared."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(centrel.__file__).parents[1]), *filter(None, [env.get("PYTHONPATH")])])
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.run([sys.executable, "-m", "centrel.cli", *argv], stdout=stdout,
+                          stderr=subprocess.PIPE, env=env, text=True, timeout=60)
+
+
+class TestStdout:
+    """main writes each command's text once: a write that fails is exit 1
+    with one error line, whatever the command, format or buffering."""
+
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("argv", [
+        ("compute", "--family", "cycle", "--params", "6", "--format", "json"),
+        ("compute", "--family", "cycle", "--params", "6", "--format", "csv"),
+        ("compute", "--family", "cycle", "--params", "6", "--format", "human"),
+        ("check", "--family", "cycle", "--params", "6"),
+        ("generate", "--family", "cycle", "--params", "6"),
+        ("sweep", "--params", "3"),
+        ("oracle-diff", "--family", "cycle", "--params", "6"),
+    ], ids=["compute-json", "compute-csv", "compute-human", "check", "generate", "sweep",
+            "oracle-diff"])
+    def test_closed_pipe_exit_1(self, argv, unbuffered):
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # before the child starts, so that no reader ever exists
+        try:
+            child = run_child(argv, write_end, unbuffered)
+        finally:
+            os.close(write_end)
+        assert (child.returncode, child.stderr) == (
+            1, "error: cannot write stdout: [Errno 32] Broken pipe\n")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_full_device_exit_1(self):
+        with open("/dev/full", "w") as full:
+            child = run_child(["compute", "--family", "cycle", "--params", "6"], full)
+        assert (child.returncode, child.stderr) == (
+            1, "error: cannot write stdout: [Errno 28] No space left on device\n")
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                        reason="CPython before 3.10.7 has no digit limit")
+    def test_exact_output_past_the_digit_limit(self, capsys, monkeypatch):
+        # CPython's int-to-str limit is lifted for the output only, and the
+        # caller's limit holds again when main returns
+        import centrel.cli as cli
+        repunit = (10 ** 5000 - 1) // 9  # 5,000 ones, built without str()
+        real = cli.compute_report
+        monkeypatch.setattr(cli, "compute_report", lambda an: dataclasses.replace(
+            real(an), global_efficiency=Fraction(repunit, repunit + 1)))
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)  # the default, whatever earlier calls left
+        try:
+            for fmt in ("json", "human"):
+                code, out, err = run(capsys, "compute", "--family", "cycle", "--params", "5",
+                                     "--format", fmt)
+                assert (code, err) == (0, "")
+                assert f"{'1' * 5000}/{'1' * 4999}2" in out
+                assert sys.get_int_max_str_digits() == 4300
+        finally:
+            sys.set_int_max_str_digits(limit)
 
 
 class TestSweep:
@@ -647,14 +727,16 @@ class TestOracleDiff:
         assert code == 0
         assert "identical" in out
 
-    def test_oracle_limit_exceeded(self, capsys, monkeypatch):
-        # refused before the fast pass, which would be wasted
+    def test_oracle_limit_exceeded(self, capsys, monkeypatch, tmp_path):
+        # a family or a file, refused before the fast pass, which would be wasted
         import centrel.cli as cli
         monkeypatch.setattr(cli, "all_pairs", lambda g: pytest.fail("fast pass ran"))
-        code, out, err = run(capsys, "oracle-diff", "--family", "cycle",
-                             "--params", "301")
-        assert (code, out) == (3, "")
-        assert "n=301 > 300" in err
+        path = tmp_path / "c301.edges"
+        path.write_text("".join(f"{i} {(i + 1) % 301}\n" for i in range(301)))
+        for source in (["--family", "cycle", "--params", "301"], ["--input", str(path)]):
+            code, out, err = run(capsys, "oracle-diff", *source)
+            assert (code, out) == (3, "")
+            assert "n=301 > 300" in err
 
     def test_family_past_the_oracle_limit_refused_before_it_is_built(
             self, capsys, unbuildable):
